@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-import numpy as np
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -68,6 +67,10 @@ class KeystoreError(CryptoError):
     pass
 
 
+class KeyZeroizedError(CryptoError):
+    """A zeroized signing key was asked to sign."""
+
+
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
@@ -80,9 +83,14 @@ def ct_equal(a: bytes, b: bytes) -> bool:
     branch. The vector ops run in machine-width registers, which keeps
     the timing profile flat where Python's variable-width integers do
     not (interpreter fast paths make zero operands measurably cheaper).
+
+    numpy is imported here rather than at module level: only verifiers
+    compare, so the prover daemon never loads it.
     """
     if len(a) != len(b):
         raise LengthMismatchError(f"lengths {len(a)} and {len(b)}")
+    import numpy as np
+
     av = np.frombuffer(bytes(a), dtype=np.uint8)
     bv = np.frombuffer(bytes(b), dtype=np.uint8)
     acc = int(np.bitwise_or.reduce(av ^ bv, initial=0))
@@ -101,17 +109,26 @@ class SignKey:
 
     In HMAC mode the seed is the MAC key and the verifier holds the same
     bytes. In Ed25519 mode the seed is the private scalar seed and the
-    verifier holds only the derived public key. The repr never shows the
-    secret; ``zeroize()`` scrubs it in place.
+    verifier holds only the derived public key; the pyca key object is
+    built once, here, so signing does not re-parse the seed per request.
+    The repr never shows the secret.
+
+    ``zeroize()`` scrubs the seed in place and drops the key object. A
+    pyca key object lives in native memory that Python cannot overwrite,
+    so dropping the reference is all zeroize can do for it. Either way a
+    zeroized key refuses to sign.
     """
 
-    __slots__ = ("mode", "_secret")
+    __slots__ = ("mode", "_secret", "_ed25519", "_zeroized")
 
     def __init__(self, mode: SignMode, secret: bytes):
         if len(secret) != SEED_LEN:
             raise LengthMismatchError(f"signing secret must be {SEED_LEN} bytes")
         self.mode = mode
         self._secret = bytearray(secret)
+        self._ed25519 = (Ed25519PrivateKey.from_private_bytes(bytes(secret))
+                         if mode is SignMode.ED25519 else None)
+        self._zeroized = False
 
     @classmethod
     def generate(cls, mode: SignMode) -> "SignKey":
@@ -125,9 +142,19 @@ class SignKey:
             return VerifyKey(SignMode.HMAC, bytes(self._secret))
         return VerifyKey(SignMode.ED25519, ed25519_public_key(bytes(self._secret)))
 
+    def sign_digest(self, digest: bytes) -> bytes:
+        """HMAC tag or Ed25519 signature over ``digest``."""
+        if self._zeroized:
+            raise KeyZeroizedError("signing key was zeroized")
+        if self.mode is SignMode.HMAC:
+            return _hmac.new(bytes(self._secret), digest, hashlib.sha256).digest()
+        return self._ed25519.sign(digest)
+
     def zeroize(self) -> None:
         for i in range(len(self._secret)):
             self._secret[i] = 0
+        self._ed25519 = None
+        self._zeroized = True
 
     def __repr__(self) -> str:
         return f"SignKey(mode={self.mode.value}, secret=<redacted>)"
@@ -180,11 +207,7 @@ def attest_preimage(chal: bytes, pk: bytes, m: bytes) -> bytes:
 def attest_token(key: SignKey, chal: bytes, pk: bytes, m: bytes) -> AttestToken:
     """Sign the SHA-256 digest of the preimage under the key's mode."""
     digest = sha256(attest_preimage(chal, pk, m))
-    if key.mode is SignMode.HMAC:
-        sig = _hmac.new(key.secret_bytes(), digest, hashlib.sha256).digest()
-    else:
-        sig = ed25519_sign(key.secret_bytes(), digest)
-    return AttestToken(key.mode, sig)
+    return AttestToken(key.mode, key.sign_digest(digest))
 
 
 def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,

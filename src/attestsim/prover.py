@@ -18,7 +18,6 @@ import argparse
 import logging
 import socket
 import socketserver
-import struct
 import sys
 import threading
 from dataclasses import dataclass
@@ -46,13 +45,14 @@ from .wire import (
     ERR_INTERNAL,
     ERR_NO_CONTEXT,
     ERR_UNKNOWN_PID,
-    HEADER_LEN,
-    MAX_PAYLOAD,
+    READ_SIZE,
     AttestRequest,
     AttestResponse,
     ChannelConfirm,
     ChannelInit,
     ErrorMsg,
+    FrameDecoder,
+    LostSync,
     WireError,
     WireMessage,
     decode_payload,
@@ -130,66 +130,54 @@ def build_runtime(config: ProverConfig) -> ProverRuntime:
 
 
 class _Handler(socketserver.BaseRequestHandler):
-    """One connection: a loop of frames until EOF or loss of sync."""
+    """One connection: a loop of reads until EOF or loss of sync.
+
+    Every complete frame of a read is answered, in order, and the replies
+    go back in one ``sendall``.
+    """
 
     def handle(self) -> None:  # noqa: D102 (behavior described on the class)
         server: "ProverServer" = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
         sock.settimeout(server.config.io_timeout)
+        decoder = FrameDecoder()
         last_pid: Optional[int] = None
         while True:
             try:
-                frame = self._read_frame(sock)
-            except (socket.timeout, ConnectionError, OSError):
+                data = sock.recv(READ_SIZE)
+            except OSError:
                 return
-            if frame is None:
+            if not data:
                 return
-            if isinstance(frame, WireError):
-                # recoverable decode problem: the declared length was
-                # consumed, so the stream is still in sync
-                self._send(sock, ErrorMsg(ERR_BAD_REQUEST))
-                continue
-            try:
-                reply, last_pid = self._route(server, frame, last_pid)
-            except Exception:
-                log.exception("handler fault on %r", type(frame).__name__)
-                reply = ErrorMsg(ERR_INTERNAL)
-            if not self._send(sock, reply):
+            replies = bytearray()
+            for item in decoder.feed(data):
+                if isinstance(item, LostSync):
+                    # framing can't be trusted past this point; answer and drop
+                    replies += encode(ErrorMsg(ERR_BAD_REQUEST))
+                    self._send(sock, replies)
+                    return
+                try:
+                    frame = decode_payload(*item)
+                except WireError:
+                    # the declared length was consumed, so the stream is
+                    # still in sync
+                    replies += encode(ErrorMsg(ERR_BAD_REQUEST))
+                    continue
+                try:
+                    reply, last_pid = self._route(server, frame, last_pid)
+                except Exception:
+                    log.exception("handler fault on %r", type(frame).__name__)
+                    reply = ErrorMsg(ERR_INTERNAL)
+                replies += encode(reply)
+            if replies and not self._send(sock, replies):
                 return
-
-    def _read_frame(self, sock: socket.socket) -> WireMessage | WireError | None:
-        header = self._recv_exact(sock, HEADER_LEN)
-        if header is None:
-            return None
-        length, mtype = struct.unpack(">IB", header)
-        if length > MAX_PAYLOAD:
-            # framing can't be trusted past this point; answer and drop
-            self._send(sock, ErrorMsg(ERR_BAD_REQUEST))
-            return None
-        payload = self._recv_exact(sock, length) if length else b""
-        if payload is None:
-            return None
-        try:
-            return decode_payload(mtype, payload)
-        except WireError as e:
-            return e
 
     @staticmethod
-    def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = sock.recv(n - len(buf))
-            if not chunk:
-                return None
-            buf += chunk
-        return bytes(buf)
-
-    @staticmethod
-    def _send(sock: socket.socket, msg: WireMessage) -> bool:
+    def _send(sock: socket.socket, data: bytes) -> bool:
         try:
-            sock.sendall(encode(msg))
+            sock.sendall(data)
             return True
-        except (ConnectionError, OSError):
+        except OSError:
             return False
 
     def _route(self, server: "ProverServer", msg: WireMessage,

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import socket
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
 MAX_PAYLOAD = 4096
 HEADER_LEN = 5
+READ_SIZE = 65536             # bytes asked of one socket recv
 AEAD_TAG_LEN = 16
 
 MSG_ATTEST_REQUEST = 0x01
@@ -41,6 +43,8 @@ ERR_BAD_REQUEST = 2
 ERR_NO_CONTEXT = 3
 ERR_INTERNAL = 4
 ERR_CHANNEL = 5
+
+_HEADER = struct.Struct(">IB")
 
 
 class WireError(Exception):
@@ -144,7 +148,7 @@ def encode(msg: WireMessage) -> bytes:
     mtype, payload = encode_payload(msg)
     if len(payload) > MAX_PAYLOAD:
         raise OversizeFrameError(f"payload {len(payload)} exceeds {MAX_PAYLOAD}")
-    return struct.pack(">IB", len(payload), mtype) + payload
+    return _HEADER.pack(len(payload), mtype) + payload
 
 
 def decode_payload(mtype: int, payload: bytes) -> WireMessage:
@@ -188,7 +192,7 @@ def decode(frame: bytes) -> WireMessage:
     """Parse one complete frame; trailing bytes are an error."""
     if len(frame) < HEADER_LEN:
         raise TruncatedError(f"frame shorter than header ({len(frame)})")
-    length, mtype = struct.unpack(">IB", frame[:HEADER_LEN])
+    length, mtype = _HEADER.unpack_from(frame)
     if length > MAX_PAYLOAD:
         raise BadLengthError(f"declared payload {length} exceeds {MAX_PAYLOAD}")
     if len(frame) < HEADER_LEN + length:
@@ -199,11 +203,71 @@ def decode(frame: bytes) -> WireMessage:
     return decode_payload(mtype, frame[HEADER_LEN:])
 
 
+@dataclass(frozen=True)
+class LostSync:
+    """A header declared more than ``MAX_PAYLOAD`` bytes.
+
+    Nothing after it can be framed, so it is the last item a decoder ever
+    yields; the reader should answer (or raise) and drop the stream.
+    """
+
+    length: int
+
+
+class FrameDecoder:
+    """Incremental frame splitter with no I/O of its own (sans-IO).
+
+    ``feed`` takes whatever bytes a read returned and gives back every
+    frame they complete, as ``(msg_type, payload)`` in arrival order,
+    ending with a ``LostSync`` if an oversize header turned up. Payloads
+    are not parsed here; the caller runs ``decode_payload`` on each. At
+    most one partial frame (at most ``HEADER_LEN + MAX_PAYLOAD`` bytes) is
+    held between calls. After a ``LostSync`` every later ``feed`` returns
+    the same ``LostSync`` and nothing else.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self):
+        self._buf = bytearray()
+
+    @property
+    def pending(self) -> int:
+        """Bytes of an incomplete frame held since the last ``feed``."""
+        return len(self._buf)
+
+    def feed(self, data: bytes) -> list[Union[tuple[int, bytes], LostSync]]:
+        buf = self._buf
+        buf += data
+        out: list[Union[tuple[int, bytes], LostSync]] = []
+        pos, end = 0, len(buf)
+        while end - pos >= HEADER_LEN:
+            length, mtype = _HEADER.unpack_from(buf, pos)
+            if length > MAX_PAYLOAD:
+                # keep only the bad header, so the verdict sticks
+                buf[:] = buf[pos:pos + HEADER_LEN]
+                out.append(LostSync(length))
+                return out
+            stop = pos + HEADER_LEN + length
+            if stop > end:
+                break
+            out.append((mtype, bytes(buf[pos + HEADER_LEN:stop])))
+            pos = stop
+        del buf[:pos]
+        return out
+
+
 class FrameStream:
-    """Blocking frame reader/writer over a connected socket."""
+    """Blocking frame reader/writer over a connected socket.
+
+    Reads go through a ``FrameDecoder``, one ``recv`` of ``READ_SIZE`` at
+    a time; frames that arrive together are handed out one per ``recv``.
+    """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._decoder = FrameDecoder()
+        self._ready: deque[Union[tuple[int, bytes], LostSync]] = deque()
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: Optional[float] = None
@@ -220,30 +284,25 @@ class FrameStream:
     def send_raw(self, data: bytes) -> None:
         self._sock.sendall(data)
 
-    def _recv_exact(self, n: int) -> Optional[bytes]:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
-            if not chunk:
-                return None
-            buf += chunk
-        return bytes(buf)
-
     def recv(self, allow_eof: bool = False) -> Optional[WireMessage]:
         """Read one frame. Clean EOF at a frame boundary returns None when
-        ``allow_eof`` is set, otherwise raises TruncatedError."""
-        header = self._recv_exact(HEADER_LEN)
-        if header is None:
-            if allow_eof:
-                return None
-            raise TruncatedError("connection closed before a frame arrived")
-        length, mtype = struct.unpack(">IB", header)
-        if length > MAX_PAYLOAD:
-            raise BadLengthError(f"declared payload {length} exceeds {MAX_PAYLOAD}")
-        payload = self._recv_exact(length) if length else b""
-        if payload is None:
-            raise TruncatedError("connection closed mid-frame")
-        return decode_payload(mtype, payload)
+        ``allow_eof`` is set, otherwise raises TruncatedError; EOF inside a
+        frame, header included, always raises TruncatedError."""
+        while not self._ready:
+            data = self._sock.recv(READ_SIZE)
+            if not data:
+                if self._decoder.pending:
+                    raise TruncatedError("connection closed mid-frame")
+                if allow_eof:
+                    return None
+                raise TruncatedError("connection closed before a frame arrived")
+            self._ready.extend(self._decoder.feed(data))
+        item = self._ready.popleft()
+        if isinstance(item, LostSync):
+            self._ready.appendleft(item)
+            raise BadLengthError(
+                f"declared payload {item.length} exceeds {MAX_PAYLOAD}")
+        return decode_payload(*item)
 
     def close(self) -> None:
         try:

@@ -8,12 +8,14 @@ fails loudly.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import hmac as hmaclib
 import os
 import stat
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from attestsim.crypto import (
     AllZeroSharedSecretError,
     AttestToken,
     KeystoreError,
+    KeyZeroizedError,
     LengthMismatchError,
     SignKey,
     SignMode,
@@ -247,6 +250,16 @@ class TestSignKey:
         key = SignKey(SignMode.HMAC, bytes.fromhex("88" * 32))
         key.zeroize()
         assert key.secret_bytes() == bytes(32)
+
+    @pytest.mark.parametrize("mode", list(SignMode))
+    def test_zeroized_key_refuses_to_sign(self, mode):
+        key = SignKey(mode, bytes.fromhex("8a" * 32))
+        attest_token(key, bytes(32), bytes(32), bytes(32))
+        key.zeroize()
+        assert not any(isinstance(ref, Ed25519PrivateKey)
+                       for ref in gc.get_referents(key))
+        with pytest.raises(KeyZeroizedError):
+            attest_token(key, bytes(32), bytes(32), bytes(32))
 
     def test_secret_length_enforced(self):
         with pytest.raises(LengthMismatchError):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import logging
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,7 @@ from attestsim.wire import (
     ChannelInit,
     ErrorMsg,
     FrameStream,
+    encode,
 )
 
 
@@ -131,6 +135,36 @@ class TestDaemonTcp:
             assert stream.recv() == ErrorMsg(code=ERR_BAD_REQUEST)
             assert stream.recv(allow_eof=True) is None
 
+    def test_pipelined_requests_answered_in_order(self, env, daemon):
+        """32 requests in one write come back as 32 replies, in order."""
+        pids = [(1, 2, 9)[i % 3] for i in range(32)]
+        chals = [bytes([i]) * 32 for i in range(32)]
+        vk = env.key.verify_key()
+        with connect(daemon) as stream:
+            stream.send_raw(b"".join(encode(AttestRequest(pid=pid, chal=chal))
+                                     for pid, chal in zip(pids, chals)))
+            replies = [stream.recv() for _ in pids]
+        for pid, chal, reply in zip(pids, chals, replies):
+            if pid == 9:
+                assert reply == ErrorMsg(code=ERR_UNKNOWN_PID)
+                continue
+            assert isinstance(reply, AttestResponse) and reply.pid == pid
+            m = daemon.runtime.report.digest_of(pid)
+            assert verify_token(vk, chal, reply.pk, m,
+                                AttestToken(vk.mode, reply.sigma))
+
+    def test_frames_before_oversize_header_are_answered(self, daemon):
+        with connect(daemon) as stream:
+            stream.send_raw(
+                encode(AttestRequest(pid=1, chal=bytes(32)))
+                + encode(AttestRequest(pid=2, chal=bytes(32)))
+                + struct.pack(">IB", MAX_PAYLOAD + 1, 0x01))
+            first, second = stream.recv(), stream.recv()
+            assert stream.recv() == ErrorMsg(code=ERR_BAD_REQUEST)
+            assert stream.recv(allow_eof=True) is None
+        assert isinstance(first, AttestResponse) and first.pid == 1
+        assert isinstance(second, AttestResponse) and second.pid == 2
+
     def test_torn_frame_then_fresh_connection(self, env, daemon):
         with connect(daemon) as stream:
             stream.send_raw(struct.pack(">IB", 40, 0x01) + bytes(5))
@@ -192,6 +226,11 @@ class TestPhaseLogs:
 
 
 class TestCliPlumbing:
+    def test_daemon_does_not_load_numpy(self):
+        code = "import sys, attestsim.prover; sys.exit('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     @pytest.mark.parametrize("listen", ["127.0.0.1:7411", "0.0.0.0:0"])
     def test_parse_listen(self, listen):
         host, port = parse_listen(listen)

@@ -6,7 +6,7 @@ import socket
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attestsim.wire import (
@@ -19,12 +19,15 @@ from attestsim.wire import (
     ChannelConfirm,
     ChannelInit,
     ErrorMsg,
+    FrameDecoder,
     FrameStream,
+    LostSync,
     OversizeFrameError,
     TruncatedError,
     UnknownTypeError,
     WireError,
     decode,
+    decode_payload,
     encode,
 )
 
@@ -169,6 +172,69 @@ class TestStrictParsing:
             pass
 
 
+# well-formed frames plus honest-length frames whose payload may not parse
+FRAMES = st.one_of(
+    MESSAGES.map(encode),
+    st.builds(lambda mtype, body: struct.pack(">IB", len(body), mtype) + body,
+              st.integers(min_value=0, max_value=255), st.binary(max_size=64)),
+)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except WireError as e:
+        return type(e)
+
+
+class TestFrameDecoder:
+    @given(frames=st.lists(FRAMES, max_size=12),
+           sizes=st.lists(st.integers(min_value=1, max_value=200),
+                          min_size=1, max_size=20))
+    @example(frames=[encode(AttestRequest(pid=1, chal=bytes(32))),
+                     encode(ErrorMsg(code=2))], sizes=[1])
+    @settings(max_examples=300, deadline=None)
+    def test_any_split_yields_what_decode_yields(self, frames, sizes):
+        """Fed in pieces of the given sizes, cycled (down to one byte at a
+        time), the decoder hands back exactly the frames, in order."""
+        data = b"".join(frames)
+        decoder = FrameDecoder()
+        items, pos, i = [], 0, 0
+        while pos < len(data):
+            n = sizes[i % len(sizes)]
+            items += decoder.feed(data[pos:pos + n])
+            assert decoder.pending <= HEADER_LEN + MAX_PAYLOAD
+            pos, i = pos + n, i + 1
+        assert decoder.pending == 0
+        assert [_outcome(decode_payload, *item) for item in items] == \
+            [_outcome(decode, frame) for frame in frames]
+
+    def test_partial_frame_is_held(self):
+        frame = encode(AttestRequest(pid=7, chal=bytes(range(32))))
+        decoder = FrameDecoder()
+        assert decoder.feed(frame[:3]) == []
+        assert decoder.feed(frame[3:20]) == []
+        assert decoder.pending == 20
+        assert decoder.feed(frame[20:] + frame[:1]) == [
+            (MSG_ATTEST_REQUEST, frame[HEADER_LEN:])]
+        assert decoder.pending == 1
+
+    def test_oversize_header_loses_sync_for_good(self):
+        ok = encode(ErrorMsg(code=1))
+        bad = struct.pack(">IB", MAX_PAYLOAD + 1, MSG_ATTEST_REQUEST)
+        decoder = FrameDecoder()
+        assert decoder.feed(ok + bad[:2]) == [(0x05, b"\x01")]
+        assert decoder.feed(bad[2:] + ok + bytes(100)) == [
+            LostSync(MAX_PAYLOAD + 1)]
+        assert decoder.pending == HEADER_LEN
+        assert decoder.feed(ok) == [LostSync(MAX_PAYLOAD + 1)]
+        assert decoder.pending == HEADER_LEN
+
+    def test_full_size_payload_is_a_frame(self):
+        frame = struct.pack(">IB", MAX_PAYLOAD, 0x03) + bytes(MAX_PAYLOAD)
+        assert FrameDecoder().feed(frame) == [(0x03, bytes(MAX_PAYLOAD))]
+
+
 class TestFrameStream:
     def _pair(self):
         a, b = socket.socketpair()
@@ -191,6 +257,28 @@ class TestFrameStream:
             assert right.recv(allow_eof=True) is None
             with pytest.raises(TruncatedError):
                 right.recv()
+        finally:
+            right.close()
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4])
+    def test_eof_inside_header_is_not_clean(self, cut):
+        left, right = self._pair()
+        left.send_raw(encode(ErrorMsg(code=1))[:cut])
+        left.close()
+        try:
+            with pytest.raises(TruncatedError):
+                right.recv(allow_eof=True)
+        finally:
+            right.close()
+
+    def test_frames_sent_together_come_out_one_by_one(self):
+        left, right = self._pair()
+        msgs = [AttestRequest(pid=i, chal=bytes([i]) * 32) for i in range(5)]
+        left.send_raw(b"".join(encode(m) for m in msgs))
+        left.close()
+        try:
+            assert [right.recv() for _ in msgs] == msgs
+            assert right.recv(allow_eof=True) is None
         finally:
             right.close()
 
