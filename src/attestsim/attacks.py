@@ -34,7 +34,7 @@ from .kernel import Call, NetRecv
 from .prover import BackgroundDaemon, ProverConfig, ProverRuntime
 from .signing import STATUS_MALFORMED, bytes_from_words_be, words_from_bytes_be
 from .timing import audit_comparator, audit_ct_equal
-from .userland import NetAttestReply, make_relay_program
+from .userland import make_relay_program
 from .verifier import (
     AttestFailure,
     ConfirmFailedError,
@@ -304,7 +304,8 @@ def scenario_malformed_ipc(work: Path, t: list[str]) -> tuple[bool, str, str]:
                     status = ctx.get_mr(0)
                     sigma = bytes_from_words_be(
                         [ctx.get_mr(i) for i in range(1, reply_len)])
-                    ctx.net_send(NetAttestReply(status, bytes(32), sigma))
+                    ctx.net_send(
+                        AttestResponse(status, event.pid, bytes(32), sigma))
             return rogue
         return make_relay_program(sp_cap)
 
@@ -321,7 +322,7 @@ def scenario_malformed_ipc(work: Path, t: list[str]) -> tuple[bool, str, str]:
     if good.status != 0:
         return False, "signer survives", f"status {good.status} after malformed"
     t.append("kernel trace tail: "
-             + "; ".join(str(e) for e in runtime.kernel.trace[-6:]))
+             + "; ".join(str(e) for e in list(runtime.kernel.trace)[-6:]))
     return True, f"status {STATUS_MALFORMED}, signer survives", \
         f"status {reply.status}, signer survives"
 

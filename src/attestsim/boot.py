@@ -61,7 +61,6 @@ DEFAULT_CAPACITY = 16
 RESERVED_PID_BASE = 2**64 - 256
 RP_PID = RESERVED_PID_BASE
 PST_PID = RESERVED_PID_BASE + 1
-IP_PID = RESERVED_PID_BASE + 2
 SP_PID = RESERVED_PID_BASE + 3
 
 
@@ -108,7 +107,6 @@ def _keystream_blob(label: str, size: int) -> bytes:
 KERNEL_IMAGE = b"\x7fKRN" + _keystream_blob("kernel-image-v1", 8188)
 RP_IMAGE = b"\x7fRTP" + _keystream_blob("root-process-image-v1", 8188)
 SP_IMAGE = b"\x7fSGN" + _keystream_blob("signing-process-image-v1", 4092)
-IP_IMAGE = b"\x7fINI" + _keystream_blob("init-process-image-v1", 2044)
 
 
 @dataclass(frozen=True)
@@ -272,12 +270,6 @@ class BootReport:
     spawned: list[tuple[int, int, bytes]] = field(default_factory=list)
     terminated: list[int] = field(default_factory=list)
 
-    def badge_of(self, pid: int) -> Optional[int]:
-        for spawned_pid, badge, _ in self.spawned:
-            if spawned_pid == pid:
-                return badge
-        return None
-
     def digest_of(self, pid: int) -> Optional[bytes]:
         for spawned_pid, _, digest in self.spawned:
             if spawned_pid == pid:
@@ -368,7 +360,6 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
             seen.add(spec.pid)
 
         kernel.spawn_process(KernelProcessSpec(PST_PID, _keystream_blob("pst", 512)))
-        kernel.spawn_process(KernelProcessSpec(IP_PID, IP_IMAGE))
         log.info("phase=process-spawn pid=%#x role=signing-process", SP_PID)
         kernel.spawn_process(KernelProcessSpec(
             SP_PID, SP_IMAGE,
@@ -407,7 +398,7 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
 
 def finalize_boot(kernel: Kernel, report: BootReport) -> None:
     """Terminate boot-time processes and drop all kernel authority."""
-    for pid in (RP_PID, PST_PID, IP_PID):
+    for pid in (RP_PID, PST_PID):
         kernel.terminate_process(pid)
         report.terminated.append(pid)
     kernel.finalize()

@@ -21,7 +21,9 @@ Security properties maintained here and relied on by everything above:
 
 Scheduling is strictly FIFO over a ready queue and every state transition
 appends a tuple to ``Kernel.trace``, so identical operation sequences
-produce identical traces.
+produce identical traces. The trace is a ring of the last ``TRACE_LEN``
+transitions (about 1000 attestation rounds), so a long-running device
+keeps a bounded amount of it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ MSG_MAX_LENGTH = 120          # IPC buffer size in 64-bit registers
 WORD_MASK = (1 << 64) - 1
 BOOT_BADGE = 0                # reported when the sender's cap carries no badge
 SELF_CODE_REGION = "self_code"
+TRACE_LEN = 4096              # transitions kept in Kernel.trace
 
 
 class KernelError(Exception):
@@ -178,7 +181,7 @@ class _Endpoint:
 class _Process:
     __slots__ = (
         "pid", "code", "ipc", "cspace", "next_handle", "state",
-        "gen", "started", "resume_value", "reply_to", "net_inbox",
+        "gen", "resume_value", "reply_to", "net_inbox",
     )
 
     def __init__(self, pid: int, code: bytes):
@@ -189,7 +192,6 @@ class _Process:
         self.next_handle = 1
         self.state = ProcState.RUNNABLE
         self.gen: Optional[Generator] = None
-        self.started = False
         self.resume_value: Any = None
         self.reply_to: Optional[int] = None
         self.net_inbox: deque[Any] = deque()
@@ -236,7 +238,7 @@ class Kernel:
         self._ready: deque[int] = deque()
         self._outbox: dict[int, deque[Any]] = {}
         self._finalized = False
-        self.trace: list[tuple] = []
+        self.trace: deque[tuple] = deque(maxlen=TRACE_LEN)
 
     # --- authority-bearing operations (boot-time only) -------------------
 
@@ -314,33 +316,13 @@ class Kernel:
         self.trace.append(("start", pid))
 
     def terminate_process(self, pid: int) -> None:
-        """Tear a process down and revoke everything it held.
-
-        The record stays (pids are never reused) but its cspace is emptied,
-        it is pulled out of every queue, and any reply obligation pointing
-        at it is dropped, so it can never send or be replied to again.
-        """
+        """Tear a process down and revoke everything it held."""
         self._require_authority("terminate_process")
         rec = self._procs.get(pid)
         if rec is None:
             raise UnknownPidError(f"pid {pid}")
-        if rec.state is ProcState.TERMINATED:
-            return
-        rec.state = ProcState.TERMINATED
-        rec.cspace.clear()
-        rec.net_inbox.clear()
-        if rec.gen is not None:
-            rec.gen.close()
-        for ep in self._endpoints.values():
-            ep.send_queue = deque(e for e in ep.send_queue if e[0] != pid)
-            if pid in ep.recv_queue:
-                ep.recv_queue.remove(pid)
-        for other in self._procs.values():
-            if other.reply_to == pid:
-                other.reply_to = None
-        if pid in self._ready:
-            self._ready.remove(pid)
-        self.trace.append(("terminate", pid))
+        if rec.state is not ProcState.TERMINATED:
+            self._retire(rec, "terminate")
 
     def finalize(self) -> None:
         """Drop boot authority for the rest of the run."""
@@ -382,16 +364,16 @@ class Kernel:
             raise UnknownPidError(f"pid {pid}")
         return rec.state
 
-    def registers(self, pid: int, count: int = MSG_MAX_LENGTH) -> list[int]:
+    def registers(self, pid: int) -> list[int]:
         """Snapshot of a process's IPC registers (host-side inspection)."""
         rec = self._procs.get(pid)
         if rec is None:
             raise UnknownPidError(f"pid {pid}")
-        return list(rec.ipc[:count])
+        return list(rec.ipc)
 
     # --- scheduler --------------------------------------------------------
 
-    def run(self, max_steps: Optional[int] = None) -> int:
+    def run(self) -> int:
         """Advance ready processes FIFO until everything blocks or exits.
 
         Returns the number of scheduler dispatches. Exceptions a syscall
@@ -400,8 +382,6 @@ class Kernel:
         """
         steps = 0
         while self._ready:
-            if max_steps is not None and steps >= max_steps:
-                break
             pid = self._ready.popleft()
             rec = self._procs[pid]
             if rec.state is not ProcState.RUNNABLE or rec.gen is None:
@@ -411,54 +391,57 @@ class Kernel:
         return steps
 
     def _advance(self, rec: _Process) -> None:
-        assert rec.gen is not None
-        pending_exc: Optional[KernelError] = None
-        while True:
-            try:
-                if pending_exc is not None:
-                    exc, pending_exc = pending_exc, None
-                    sc = rec.gen.throw(exc)
-                elif not rec.started:
-                    rec.started = True
-                    sc = rec.gen.send(None)
-                else:
-                    value, rec.resume_value = rec.resume_value, None
-                    sc = rec.gen.send(value)
-            except StopIteration:
-                self._exit(rec)
-                return
-            try:
-                done = self._dispatch(rec, sc)
-            except KernelError as e:
-                pending_exc = e
-                continue
-            if done:
-                return
+        # a fresh generator starts on send(None), and resume_value starts None
+        value, rec.resume_value = rec.resume_value, None
+        try:
+            sc = rec.gen.send(value)
+            while True:
+                try:
+                    self._dispatch(rec, sc)
+                    return
+                except KernelError as e:
+                    sc = rec.gen.throw(e)
+        except StopIteration:
+            self._retire(rec, "exit")
 
-    def _exit(self, rec: _Process) -> None:
-        # program ran to completion; fold it up like a terminate
+    def _retire(self, rec: _Process, kind: str) -> None:
+        """Retire a process that exited or was terminated (``kind``).
+
+        The record stays (pids are never reused) but its cspace is emptied,
+        it is pulled out of every queue, and any reply obligation pointing
+        at it is dropped, so it can never send or be replied to again.
+        """
+        pid = rec.pid
         rec.state = ProcState.TERMINATED
         rec.cspace.clear()
+        rec.net_inbox.clear()
+        if rec.gen is not None:
+            rec.gen.close()
+        for ep in self._endpoints.values():
+            ep.send_queue = deque(e for e in ep.send_queue if e[0] != pid)
+            if pid in ep.recv_queue:
+                ep.recv_queue.remove(pid)
         for other in self._procs.values():
-            if other.reply_to == rec.pid:
+            if other.reply_to == pid:
                 other.reply_to = None
-        self.trace.append(("exit", rec.pid))
+        if pid in self._ready:
+            self._ready.remove(pid)
+        self.trace.append((kind, pid))
 
-    def _dispatch(self, rec: _Process, sc: Syscall) -> bool:
-        """Apply one syscall. True means the process yielded the CPU."""
+    def _dispatch(self, rec: _Process, sc: Syscall) -> None:
+        """Apply one syscall; the process then waits to be scheduled again."""
         if isinstance(sc, Call):
             self._do_call(rec, sc)
-            return True
-        if isinstance(sc, Recv):
-            return self._do_recv(rec, sc)
-        if isinstance(sc, NetRecv):
+        elif isinstance(sc, Recv):
+            self._do_recv(rec, sc)
+        elif isinstance(sc, NetRecv):
             if rec.net_inbox:
                 rec.resume_value = rec.net_inbox.popleft()
                 self._ready.append(rec.pid)
             else:
                 rec.state = ProcState.BLOCKED_NET
-            return True
-        raise KernelError(f"pid {rec.pid} yielded a non-syscall: {sc!r}")
+        else:
+            raise KernelError(f"pid {rec.pid} yielded a non-syscall: {sc!r}")
 
     def _cap(self, rec: _Process, handle: int) -> Capability:
         cap = rec.cspace.get(handle)
@@ -482,23 +465,17 @@ class Kernel:
             ep.send_queue.append((rec.pid, sc.msg_len, badge))
             self.trace.append(("queued", rec.pid, ep.eid, sc.msg_len))
 
-    def _do_recv(self, rec: _Process, sc: Recv) -> bool:
+    def _do_recv(self, rec: _Process, sc: Recv) -> None:
         cap = self._cap(rec, sc.cap)
         if not cap.rights.read:
             raise NoReceiveRightError(f"pid {rec.pid}: endpoint {cap.obj}")
         ep = self._endpoints[cap.obj]
         if ep.send_queue:
             spid, msg_len, badge = ep.send_queue.popleft()
-            sender = self._procs[spid]
-            rec.ipc[:msg_len] = sender.ipc[:msg_len]
-            rec.reply_to = spid
-            rec.resume_value = (badge, msg_len)
-            self._ready.append(rec.pid)
-            self.trace.append(("deliver", spid, rec.pid, ep.eid, badge, msg_len))
-            return True
-        rec.state = ProcState.BLOCKED_RECV
-        ep.recv_queue.append(rec.pid)
-        return True
+            self._deliver(self._procs[spid], rec, ep, badge, msg_len)
+        else:
+            rec.state = ProcState.BLOCKED_RECV
+            ep.recv_queue.append(rec.pid)
 
     def _deliver(self, sender: _Process, receiver: _Process, ep: _Endpoint,
                  badge: int, msg_len: int) -> None:

@@ -32,13 +32,7 @@ from .boot import (
     load_user_manifest,
 )
 from .crypto import CHAL_LEN, SignKey, SignMode, load_keystore
-from .userland import (
-    NetAttest,
-    NetAttestReply,
-    NetChannelFail,
-    NetChannelInit,
-    NetChannelReply,
-)
+from .userland import NetChannelFail
 from .wire import (
     ERR_BAD_REQUEST,
     ERR_CHANNEL,
@@ -74,15 +68,14 @@ class ProverConfig:
     manifest_path: str = "manifest.json"
     capacity: int = DEFAULT_CAPACITY
     mode_override: Optional[SignMode] = None
-    io_timeout: float = IO_TIMEOUT
 
 
 class ProverRuntime:
     """The booted device plus the event plumbing the daemon drives.
 
     Also usable without any socket: ``attest_once`` and ``channel_once``
-    inject a host event, run the kernel to quiescence, and return the
-    single event the target process emitted.
+    inject a wire message as a host event, run the kernel to quiescence,
+    and return the single event the target process emitted.
     """
 
     def __init__(self, system: BootedSystem):
@@ -91,29 +84,25 @@ class ProverRuntime:
         self.report = system.report
         self.up_pids = set(system.report.up_pids())
 
-    def attest_once(self, pid: int, chal: bytes) -> NetAttestReply:
-        if pid not in self.up_pids:
-            raise KeyError(f"pid {pid} is not an attestable process")
+    def attest_once(self, pid: int, chal: bytes) -> AttestResponse:
         if len(chal) != CHAL_LEN:
             raise ValueError(f"chal must be {CHAL_LEN} bytes")
-        self.kernel.inject_net(pid, NetAttest(chal))
-        self.kernel.run()
-        events = self.kernel.drain_net(pid)
-        if len(events) != 1 or not isinstance(events[0], NetAttestReply):
-            raise RuntimeError(f"pid {pid} emitted {events!r} for an attest")
-        return events[0]
+        return self._exchange(pid, AttestRequest(pid, chal), AttestResponse)
 
     def channel_once(self, pid: int, init: ChannelInit
-                     ) -> NetChannelReply | NetChannelFail:
+                     ) -> ChannelConfirm | NetChannelFail:
+        return self._exchange(pid, init, (ChannelConfirm, NetChannelFail))
+
+    def _exchange(self, pid: int, event: WireMessage,
+                  expected: type | tuple[type, ...]):
         if pid not in self.up_pids:
             raise KeyError(f"pid {pid} is not an attestable process")
-        self.kernel.inject_net(
-            pid, NetChannelInit(eph_pk=init.eph_pk, nonce=init.nonce, ct=init.ct))
+        self.kernel.inject_net(pid, event)
         self.kernel.run()
         events = self.kernel.drain_net(pid)
-        if len(events) != 1 or not isinstance(
-                events[0], (NetChannelReply, NetChannelFail)):
-            raise RuntimeError(f"pid {pid} emitted {events!r} for a channel init")
+        if len(events) != 1 or not isinstance(events[0], expected):
+            raise RuntimeError(
+                f"pid {pid} emitted {events!r} for {type(event).__name__}")
         return events[0]
 
 
@@ -139,7 +128,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # noqa: D102 (behavior described on the class)
         server: "ProverServer" = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
-        sock.settimeout(server.config.io_timeout)
+        sock.settimeout(IO_TIMEOUT)
         decoder = FrameDecoder()
         last_pid: Optional[int] = None
         while True:
@@ -186,19 +175,17 @@ class _Handler(socketserver.BaseRequestHandler):
         if isinstance(msg, AttestRequest):
             if msg.pid not in runtime.up_pids:
                 return ErrorMsg(ERR_UNKNOWN_PID), last_pid
-            reply = runtime.attest_once(msg.pid, msg.chal)
-            return AttestResponse(status=reply.status, pid=msg.pid,
-                                  pk=reply.pk, sigma=reply.sigma), msg.pid
+            return runtime.attest_once(msg.pid, msg.chal), msg.pid
         if isinstance(msg, ChannelInit):
             # no pid on the wire for channel frames: route to the pid the
             # connection last attested
             if last_pid is None:
                 return ErrorMsg(ERR_NO_CONTEXT), last_pid
             outcome = runtime.channel_once(last_pid, msg)
-            if isinstance(outcome, NetChannelReply):
-                return ChannelConfirm(nonce=outcome.nonce, ct=outcome.ct), last_pid
-            log.info("channel refused for pid=%d: %s", last_pid, outcome.reason)
-            return ErrorMsg(ERR_CHANNEL), last_pid
+            if isinstance(outcome, NetChannelFail):
+                log.info("channel refused for pid=%d: %s", last_pid, outcome.reason)
+                return ErrorMsg(ERR_CHANNEL), last_pid
+            return outcome, last_pid
         # clients have no business sending responses, confirms, or errors
         return ErrorMsg(ERR_BAD_REQUEST), last_pid
 
@@ -207,7 +194,6 @@ class ProverServer(socketserver.TCPServer):
     allow_reuse_address = True
 
     def __init__(self, config: ProverConfig, runtime: ProverRuntime):
-        self.config = config
         self.runtime = runtime
         super().__init__((config.host, config.port), _Handler)
 

@@ -2,10 +2,12 @@
 
 A relay program is what an attestable user process runs in this simulator.
 It owns an X25519 keypair (the private half lives only in the program
-closure), forwards challenges to the signing process over its badged
-endpoint capability, and speaks the host-injected network events below.
-The daemon translates these events to and from wire frames; the programs
-themselves never see sockets.
+closure) and forwards challenges to the signing process over its badged
+endpoint capability. Its network events are the wire messages themselves:
+the daemon injects the ``AttestRequest`` or ``ChannelInit`` it decoded,
+and the relay emits the ``AttestResponse`` or ``ChannelConfirm`` to send
+back, or a :class:`NetChannelFail` that the daemon turns into an error
+frame. The programs themselves never see sockets.
 """
 
 from __future__ import annotations
@@ -26,31 +28,7 @@ from .crypto import (
 )
 from .kernel import Call, NetRecv, ProcessApi
 from .signing import REQUEST_LEN, bytes_from_words_be, words_from_bytes_be
-
-
-@dataclass(frozen=True)
-class NetAttest:
-    chal: bytes
-
-
-@dataclass(frozen=True)
-class NetAttestReply:
-    status: int
-    pk: bytes
-    sigma: bytes
-
-
-@dataclass(frozen=True)
-class NetChannelInit:
-    eph_pk: bytes
-    nonce: bytes
-    ct: bytes
-
-
-@dataclass(frozen=True)
-class NetChannelReply:
-    nonce: bytes
-    ct: bytes
+from .wire import AttestRequest, AttestResponse, ChannelConfirm, ChannelInit
 
 
 @dataclass(frozen=True)
@@ -58,22 +36,21 @@ class NetChannelFail:
     reason: str
 
 
-def make_relay_program(sp_cap: int, x25519_seed: Optional[bytes] = None):
+def make_relay_program(sp_cap: int):
     """Program factory for a standard relay user process.
 
     ``sp_cap`` is the handle of the badged send capability to the signing
-    endpoint. ``x25519_seed`` fixes the channel private key for
-    deterministic tests; by default a fresh one is drawn. The private key
-    is captured in the closure and never leaves it.
+    endpoint. The channel private key is drawn fresh, captured in the
+    closure, and never leaves it.
     """
-    private = x25519_seed if x25519_seed is not None else os.urandom(32)
+    private = os.urandom(32)
     pk = x25519_public_key(private)
 
     def program(ctx: ProcessApi) -> Generator:
         last: Optional[tuple[bytes, bytes]] = None    # (chal, sigma)
         while True:
             event = yield NetRecv()
-            if isinstance(event, NetAttest):
+            if isinstance(event, AttestRequest):
                 for i, word in enumerate(words_from_bytes_be(event.chal + pk)):
                     ctx.set_mr(i, word)
                 reply_len = yield Call(sp_cap, REQUEST_LEN)
@@ -82,8 +59,8 @@ def make_relay_program(sp_cap: int, x25519_seed: Optional[bytes] = None):
                     [ctx.get_mr(i) for i in range(1, reply_len)])
                 if status == 0:
                     last = (event.chal, sigma)
-                ctx.net_send(NetAttestReply(status, pk, sigma))
-            elif isinstance(event, NetChannelInit):
+                ctx.net_send(AttestResponse(status, event.pid, pk, sigma))
+            elif isinstance(event, ChannelInit):
                 if last is None:
                     ctx.net_send(NetChannelFail("no prior attestation"))
                     continue
@@ -99,7 +76,7 @@ def make_relay_program(sp_cap: int, x25519_seed: Optional[bytes] = None):
                     ctx.net_send(NetChannelFail("init did not authenticate"))
                     continue
                 nonce = os.urandom(NONCE_LEN)
-                ctx.net_send(NetChannelReply(
+                ctx.net_send(ChannelConfirm(
                     nonce, seal(key, nonce, token, CHANNEL_AD_CONFIRM)))
             else:
                 ctx.net_send(NetChannelFail(f"unhandled event {type(event).__name__}"))

@@ -25,6 +25,7 @@ import socket
 import sys
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -178,22 +179,28 @@ class NonceLedger:
     ``consume`` removes the challenge, so a second consume of the same
     bytes reports "unknown" and the caller treats it as replay. Expired
     entries are purged as a side effect of issuing, which bounds growth.
+    Under a monotonic clock the entries are kept in issue order, so the
+    expired ones are a prefix and issuing costs amortised O(1). An
+    ``OrderedDict`` pops its front in O(1); a plain dict does not.
     """
 
     def __init__(self, ttl: float = DEFAULT_TTL,
                  clock: Callable[[], float] = time.monotonic):
         self.ttl = ttl
         self._clock = clock
-        self._issued: dict[bytes, float] = {}
+        self._issued: OrderedDict[bytes, float] = OrderedDict()
         self._lock = threading.Lock()
 
     def issue(self, chal: bytes) -> None:
         now = self._clock()
         with self._lock:
             cutoff = now - self.ttl
-            for old in [c for c, t in self._issued.items() if t < cutoff]:
-                del self._issued[old]
-            self._issued[chal] = now
+            issued = self._issued
+            while issued and next(iter(issued.values())) < cutoff:
+                issued.popitem(last=False)
+            # a re-issued challenge moves to the back, keeping issue order
+            issued.pop(chal, None)
+            issued[chal] = now
 
     def consume(self, chal: bytes) -> str:
         """Returns "fresh", "expired", or "unknown"; removes the entry."""

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestsim.boot import (
-    IP_PID,
     KERNEL_IMAGE,
     PST_PID,
     RP_IMAGE,
@@ -208,7 +207,7 @@ class TestRunBoot:
     def test_live_set_is_ups_plus_sp(self, up_specs):
         kernel, report, _ = self._boot(up_specs)
         assert kernel.live_pids() == {1, 2, 3, SP_PID}
-        assert sorted(report.terminated) == sorted([RP_PID, PST_PID, IP_PID])
+        assert sorted(report.terminated) == sorted([RP_PID, PST_PID])
 
     def test_boot_processes_cannot_come_back(self, up_specs):
         kernel, _, _ = self._boot(up_specs)

@@ -29,6 +29,7 @@ from attestsim.kernel import (
     Recv,
     RegionRequest,
     Rights,
+    TRACE_LEN,
     UnknownEndpointError,
     UnknownPidError,
     WxViolationError,
@@ -326,6 +327,36 @@ class TestIpc:
         with pytest.raises(BadCapabilityError):
             kernel.run()
 
+    def test_program_that_catches_a_fault_keeps_running(self):
+        kernel = Kernel()
+        ep = kernel.create_endpoint()
+        spawn(kernel, 1)
+        spawn(kernel, 2)
+        send = kernel.mint_badged_cap(ep, 4, W, 1)
+        recv = kernel.mint_badged_cap(ep, None, R, 2)
+        seen = []
+
+        def client(ctx):
+            ctx.set_mr(0, 77)
+            yield Call(send, 1)
+            seen.append("replied")
+
+        def server(ctx):
+            for bad in (12345, 54321):      # two faults in one dispatch
+                try:
+                    yield Call(bad, 0)
+                except BadCapabilityError:
+                    seen.append("fault")
+            badge, n = yield Recv(recv)      # the client is already queued
+            seen.append((badge, n, ctx.get_mr(0)))
+            ctx.reply(0)
+
+        kernel.start_process(1, client)
+        kernel.start_process(2, server)
+        kernel.run()
+        assert seen == ["fault", "fault", (4, 1, 77), "replied"]
+        assert kernel.live_pids() == set()
+
     def test_region_cap_is_not_an_ipc_cap(self):
         kernel = Kernel()
         spawn(kernel, 1, regions=[RegionRequest("scratch", RW)])
@@ -565,6 +596,12 @@ class TestDeterminism:
 
     def test_identical_sequences_identical_traces(self):
         assert self._scripted_run() == self._scripted_run()
+
+    def test_trace_is_a_bounded_ring(self, runtime):
+        for i in range(2000):
+            runtime.attest_once(1 + i % 3, i.to_bytes(32, "big"))
+        assert len(runtime.kernel.trace) == TRACE_LEN
+        assert runtime.kernel.trace[-1][0] == "net_out"
 
     def test_trace_records_every_transition(self):
         trace = self._scripted_run()

@@ -28,7 +28,7 @@ from attestsim.signing import (
     handle_request,
     words_from_bytes_be,
 )
-from attestsim.userland import NetAttest
+from attestsim.wire import AttestRequest, AttestResponse
 
 KEY = SignKey(SignMode.HMAC, bytes.fromhex("5a" * 32))
 
@@ -247,12 +247,14 @@ class TestInKernel:
         system = bring_up(image_manifest(), up_specs, sign_key)
         kernel = system.kernel
         chal = bytes([0xEE]) * 32
-        kernel.inject_net(1, NetAttest(chal))
-        kernel.inject_net(2, NetAttest(chal))
+        kernel.inject_net(1, AttestRequest(1, chal))
+        kernel.inject_net(2, AttestRequest(2, chal))
         kernel.run()
         vk = sign_key.verify_key()
         for pid in (1, 2):
             (reply,) = kernel.drain_net(pid)
+            assert isinstance(reply, AttestResponse)
+            assert reply.pid == pid
             assert reply.status == STATUS_OK
             token = AttestToken(sign_key.mode, reply.sigma)
             assert verify_token(vk, chal, reply.pk,
@@ -261,6 +263,6 @@ class TestInKernel:
     def test_sp_survives_malformed_and_keeps_serving(self, booted):
         kernel = booted.kernel
         assert kernel.process_state(SP_PID) is ProcState.BLOCKED_RECV
-        kernel.inject_net(1, NetAttest(bytes(32)))
+        kernel.inject_net(1, AttestRequest(1, bytes(32)))
         kernel.run()
         assert kernel.process_state(SP_PID) is ProcState.BLOCKED_RECV

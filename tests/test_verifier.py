@@ -177,6 +177,25 @@ class TestNonceLedger:
         ledger.issue(b"n" * 32)
         assert len(ledger) == 1
 
+    def test_purge_removes_exactly_the_expired(self):
+        clock = FakeClock()
+        ledger = NonceLedger(ttl=30.0, clock=clock)
+        a, b, c, d, e, f = (bytes([i]) * 32 for i in range(6))
+        for chal in (a, b, c, d):           # issued at t = 0, 5, 10, 15
+            ledger.issue(chal)
+            clock.advance(5.0)
+        assert ledger.consume(b) == "fresh"
+        ledger.issue(a)                     # re-issued at t = 20
+        clock.advance(5.0)
+        ledger.issue(e)                     # t = 25
+        clock.advance(20.0)
+        ledger.issue(f)                     # t = 45: cutoff 15 expires c only
+        assert len(ledger) == 4
+        assert ledger.consume(c) == "unknown"
+        for chal in (d, a, e, f):           # d sits exactly on the cutoff
+            assert ledger.consume(chal) == "fresh"
+        assert len(ledger) == 0
+
 
 # --- judging responses ----------------------------------------------------
 
