@@ -21,10 +21,10 @@ import os
 import stat
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -147,7 +147,7 @@ class SignKey:
         if self._zeroized:
             raise KeyZeroizedError("signing key was zeroized")
         if self.mode is SignMode.HMAC:
-            return _hmac.new(bytes(self._secret), digest, hashlib.sha256).digest()
+            return _hmac.digest(self._secret, digest, "sha256")
         return self._ed25519.sign(digest)
 
     def zeroize(self) -> None:
@@ -162,10 +162,19 @@ class SignKey:
 
 @dataclass(frozen=True)
 class VerifyKey:
-    """What the verifier stores per device: mode plus key material."""
+    """What the verifier stores per device: mode plus key material.
+
+    In Ed25519 mode the pyca public-key object is built on first use and
+    kept, so checking a token does not re-parse the key. It is not a
+    field: equality, hashing and the repr see only mode and material.
+    """
 
     mode: SignMode
     material: bytes
+
+    @cached_property
+    def _ed25519(self) -> Ed25519PublicKey:
+        return Ed25519PublicKey.from_public_bytes(self.material)
 
     @classmethod
     def from_hex(cls, mode: Union[SignMode, str], hex_material: str) -> "VerifyKey":
@@ -218,11 +227,10 @@ def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,
         return False
     digest = sha256(attest_preimage(chal, pk, m))
     if vk.mode is SignMode.HMAC:
-        expected = _hmac.new(vk.material, digest, hashlib.sha256).digest()
+        expected = _hmac.digest(vk.material, digest, "sha256")
         return ct_equal(expected, token.sig)
-    pub = Ed25519PublicKey.from_public_bytes(vk.material)
     try:
-        pub.verify(token.sig, digest)
+        vk._ed25519.verify(token.sig, digest)
     except InvalidSignature:
         return False
     return True
@@ -233,9 +241,7 @@ def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,
 def ed25519_public_key(seed: bytes) -> bytes:
     if len(seed) != SEED_LEN:
         raise LengthMismatchError(f"seed must be {SEED_LEN} bytes")
-    priv = Ed25519PrivateKey.from_private_bytes(seed)
-    return priv.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+    return Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
 
 
 def ed25519_sign(seed: bytes, message: bytes) -> bytes:
@@ -244,22 +250,39 @@ def ed25519_sign(seed: bytes, message: bytes) -> bytes:
     return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
 
 
+X25519Private = Union[bytes, X25519PrivateKey]
+
+
+def x25519_keypair() -> tuple[X25519PrivateKey, bytes]:
+    """A fresh X25519 private-key object and its raw public key.
+
+    Pass the object, not its bytes, to ``derive_session_key``: building a
+    key object from bytes derives the public key again, which costs about
+    as much as the exchange itself.
+    """
+    private = X25519PrivateKey.generate()
+    return private, private.public_key().public_bytes_raw()
+
+
 def x25519_public_key(private: bytes) -> bytes:
-    return X25519PrivateKey.from_private_bytes(private).public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+    return X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
 
 
-def x25519_shared(private: bytes, peer_public: bytes) -> bytes:
-    """Raw X25519; rejects the contributory-behavior failure case."""
-    priv = X25519PrivateKey.from_private_bytes(private)
+def x25519_shared(private: X25519Private, peer_public: bytes) -> bytes:
+    """Raw X25519; rejects the contributory-behavior failure case.
+
+    ``private`` is the 32 raw bytes or a key object built once by the
+    caller."""
+    if not isinstance(private, X25519PrivateKey):
+        private = X25519PrivateKey.from_private_bytes(private)
     pub = X25519PublicKey.from_public_bytes(peer_public)
     try:
-        return priv.exchange(pub)
+        return private.exchange(pub)
     except ValueError as e:
         raise AllZeroSharedSecretError(str(e)) from e
 
 
-def derive_session_key(private: bytes, peer_public: bytes,
+def derive_session_key(private: X25519Private, peer_public: bytes,
                        transcript: bytes) -> bytes:
     """HKDF-SHA256 over the X25519 shared secret, bound to the attestation
     transcript (chal || pk || sigma) via the info parameter."""

@@ -202,24 +202,28 @@ class ProcessApi:
 
     This is everything a running program can touch. No operation here
     creates authority, inspects capabilities, or names another process.
+    It holds its own process's register list (the kernel only ever
+    writes that list in place), so a register access is one bounds check
+    and one list index.
     """
 
-    __slots__ = ("_kernel", "_pid")
+    __slots__ = ("_kernel", "_pid", "_ipc")
 
     def __init__(self, kernel: "Kernel", pid: int):
         self._kernel = kernel
         self._pid = pid
+        self._ipc = kernel._procs[pid].ipc
 
     def get_mr(self, index: int) -> int:
         if not 0 <= index < MSG_MAX_LENGTH:
             raise IndexOutOfRangeError(f"register index {index}")
-        return self._kernel._procs[self._pid].ipc[index]
+        return self._ipc[index]
 
     def set_mr(self, index: int, word: int) -> None:
         if not 0 <= index < MSG_MAX_LENGTH:
             raise IndexOutOfRangeError(f"register index {index}")
         # exact 64-bit wraparound semantics, no implicit widening
-        self._kernel._procs[self._pid].ipc[index] = word & WORD_MASK
+        self._ipc[index] = word & WORD_MASK
 
     def reply(self, msg_len: int) -> None:
         self._kernel._reply(self._pid, msg_len)
@@ -381,28 +385,31 @@ class Kernel:
         the program does not handle them they propagate to the caller.
         """
         steps = 0
-        while self._ready:
-            pid = self._ready.popleft()
-            rec = self._procs[pid]
-            if rec.state is not ProcState.RUNNABLE or rec.gen is None:
+        ready, procs, syscalls = self._ready, self._procs, _SYSCALLS
+        runnable = ProcState.RUNNABLE
+        while ready:
+            rec = procs[ready.popleft()]
+            gen = rec.gen
+            if rec.state is not runnable or gen is None:
                 continue
             steps += 1
-            self._advance(rec)
+            # a fresh generator starts on send(None), and resume_value starts None
+            value, rec.resume_value = rec.resume_value, None
+            try:
+                sc = gen.send(value)
+                while True:
+                    try:
+                        do = syscalls.get(type(sc))
+                        if do is None:
+                            raise KernelError(
+                                f"pid {rec.pid} yielded a non-syscall: {sc!r}")
+                        do(self, rec, sc)
+                        break
+                    except KernelError as e:
+                        sc = gen.throw(e)
+            except StopIteration:
+                self._retire(rec, "exit")
         return steps
-
-    def _advance(self, rec: _Process) -> None:
-        # a fresh generator starts on send(None), and resume_value starts None
-        value, rec.resume_value = rec.resume_value, None
-        try:
-            sc = rec.gen.send(value)
-            while True:
-                try:
-                    self._dispatch(rec, sc)
-                    return
-                except KernelError as e:
-                    sc = rec.gen.throw(e)
-        except StopIteration:
-            self._retire(rec, "exit")
 
     def _retire(self, rec: _Process, kind: str) -> None:
         """Retire a process that exited or was terminated (``kind``).
@@ -428,20 +435,12 @@ class Kernel:
             self._ready.remove(pid)
         self.trace.append((kind, pid))
 
-    def _dispatch(self, rec: _Process, sc: Syscall) -> None:
-        """Apply one syscall; the process then waits to be scheduled again."""
-        if isinstance(sc, Call):
-            self._do_call(rec, sc)
-        elif isinstance(sc, Recv):
-            self._do_recv(rec, sc)
-        elif isinstance(sc, NetRecv):
-            if rec.net_inbox:
-                rec.resume_value = rec.net_inbox.popleft()
-                self._ready.append(rec.pid)
-            else:
-                rec.state = ProcState.BLOCKED_NET
+    def _do_net_recv(self, rec: _Process, sc: NetRecv) -> None:
+        if rec.net_inbox:
+            rec.resume_value = rec.net_inbox.popleft()
+            self._ready.append(rec.pid)
         else:
-            raise KernelError(f"pid {rec.pid} yielded a non-syscall: {sc!r}")
+            rec.state = ProcState.BLOCKED_NET
 
     def _cap(self, rec: _Process, handle: int) -> Capability:
         cap = rec.cspace.get(handle)
@@ -505,3 +504,11 @@ class Kernel:
     def _net_send(self, pid: int, event: Any) -> None:
         self._outbox[pid].append(event)
         self.trace.append(("net_out", pid, type(event).__name__))
+
+
+# syscall descriptor type -> handler; anything else a program yields is a fault
+_SYSCALLS: dict[type, Callable[[Kernel, _Process, Any], None]] = {
+    Call: Kernel._do_call,
+    Recv: Kernel._do_recv,
+    NetRecv: Kernel._do_net_recv,
+}

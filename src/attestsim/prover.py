@@ -6,6 +6,12 @@ threaded on purpose: the simulated device has one core and the kernel
 object is not shared between threads. Connections are serviced one at a
 time and may carry any number of frames.
 
+Each connection's socket stays blocking, and the host kernel enforces the
+``IO_TIMEOUT`` deadline on every read and write (``SO_RCVTIMEO`` and
+``SO_SNDTIMEO``), so no call waits longer than that. Python's own socket
+timeout would add a ``poll()`` before every ``recv`` and ``send``. A
+deadline that expires raises ``OSError``, and the connection is dropped.
+
 Frame handling is total. A frame that parses but cannot be honored gets
 an Error frame back; a stream whose framing can no longer be trusted
 (oversize declared length, torn frame) is closed. The daemon never
@@ -18,6 +24,7 @@ import argparse
 import logging
 import socket
 import socketserver
+import struct
 import sys
 import threading
 from dataclasses import dataclass
@@ -118,6 +125,16 @@ def build_runtime(config: ProverConfig) -> ProverRuntime:
     return ProverRuntime(system)
 
 
+def _set_deadlines(sock: socket.socket, seconds: float) -> None:
+    """Make ``sock`` blocking, with each recv and send bounded by ``seconds``
+    in the host kernel (a ``struct timeval``)."""
+    sock.settimeout(None)
+    whole = int(seconds)
+    timeval = struct.pack("ll", whole, int((seconds - whole) * 1_000_000))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+
+
 class _Handler(socketserver.BaseRequestHandler):
     """One connection: a loop of reads until EOF or loss of sync.
 
@@ -128,7 +145,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # noqa: D102 (behavior described on the class)
         server: "ProverServer" = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
-        sock.settimeout(IO_TIMEOUT)
+        _set_deadlines(sock, IO_TIMEOUT)
         decoder = FrameDecoder()
         last_pid: Optional[int] = None
         while True:

@@ -35,6 +35,8 @@ STATUS_UNKNOWN_BADGE = 1
 STATUS_PID_NOT_MEASURED = 2
 STATUS_MALFORMED = 3
 
+_REQUEST = struct.Struct(">8Q")   # MR0..MR7 as the 64 request bytes
+
 
 class SigningError(Exception):
     pass
@@ -138,10 +140,8 @@ def decode_request(regs: list[int]) -> tuple[bytes, bytes]:
     """Split a validated 8-register request into (chal, pk)."""
     if len(regs) != REQUEST_LEN:
         raise SigningError(f"expected {REQUEST_LEN} registers, got {len(regs)}")
-    chal = bytes_from_words_be(regs[:4])
-    pk = bytes_from_words_be(regs[4:8])
-    assert len(chal) == CHAL_LEN and len(pk) == PK_LEN
-    return chal, pk
+    raw = _REQUEST.pack(*regs)
+    return raw[:CHAL_LEN], raw[CHAL_LEN:CHAL_LEN + PK_LEN]
 
 
 def handle_request(state: SpState, badge: int, msg_len: int,
@@ -177,8 +177,9 @@ def signing_program(state: SpState, boot_cap: int, attest_cap: int):
 
     def program(ctx: ProcessApi) -> Generator:
         entries: list[tuple[int, bytes]] = []
+        recv_boot = Recv(boot_cap)
         while True:
-            badge, msg_len = yield Recv(boot_cap)
+            badge, msg_len = yield recv_boot
             if badge != BOOT_BADGE:
                 # only boot-time authority may feed the map; nack and drop
                 ctx.set_mr(0, 1)
@@ -198,12 +199,14 @@ def signing_program(state: SpState, boot_cap: int, attest_cap: int):
             ctx.set_mr(0, 0)
             ctx.reply(1)
         state.install(entries)
+        recv_attest = Recv(attest_cap)
+        get_mr, set_mr = ctx.get_mr, ctx.set_mr
         while True:
-            badge, msg_len = yield Recv(attest_cap)
-            regs = [ctx.get_mr(i) for i in range(min(msg_len, MSG_MAX_LENGTH))]
+            badge, msg_len = yield recv_attest
+            regs = [get_mr(i) for i in range(min(msg_len, MSG_MAX_LENGTH))]
             status, reply = handle_request(state, badge, msg_len, regs)
             for i, word in enumerate(reply):
-                ctx.set_mr(i, word)
+                set_mr(i, word)
             ctx.reply(len(reply))
 
     return program

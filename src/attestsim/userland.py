@@ -24,7 +24,7 @@ from .crypto import (
     derive_session_key,
     open_sealed,
     seal,
-    x25519_public_key,
+    x25519_keypair,
 )
 from .kernel import Call, NetRecv, ProcessApi
 from .signing import REQUEST_LEN, bytes_from_words_be, words_from_bytes_be
@@ -40,23 +40,26 @@ def make_relay_program(sp_cap: int):
     """Program factory for a standard relay user process.
 
     ``sp_cap`` is the handle of the badged send capability to the signing
-    endpoint. The channel private key is drawn fresh, captured in the
-    closure, and never leaves it.
+    endpoint. The channel private key is drawn fresh, built into its key
+    object once, captured in the closure, and never leaves it.
     """
-    private = os.urandom(32)
-    pk = x25519_public_key(private)
+    private, pk = x25519_keypair()
+    pk_words = words_from_bytes_be(pk)
 
     def program(ctx: ProcessApi) -> Generator:
         last: Optional[tuple[bytes, bytes]] = None    # (chal, sigma)
+        net_recv = NetRecv()
+        call = Call(sp_cap, REQUEST_LEN)
+        get_mr, set_mr = ctx.get_mr, ctx.set_mr
         while True:
-            event = yield NetRecv()
+            event = yield net_recv
             if isinstance(event, AttestRequest):
-                for i, word in enumerate(words_from_bytes_be(event.chal + pk)):
-                    ctx.set_mr(i, word)
-                reply_len = yield Call(sp_cap, REQUEST_LEN)
-                status = ctx.get_mr(0)
+                for i, word in enumerate(words_from_bytes_be(event.chal) + pk_words):
+                    set_mr(i, word)
+                reply_len = yield call
+                status = get_mr(0)
                 sigma = bytes_from_words_be(
-                    [ctx.get_mr(i) for i in range(1, reply_len)])
+                    [get_mr(i) for i in range(1, reply_len)])
                 if status == 0:
                     last = (event.chal, sigma)
                 ctx.net_send(AttestResponse(status, event.pid, pk, sigma))

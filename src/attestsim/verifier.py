@@ -43,7 +43,7 @@ from .crypto import (
     open_sealed,
     seal,
     verify_token,
-    x25519_public_key,
+    x25519_keypair,
 )
 from .wire import (
     AttestRequest,
@@ -59,6 +59,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TTL = 30.0
 DEFAULT_TIMEOUT = 5.0
+MAX_OUTSTANDING = 65_536      # live challenges one ledger holds at most
 
 
 class AttestFailure(Exception):
@@ -96,6 +97,11 @@ class ProverError(AttestFailure):
 
 class ConfirmFailedError(AttestFailure):
     pass
+
+
+class LedgerFullError(AttestFailure):
+    """The nonce ledger holds its cap of live challenges; no new one is
+    issued until some are consumed or expire."""
 
 
 class PolicyError(Exception):
@@ -182,6 +188,9 @@ class NonceLedger:
     Under a monotonic clock the entries are kept in issue order, so the
     expired ones are a prefix and issuing costs amortised O(1). An
     ``OrderedDict`` pops its front in O(1); a plain dict does not.
+
+    At most ``MAX_OUTSTANDING`` challenges are live at once; issuing one
+    more raises ``LedgerFullError`` rather than growing without bound.
     """
 
     def __init__(self, ttl: float = DEFAULT_TTL,
@@ -200,6 +209,9 @@ class NonceLedger:
                 issued.popitem(last=False)
             # a re-issued challenge moves to the back, keeping issue order
             issued.pop(chal, None)
+            if len(issued) >= MAX_OUTSTANDING:
+                raise LedgerFullError(
+                    f"{len(issued)} challenges outstanding (cap {MAX_OUTSTANDING})")
             issued[chal] = now
 
     def consume(self, chal: bytes) -> str:
@@ -324,8 +336,7 @@ class Verifier:
         attestation transcript, so only the attested process (which holds
         the pk's private half) can decrypt the init and echo the token.
         """
-        eph_private = os.urandom(32)
-        eph_pk = x25519_public_key(eph_private)
+        eph_private, eph_pk = x25519_keypair()
         transcript = result.chal + result.pk + result.sigma
         key = derive_session_key(eph_private, result.pk, transcript)
         token = self._rng(32)

@@ -45,6 +45,8 @@ ERR_INTERNAL = 4
 ERR_CHANNEL = 5
 
 _HEADER = struct.Struct(">IB")
+_ATTEST_REQUEST = struct.Struct(">Q32s")          # pid, chal
+_ATTEST_RESPONSE_HEAD = struct.Struct(">BQ32sH")  # status, pid, pk, sigma_len
 
 
 class WireError(Exception):
@@ -113,7 +115,7 @@ def encode_payload(msg: WireMessage) -> tuple[int, bytes]:
         _check_u64(msg.pid, "pid")
         if len(msg.chal) != 32:
             raise BadLengthError("chal must be 32 bytes")
-        return MSG_ATTEST_REQUEST, struct.pack(">Q", msg.pid) + msg.chal
+        return MSG_ATTEST_REQUEST, _ATTEST_REQUEST.pack(msg.pid, msg.chal)
     if isinstance(msg, AttestResponse):
         if not 0 <= msg.status <= 255:
             raise BadLengthError("status out of u8 range")
@@ -122,9 +124,8 @@ def encode_payload(msg: WireMessage) -> tuple[int, bytes]:
             raise BadLengthError("pk must be 32 bytes")
         if len(msg.sigma) not in (0, 32, 64):
             raise BadLengthError("sigma must be 0, 32, or 64 bytes")
-        return MSG_ATTEST_RESPONSE, (
-            struct.pack(">BQ", msg.status, msg.pid) + msg.pk
-            + struct.pack(">H", len(msg.sigma)) + msg.sigma)
+        return MSG_ATTEST_RESPONSE, _ATTEST_RESPONSE_HEAD.pack(
+            msg.status, msg.pid, msg.pk, len(msg.sigma)) + msg.sigma
     if isinstance(msg, ChannelInit):
         if len(msg.eph_pk) != 32 or len(msg.nonce) != 12:
             raise BadLengthError("eph_pk must be 32 bytes, nonce 12")
@@ -157,14 +158,12 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
     if mtype == MSG_ATTEST_REQUEST:
         if n != 40:
             raise BadLengthError(f"attest request payload must be 40 bytes, got {n}")
-        pid = struct.unpack(">Q", payload[:8])[0]
-        return AttestRequest(pid=pid, chal=payload[8:40])
+        pid, chal = _ATTEST_REQUEST.unpack(payload)
+        return AttestRequest(pid=pid, chal=chal)
     if mtype == MSG_ATTEST_RESPONSE:
         if n < 43:
             raise TruncatedError(f"attest response payload too short ({n})")
-        status, pid = struct.unpack(">BQ", payload[:9])
-        pk = payload[9:41]
-        sigma_len = struct.unpack(">H", payload[41:43])[0]
+        status, pid, pk, sigma_len = _ATTEST_RESPONSE_HEAD.unpack_from(payload)
         if sigma_len not in (0, 32, 64):
             raise BadLengthError(f"sigma_len {sigma_len}")
         if n != 43 + sigma_len:
@@ -238,6 +237,11 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[Union[tuple[int, bytes], LostSync]]:
         buf = self._buf
+        if not buf and type(data) is bytes and len(data) >= HEADER_LEN:
+            # the common read: nothing held, and exactly one whole frame
+            length, mtype = _HEADER.unpack_from(data)
+            if length <= MAX_PAYLOAD and len(data) == HEADER_LEN + length:
+                return [(mtype, data[HEADER_LEN:])]
         buf += data
         out: list[Union[tuple[int, bytes], LostSync]] = []
         pos, end = 0, len(buf)
@@ -266,6 +270,7 @@ class FrameStream:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._timeout = sock.gettimeout()
         self._decoder = FrameDecoder()
         self._ready: deque[Union[tuple[int, bytes], LostSync]] = deque()
 
@@ -276,7 +281,10 @@ class FrameStream:
         return cls(sock)
 
     def settimeout(self, timeout: Optional[float]) -> None:
-        self._sock.settimeout(timeout)
+        """Set the socket's timeout; a call that changes nothing is free."""
+        if timeout != self._timeout:
+            self._sock.settimeout(timeout)
+            self._timeout = timeout
 
     def send(self, msg: WireMessage) -> None:
         self._sock.sendall(encode(msg))

@@ -16,6 +16,7 @@ import stat
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,7 @@ from attestsim.crypto import (
     sha256,
     verify_token,
     write_keystore,
+    x25519_keypair,
     x25519_public_key,
     x25519_shared,
 )
@@ -276,6 +278,17 @@ class TestSignKey:
         key = SignKey(SignMode.ED25519, bytes.fromhex(seed))
         assert key.verify_key().material.hex() == pk
 
+    def test_eddsa_verify_key_parses_once_outside_equality(self):
+        key = SignKey(SignMode.ED25519, bytes.fromhex("5a" * 32))
+        vk, fresh = key.verify_key(), key.verify_key()
+        args = (bytes(32), bytes(32), bytes(32))
+        token = attest_token(key, *args)
+        assert verify_token(vk, *args, token)
+        parsed = vk._ed25519
+        assert verify_token(vk, *args, token) and vk._ed25519 is parsed
+        assert vk == fresh and hash(vk) == hash(fresh)
+        assert repr(vk) == repr(fresh)
+
     def test_verify_key_from_hex_validates(self):
         with pytest.raises(LengthMismatchError):
             VerifyKey.from_hex("hmac", "aabb")
@@ -321,6 +334,17 @@ class TestChannelCrypto:
         k1 = derive_session_key(a_priv, x25519_public_key(b_priv), transcript)
         k2 = derive_session_key(b_priv, x25519_public_key(a_priv), transcript)
         assert k1 == k2 and len(k1) == 32
+
+    def test_key_object_derives_what_its_bytes_derive(self):
+        a_priv = bytes.fromhex("10" * 32)
+        b_priv, b_pub = x25519_keypair()
+        assert b_pub == b_priv.public_key().public_bytes_raw()
+        a_obj = X25519PrivateKey.from_private_bytes(a_priv)
+        k1 = derive_session_key(a_obj, b_pub, b"t")
+        assert k1 == derive_session_key(a_priv, b_pub, b"t")
+        assert k1 == derive_session_key(b_priv, x25519_public_key(a_priv), b"t")
+        with pytest.raises(AllZeroSharedSecretError):
+            x25519_shared(a_obj, bytes(32))
 
     def test_transcript_binds_the_key(self):
         a_priv = bytes.fromhex("10" * 32)

@@ -18,6 +18,7 @@ from attestsim.kernel import (
     DuplicatePidError,
     IndexOutOfRangeError,
     Kernel,
+    KernelError,
     KernelProcessSpec,
     LengthOverflowError,
     NetRecv,
@@ -356,6 +357,24 @@ class TestIpc:
         kernel.run()
         assert seen == ["fault", "fault", (4, 1, 77), "replied"]
         assert kernel.live_pids() == set()
+
+    def test_non_syscall_is_thrown_back_as_kernel_error(self):
+        kernel = Kernel()
+        spawn(kernel, 1)
+        seen = []
+
+        def program(ctx):
+            for bad in ("recv", None, object()):
+                try:
+                    yield bad
+                except KernelError as e:
+                    seen.append(type(e) is KernelError and "non-syscall" in str(e))
+            yield 42                    # not caught: reaches the caller
+
+        kernel.start_process(1, program)
+        with pytest.raises(KernelError, match="non-syscall"):
+            kernel.run()
+        assert seen == [True, True, True]
 
     def test_region_cap_is_not_an_ipc_cap(self):
         kernel = Kernel()

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import logging
 import os
+import socket
 import struct
 import subprocess
 import sys
+import time
 
 import pytest
 
 from attestsim.attacks import build_env
 from attestsim.crypto import AttestToken, SignMode, verify_token, x25519_public_key
+import attestsim.prover as prover
 from attestsim.prover import (
     BackgroundDaemon,
     ProverConfig,
@@ -205,6 +208,20 @@ class TestDaemonTcp:
             with pytest.raises(ConfirmFailedError):
                 verifier.establish_channel(result1, stream)
 
+    def test_idle_connection_is_dropped_at_the_deadline(self, env, monkeypatch):
+        """A silent client is closed after ``IO_TIMEOUT``; a client that
+        connected behind it is then served."""
+        monkeypatch.setattr(prover, "IO_TIMEOUT", 0.3)
+        verifier = Verifier(Policy.load(str(env.policy_path)))
+        with BackgroundDaemon(env.config) as d:
+            with socket.create_connection(d.address, timeout=5) as idle:
+                time.sleep(0.05)            # the daemon is now serving idle
+                with connect(d) as stream:
+                    t0 = time.monotonic()
+                    assert idle.recv(1) == b""
+                    assert time.monotonic() - t0 < 1.0
+                    assert verifier.attest("dev0", 1, stream).pid == 1
+
 
 class TestPhaseLogs:
     def test_boot_precedes_listen(self, env, caplog):
@@ -227,9 +244,17 @@ class TestPhaseLogs:
 
 class TestCliPlumbing:
     def test_daemon_does_not_load_numpy(self):
-        code = "import sys, attestsim.prover; sys.exit('numpy' in sys.modules)"
+        """The daemon's import closure holds device code only: no numpy,
+        no verifier, attack harness or timing audit, and no key
+        serialization (which pulls in the ssh/ec/rsa/dsa modules)."""
+        banned = ["numpy", "attestsim.verifier", "attestsim.attacks",
+                  "attestsim.timing", "cryptography.hazmat.primitives.serialization"]
+        code = ("import sys, attestsim.prover; "
+                f"print(sorted(set({banned!r}) & set(sys.modules)))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("listen", ["127.0.0.1:7411", "0.0.0.0:0"])
     def test_parse_listen(self, listen):

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+import attestsim.verifier as verifier_module
 from attestsim.boot import measure_binary
 from attestsim.crypto import (
     CHANNEL_AD_CONFIRM,
@@ -21,6 +22,7 @@ from attestsim.crypto import (
 from attestsim.verifier import (
     AttestTimeoutError,
     DevicePolicy,
+    LedgerFullError,
     NonceLedger,
     PinMismatchError,
     Policy,
@@ -195,6 +197,29 @@ class TestNonceLedger:
         for chal in (d, a, e, f):           # d sits exactly on the cutoff
             assert ledger.consume(chal) == "fresh"
         assert len(ledger) == 0
+
+    def test_cap_refuses_new_challenges_until_room_frees(self, monkeypatch):
+        monkeypatch.setattr(verifier_module, "MAX_OUTSTANDING", 3)
+        clock = FakeClock()
+        ledger = NonceLedger(ttl=30.0, clock=clock)
+        a, b, c, d, e = (bytes([i]) * 32 for i in range(5))
+        for chal in (a, b, c):
+            ledger.issue(chal)
+            clock.advance(1.0)
+        with pytest.raises(LedgerFullError):
+            ledger.issue(d)
+        assert len(ledger) == 3 and ledger.consume(d) == "unknown"
+        ledger.issue(a)                     # a re-issue takes no new room
+        assert len(ledger) == 3
+        assert ledger.consume(b) == "fresh"
+        ledger.issue(d)                     # a consume frees one slot
+        with pytest.raises(LedgerFullError):
+            ledger.issue(e)
+        clock.advance(29.5)                 # c (t = 2) expires; a, d live
+        ledger.issue(e)                     # the purge freed the room
+        assert len(ledger) == 3
+        for chal in (a, d, e):
+            assert ledger.consume(chal) == "fresh"
 
 
 # --- judging responses ----------------------------------------------------

@@ -235,6 +235,18 @@ class TestFrameDecoder:
         assert FrameDecoder().feed(frame) == [(0x03, bytes(MAX_PAYLOAD))]
 
 
+    def test_one_read_of_one_oversize_frame_loses_sync(self):
+        data = struct.pack(">IB", MAX_PAYLOAD + 1, 0x03) + bytes(MAX_PAYLOAD + 1)
+        assert FrameDecoder().feed(data) == [LostSync(MAX_PAYLOAD + 1)]
+
+    def test_one_whole_frame_from_any_buffer_gives_bytes(self):
+        frame = encode(AttestRequest(pid=7, chal=bytes(range(32))))
+        for data in (frame, bytearray(frame), memoryview(frame)):
+            [(mtype, payload)] = FrameDecoder().feed(data)
+            assert mtype == MSG_ATTEST_REQUEST and type(payload) is bytes
+            assert payload == frame[HEADER_LEN:]
+
+
 class TestFrameStream:
     def _pair(self):
         a, b = socket.socketpair()
@@ -301,3 +313,19 @@ class TestFrameStream:
         finally:
             left.close()
             right.close()
+
+    def test_settimeout_touches_the_socket_only_on_a_change(self):
+        class Sock:
+            calls: list = []
+
+            def gettimeout(self):
+                return None
+
+            def settimeout(self, value):
+                self.calls.append(value)
+
+        sock = Sock()
+        stream = FrameStream(sock)
+        for value in (None, 5.0, 5.0, 5, 2.5, None, None):
+            stream.settimeout(value)
+        assert sock.calls == [5.0, 2.5, None]
