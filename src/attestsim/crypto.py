@@ -1,8 +1,10 @@
 """Token composition, constant-time comparison, keys, and channel crypto.
 
-Primitives (SHA-256, HMAC, Ed25519, X25519, HKDF, ChaCha20-Poly1305) come
-from hashlib/hmac and the pyca cryptography package. What is defined here,
-and covered bit-for-bit by the test suite, is the composition:
+Primitives (SHA-256, Ed25519, X25519, HKDF, ChaCha20-Poly1305) come from
+hashlib and the pyca cryptography package; HMAC-SHA256 is built here on
+hashlib's SHA-256, from the key's pads hashed once (RFC 2104). What is
+defined here, and covered bit-for-bit by the test suite, is the
+composition:
 
 * the 96-byte token preimage ``chal(32) || pk(32) || m(32)``,
 * the token itself, ``Sign(K, SHA-256(preimage))`` in either HMAC-SHA256
@@ -16,7 +18,6 @@ and covered bit-for-bit by the test suite, is the composition:
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 import os
 import stat
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from .wire import record
+
 DIGEST_LEN = 32
 CHAL_LEN = 32
 PK_LEN = 32
@@ -46,6 +49,11 @@ ED25519_SIG_LEN = 64
 PREIMAGE_LEN = CHAL_LEN + PK_LEN + DIGEST_LEN
 SESSION_KEY_LEN = 32
 NONCE_LEN = 12
+SHA256_BLOCK_LEN = 64
+
+# byte -> byte ^ pad, for bytes.translate
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 CHANNEL_AD_INIT = b"attest-channel init"
 CHANNEL_AD_CONFIRM = b"attest-channel confirm"
@@ -73,6 +81,34 @@ class KeyZeroizedError(CryptoError):
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+def hmac_pads(key: bytes) -> tuple:
+    """The SHA-256 states after absorbing ``K ^ ipad`` and ``K ^ opad``, as
+    an (inner, outer) pair.
+
+    These two blocks depend only on the key, so RFC 2104 section 4 hashes
+    them once per key; each MAC then starts from copies of the states
+    (``hmac_sha256``). A key longer than the 64-byte block would have to be
+    hashed first. Every key here is 32 bytes, so longer ones are refused.
+    """
+    if len(key) > SHA256_BLOCK_LEN:
+        raise LengthMismatchError(
+            f"HMAC key of {len(key)} bytes exceeds the {SHA256_BLOCK_LEN}-byte block")
+    block = key.ljust(SHA256_BLOCK_LEN, b"\0")
+    return (hashlib.sha256(block.translate(_IPAD)),
+            hashlib.sha256(block.translate(_OPAD)))
+
+
+def hmac_sha256(pads: tuple, data: bytes) -> bytes:
+    """HMAC-SHA256 of ``data`` under the key the pads came from: the same
+    bytes as ``hmac.digest(key, data, "sha256")``."""
+    inner, outer = pads
+    inner = inner.copy()
+    inner.update(data)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def ct_equal(a: bytes, b: bytes) -> bool:
@@ -109,17 +145,18 @@ class SignKey:
 
     In HMAC mode the seed is the MAC key and the verifier holds the same
     bytes. In Ed25519 mode the seed is the private scalar seed and the
-    verifier holds only the derived public key; the pyca key object is
-    built once, here, so signing does not re-parse the seed per request.
-    The repr never shows the secret.
+    verifier holds only the derived public key. What signing needs is
+    built once, here, so a request does not redo it: the pyca key object
+    in Ed25519 mode, the SHA-256 states of the padded key (``hmac_pads``)
+    in HMAC mode. The repr never shows the secret.
 
-    ``zeroize()`` scrubs the seed in place and drops the key object. A
-    pyca key object lives in native memory that Python cannot overwrite,
-    so dropping the reference is all zeroize can do for it. Either way a
-    zeroized key refuses to sign.
+    ``zeroize()`` scrubs the seed in place and drops the key object and
+    the HMAC states. Both live in native memory that Python cannot
+    overwrite, so dropping the references is all zeroize can do for them.
+    Either way a zeroized key refuses to sign.
     """
 
-    __slots__ = ("mode", "_secret", "_ed25519", "_zeroized")
+    __slots__ = ("mode", "_secret", "_ed25519", "_hmac_pads", "_zeroized")
 
     def __init__(self, mode: SignMode, secret: bytes):
         if len(secret) != SEED_LEN:
@@ -128,6 +165,7 @@ class SignKey:
         self._secret = bytearray(secret)
         self._ed25519 = (Ed25519PrivateKey.from_private_bytes(bytes(secret))
                          if mode is SignMode.ED25519 else None)
+        self._hmac_pads = hmac_pads(secret) if mode is SignMode.HMAC else None
         self._zeroized = False
 
     @classmethod
@@ -147,13 +185,14 @@ class SignKey:
         if self._zeroized:
             raise KeyZeroizedError("signing key was zeroized")
         if self.mode is SignMode.HMAC:
-            return _hmac.digest(self._secret, digest, "sha256")
+            return hmac_sha256(self._hmac_pads, digest)
         return self._ed25519.sign(digest)
 
     def zeroize(self) -> None:
         for i in range(len(self._secret)):
             self._secret[i] = 0
         self._ed25519 = None
+        self._hmac_pads = None
         self._zeroized = True
 
     def __repr__(self) -> str:
@@ -164,9 +203,10 @@ class SignKey:
 class VerifyKey:
     """What the verifier stores per device: mode plus key material.
 
-    In Ed25519 mode the pyca public-key object is built on first use and
-    kept, so checking a token does not re-parse the key. It is not a
-    field: equality, hashing and the repr see only mode and material.
+    What checking a token needs is built on first use and kept: the pyca
+    public-key object in Ed25519 mode, the HMAC states (``hmac_pads``) in
+    HMAC mode. Neither is a field: equality, hashing and the repr see only
+    mode and material.
     """
 
     mode: SignMode
@@ -175,6 +215,10 @@ class VerifyKey:
     @cached_property
     def _ed25519(self) -> Ed25519PublicKey:
         return Ed25519PublicKey.from_public_bytes(self.material)
+
+    @cached_property
+    def _hmac_pads(self) -> tuple:
+        return hmac_pads(self.material)
 
     @classmethod
     def from_hex(cls, mode: Union[SignMode, str], hex_material: str) -> "VerifyKey":
@@ -186,16 +230,17 @@ class VerifyKey:
         return cls(mode, material)
 
 
-@dataclass(frozen=True)
+@record
 class AttestToken:
     mode: SignMode
     sig: bytes
 
-    def __post_init__(self):
-        want = HMAC_SIG_LEN if self.mode is SignMode.HMAC else ED25519_SIG_LEN
-        if len(self.sig) != want:
+    def __new__(cls, mode: SignMode, sig: bytes):
+        want = HMAC_SIG_LEN if mode is SignMode.HMAC else ED25519_SIG_LEN
+        if len(sig) != want:
             raise LengthMismatchError(
-                f"{self.mode.value} token must be {want} bytes, got {len(self.sig)}")
+                f"{mode.value} token must be {want} bytes, got {len(sig)}")
+        return tuple.__new__(cls, (mode, sig))
 
 
 # --- token composition ----------------------------------------------------
@@ -227,8 +272,7 @@ def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,
         return False
     digest = sha256(attest_preimage(chal, pk, m))
     if vk.mode is SignMode.HMAC:
-        expected = _hmac.digest(vk.material, digest, "sha256")
-        return ct_equal(expected, token.sig)
+        return ct_equal(hmac_sha256(vk._hmac_pads, digest), token.sig)
     try:
         vk._ed25519.verify(token.sig, digest)
     except InvalidSignature:

@@ -8,9 +8,10 @@ time and may carry any number of frames.
 
 Each connection's socket stays blocking, and the host kernel enforces the
 ``IO_TIMEOUT`` deadline on every read and write (``SO_RCVTIMEO`` and
-``SO_SNDTIMEO``), so no call waits longer than that. Python's own socket
-timeout would add a ``poll()`` before every ``recv`` and ``send``. A
-deadline that expires raises ``OSError``, and the connection is dropped.
+``SO_SNDTIMEO``, set by ``wire.set_deadlines``), so no call waits longer
+than that. Python's own socket timeout would add a ``poll()`` before every
+``recv`` and ``send``. A deadline that expires raises ``OSError``, and the
+connection is dropped.
 
 Frame handling is total. A frame that parses but cannot be honored gets
 an Error frame back; a stream whose framing can no longer be trusted
@@ -24,7 +25,6 @@ import argparse
 import logging
 import socket
 import socketserver
-import struct
 import sys
 import threading
 from dataclasses import dataclass
@@ -58,6 +58,7 @@ from .wire import (
     WireMessage,
     decode_payload,
     encode,
+    set_deadlines,
 )
 
 log = logging.getLogger(__name__)
@@ -125,16 +126,6 @@ def build_runtime(config: ProverConfig) -> ProverRuntime:
     return ProverRuntime(system)
 
 
-def _set_deadlines(sock: socket.socket, seconds: float) -> None:
-    """Make ``sock`` blocking, with each recv and send bounded by ``seconds``
-    in the host kernel (a ``struct timeval``)."""
-    sock.settimeout(None)
-    whole = int(seconds)
-    timeval = struct.pack("ll", whole, int((seconds - whole) * 1_000_000))
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
-
-
 class _Handler(socketserver.BaseRequestHandler):
     """One connection: a loop of reads until EOF or loss of sync.
 
@@ -145,7 +136,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # noqa: D102 (behavior described on the class)
         server: "ProverServer" = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
-        _set_deadlines(sock, IO_TIMEOUT)
+        set_deadlines(sock, IO_TIMEOUT)
         decoder = FrameDecoder()
         last_pid: Optional[int] = None
         while True:

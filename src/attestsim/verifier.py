@@ -53,6 +53,7 @@ from .wire import (
     ErrorMsg,
     FrameStream,
     WireError,
+    record,
 )
 
 log = logging.getLogger(__name__)
@@ -112,12 +113,23 @@ class PolicyError(Exception):
 
 @dataclass
 class DevicePolicy:
+    """One device's verify key and golden measurements.
+
+    With ``pin_pk`` the first pk accepted for a pid is pinned in
+    ``pinned``, and a later pk for that pid is refused. Pins live in this
+    object only: they are not written to the policy file, so each
+    ``verifier`` CLI run starts with none. ``pin_lock`` makes the pin
+    check, the challenge consume and the pin set one step.
+    """
+
     device_id: str
     vk: VerifyKey
     golden: dict[int, bytes]            # pid -> expected measurement
     address: Optional[tuple[str, int]] = None
     pin_pk: bool = False
     pinned: dict[int, bytes] = field(default_factory=dict)
+    pin_lock: threading.Lock = field(default_factory=threading.Lock,
+                                     repr=False, compare=False)
 
 
 @dataclass
@@ -232,7 +244,7 @@ class NonceLedger:
 
 # --- results --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AttestResult:
     device_id: str
     pid: int
@@ -240,6 +252,12 @@ class AttestResult:
     pk: bytes
     sigma: bytes
     measurement: bytes
+
+
+def _check_pin(dev: DevicePolicy, pid: int, pk: bytes) -> None:
+    pinned = dev.pinned.get(pid)
+    if pinned is not None and pk != pinned:
+        raise PinMismatchError(f"pk changed for device {dev.device_id!r} pid {pid}")
 
 
 class SessionKey:
@@ -281,7 +299,11 @@ class Verifier:
         Order: prover status, response/request consistency, pin,
         signature, then challenge freshness. The challenge is consumed
         only when the signature is good, so a bad response does not burn
-        it, while re-presenting an accepted response is replay.
+        it, while re-presenting an accepted response is replay. Under
+        ``pin_pk`` the pin is checked again, under the device's
+        ``pin_lock``, together with the consume and the pin set: of two
+        first rounds for a pid racing with different pks, one is accepted
+        and the other refused with its challenge still outstanding.
         """
         dev = self.policy.device(device_id)
         expected_m = dev.golden.get(pid)
@@ -292,8 +314,8 @@ class Verifier:
         if resp.pid != pid:
             raise SigInvalidError(
                 f"response names pid {resp.pid}, requested {pid}")
-        if dev.pin_pk and pid in dev.pinned and resp.pk != dev.pinned[pid]:
-            raise PinMismatchError(f"pk changed for device {device_id!r} pid {pid}")
+        if dev.pin_pk:
+            _check_pin(dev, pid, resp.pk)
         expected_sig_len = 32 if dev.vk.mode is SignMode.HMAC else 64
         if len(resp.sigma) != expected_sig_len:
             raise SigInvalidError(
@@ -301,15 +323,22 @@ class Verifier:
         token = AttestToken(dev.vk.mode, resp.sigma)
         if not verify_token(dev.vk, chal, resp.pk, expected_m, token):
             raise SigInvalidError("token does not verify")
+        if dev.pin_pk:
+            with dev.pin_lock:
+                _check_pin(dev, pid, resp.pk)
+                self._consume(chal)
+                dev.pinned.setdefault(pid, resp.pk)
+        else:
+            self._consume(chal)
+        return AttestResult(device_id, pid, chal, resp.pk, resp.sigma,
+                            expected_m)
+
+    def _consume(self, chal: bytes) -> None:
         freshness = self.ledger.consume(chal)
         if freshness == "unknown":
             raise ReplayDetectedError("challenge was never issued or already used")
         if freshness == "expired":
             raise StaleChallengeError("challenge outlived its ttl")
-        if dev.pin_pk and pid not in dev.pinned:
-            dev.pinned[pid] = resp.pk
-        return AttestResult(device_id=device_id, pid=pid, chal=chal,
-                            pk=resp.pk, sigma=resp.sigma, measurement=expected_m)
 
     def attest(self, device_id: str, pid: int, stream: FrameStream) -> AttestResult:
         """One full round over an open stream: challenge, send, judge."""

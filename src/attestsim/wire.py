@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -47,6 +47,8 @@ ERR_CHANNEL = 5
 _HEADER = struct.Struct(">IB")
 _ATTEST_REQUEST = struct.Struct(">Q32s")          # pid, chal
 _ATTEST_RESPONSE_HEAD = struct.Struct(">BQ32sH")  # status, pid, pk, sigma_len
+_TIMEVAL = struct.Struct("ll")                    # struct timeval: s, us
+_NO_DEADLINE = _TIMEVAL.pack(0, 0)
 
 
 class WireError(Exception):
@@ -69,13 +71,58 @@ class BadLengthError(WireError):
     pass
 
 
-@dataclass(frozen=True)
+def record(cls: type) -> type:
+    """Class decorator: an immutable value type backed by a tuple.
+
+    The fields are the class's annotations, in order. The result is a
+    ``namedtuple`` of the same name, so positional and keyword
+    construction, attribute access and the repr (``AttestRequest(pid=1,
+    chal=b'...')``) are those of a frozen dataclass, while building one
+    costs one tuple. Unlike a bare namedtuple, equality and hash include
+    the type: a record never equals a plain tuple, or a record of another
+    type with the same fields. Assigning to a field raises
+    ``AttributeError``.
+
+    Names defined in the class body are kept. A ``__new__`` there may check
+    the fields before it calls ``tuple.__new__(cls, fields)``; ``_make``
+    and ``_replace`` build through it too.
+    """
+    rec = namedtuple(cls.__name__, tuple(cls.__annotations__),
+                     module=cls.__module__)
+    for name, value in vars(cls).items():
+        if name not in ("__dict__", "__weakref__"):
+            setattr(rec, name, value)
+    rec.__qualname__ = cls.__qualname__
+    rec.__eq__ = _record_eq
+    rec.__ne__ = _record_ne
+    rec.__hash__ = _record_hash
+    rec._make = classmethod(_record_make)
+    return rec
+
+
+def _record_eq(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return not _record_eq(self, other)
+
+
+def _record_hash(self) -> int:
+    return hash((type(self), tuple(self)))
+
+
+def _record_make(cls, iterable):
+    return cls(*iterable)
+
+
+@record
 class AttestRequest:
     pid: int
     chal: bytes
 
 
-@dataclass(frozen=True)
+@record
 class AttestResponse:
     status: int
     pid: int
@@ -83,20 +130,20 @@ class AttestResponse:
     sigma: bytes
 
 
-@dataclass(frozen=True)
+@record
 class ChannelInit:
     eph_pk: bytes
     nonce: bytes
     ct: bytes
 
 
-@dataclass(frozen=True)
+@record
 class ChannelConfirm:
     nonce: bytes
     ct: bytes
 
 
-@dataclass(frozen=True)
+@record
 class ErrorMsg:
     code: int
 
@@ -111,37 +158,43 @@ def _check_u64(value: int, what: str) -> None:
 
 
 def encode_payload(msg: WireMessage) -> tuple[int, bytes]:
+    # records unpack as tuples, which is cheaper than reading each field
     if isinstance(msg, AttestRequest):
-        _check_u64(msg.pid, "pid")
-        if len(msg.chal) != 32:
+        pid, chal = msg
+        _check_u64(pid, "pid")
+        if len(chal) != 32:
             raise BadLengthError("chal must be 32 bytes")
-        return MSG_ATTEST_REQUEST, _ATTEST_REQUEST.pack(msg.pid, msg.chal)
+        return MSG_ATTEST_REQUEST, _ATTEST_REQUEST.pack(pid, chal)
     if isinstance(msg, AttestResponse):
-        if not 0 <= msg.status <= 255:
+        status, pid, pk, sigma = msg
+        if not 0 <= status <= 255:
             raise BadLengthError("status out of u8 range")
-        _check_u64(msg.pid, "pid")
-        if len(msg.pk) != 32:
+        _check_u64(pid, "pid")
+        if len(pk) != 32:
             raise BadLengthError("pk must be 32 bytes")
-        if len(msg.sigma) not in (0, 32, 64):
+        if len(sigma) not in (0, 32, 64):
             raise BadLengthError("sigma must be 0, 32, or 64 bytes")
         return MSG_ATTEST_RESPONSE, _ATTEST_RESPONSE_HEAD.pack(
-            msg.status, msg.pid, msg.pk, len(msg.sigma)) + msg.sigma
+            status, pid, pk, len(sigma)) + sigma
     if isinstance(msg, ChannelInit):
-        if len(msg.eph_pk) != 32 or len(msg.nonce) != 12:
+        eph_pk, nonce, ct = msg
+        if len(eph_pk) != 32 or len(nonce) != 12:
             raise BadLengthError("eph_pk must be 32 bytes, nonce 12")
-        if len(msg.ct) < AEAD_TAG_LEN:
+        if len(ct) < AEAD_TAG_LEN:
             raise BadLengthError("ct shorter than an AEAD tag")
-        return MSG_CHANNEL_INIT, msg.eph_pk + msg.nonce + msg.ct
+        return MSG_CHANNEL_INIT, eph_pk + nonce + ct
     if isinstance(msg, ChannelConfirm):
-        if len(msg.nonce) != 12:
+        nonce, ct = msg
+        if len(nonce) != 12:
             raise BadLengthError("nonce must be 12 bytes")
-        if len(msg.ct) < AEAD_TAG_LEN:
+        if len(ct) < AEAD_TAG_LEN:
             raise BadLengthError("ct shorter than an AEAD tag")
-        return MSG_CHANNEL_CONFIRM, msg.nonce + msg.ct
+        return MSG_CHANNEL_CONFIRM, nonce + ct
     if isinstance(msg, ErrorMsg):
-        if not 0 <= msg.code <= 255:
+        (code,) = msg
+        if not 0 <= code <= 255:
             raise BadLengthError("error code out of u8 range")
-        return MSG_ERROR, struct.pack(">B", msg.code)
+        return MSG_ERROR, struct.pack(">B", code)
     raise UnknownTypeError(f"cannot encode {type(msg).__name__}")
 
 
@@ -158,8 +211,7 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
     if mtype == MSG_ATTEST_REQUEST:
         if n != 40:
             raise BadLengthError(f"attest request payload must be 40 bytes, got {n}")
-        pid, chal = _ATTEST_REQUEST.unpack(payload)
-        return AttestRequest(pid=pid, chal=chal)
+        return AttestRequest(*_ATTEST_REQUEST.unpack(payload))
     if mtype == MSG_ATTEST_RESPONSE:
         if n < 43:
             raise TruncatedError(f"attest response payload too short ({n})")
@@ -169,21 +221,19 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
         if n != 43 + sigma_len:
             raise BadLengthError(
                 f"attest response payload {n} != {43 + sigma_len}")
-        return AttestResponse(status=status, pid=pid, pk=pk,
-                              sigma=payload[43:43 + sigma_len])
+        return AttestResponse(status, pid, pk, payload[43:43 + sigma_len])
     if mtype == MSG_CHANNEL_INIT:
         if n < 44 + AEAD_TAG_LEN:
             raise TruncatedError(f"channel init payload too short ({n})")
-        return ChannelInit(eph_pk=payload[:32], nonce=payload[32:44],
-                           ct=payload[44:])
+        return ChannelInit(payload[:32], payload[32:44], payload[44:])
     if mtype == MSG_CHANNEL_CONFIRM:
         if n < 12 + AEAD_TAG_LEN:
             raise TruncatedError(f"channel confirm payload too short ({n})")
-        return ChannelConfirm(nonce=payload[:12], ct=payload[12:])
+        return ChannelConfirm(payload[:12], payload[12:])
     if mtype == MSG_ERROR:
         if n != 1:
             raise BadLengthError(f"error payload must be 1 byte, got {n}")
-        return ErrorMsg(code=payload[0])
+        return ErrorMsg(payload[0])
     raise UnknownTypeError(f"msg_type {mtype:#04x}")
 
 
@@ -261,16 +311,50 @@ class FrameDecoder:
         return out
 
 
+def set_deadlines(sock: socket.socket, seconds: Optional[float]) -> None:
+    """Bound each recv and send on ``sock`` by ``seconds``, in the host kernel.
+
+    The socket stays blocking as Python sees it, and ``SO_RCVTIMEO`` and
+    ``SO_SNDTIMEO`` (a ``struct timeval``) carry the deadline, so no call
+    pays the ``poll()`` that Python's own socket timeout adds before every
+    ``recv`` and ``send``. A call whose deadline expires fails with
+    ``EAGAIN``, which Python raises as ``BlockingIOError``.
+
+    ``None`` clears both deadlines. 0 keeps Python's meaning, a
+    non-blocking socket, because a zero ``timeval`` means no deadline at
+    all; any other value is rounded to whole microseconds, at least one.
+    """
+    blocking = 0.0 if seconds == 0 else None
+    if sock.gettimeout() != blocking:
+        sock.settimeout(blocking)
+    if seconds:
+        if seconds < 0:
+            raise ValueError(f"timeout {seconds} is negative")
+        usec = max(1, round(seconds * 1_000_000))
+        timeval = _TIMEVAL.pack(*divmod(usec, 1_000_000))
+    else:
+        timeval = _NO_DEADLINE
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+
+
 class FrameStream:
     """Blocking frame reader/writer over a connected socket.
 
     Reads go through a ``FrameDecoder``, one ``recv`` of ``READ_SIZE`` at
     a time; frames that arrive together are handed out one per ``recv``.
+
+    The timeout is a deadline per ``recv`` and per ``sendall``, enforced
+    by the host kernel (``set_deadlines``). A socket that arrives with a
+    Python timeout is converted when the stream is built. An expired
+    deadline raises ``TimeoutError``.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._timeout = sock.gettimeout()
+        if self._timeout is not None:
+            set_deadlines(sock, self._timeout)
         self._decoder = FrameDecoder()
         self._ready: deque[Union[tuple[int, bytes], LostSync]] = deque()
 
@@ -281,23 +365,30 @@ class FrameStream:
         return cls(sock)
 
     def settimeout(self, timeout: Optional[float]) -> None:
-        """Set the socket's timeout; a call that changes nothing is free."""
+        """Set the deadline of each read and write; a call that changes
+        nothing is free."""
         if timeout != self._timeout:
-            self._sock.settimeout(timeout)
+            set_deadlines(self._sock, timeout)
             self._timeout = timeout
 
     def send(self, msg: WireMessage) -> None:
-        self._sock.sendall(encode(msg))
+        self.send_raw(encode(msg))
 
     def send_raw(self, data: bytes) -> None:
-        self._sock.sendall(data)
+        try:
+            self._sock.sendall(data)
+        except BlockingIOError as e:
+            raise TimeoutError(f"send not done within {self._timeout}s") from e
 
     def recv(self, allow_eof: bool = False) -> Optional[WireMessage]:
         """Read one frame. Clean EOF at a frame boundary returns None when
         ``allow_eof`` is set, otherwise raises TruncatedError; EOF inside a
         frame, header included, always raises TruncatedError."""
         while not self._ready:
-            data = self._sock.recv(READ_SIZE)
+            try:
+                data = self._sock.recv(READ_SIZE)
+            except BlockingIOError as e:
+                raise TimeoutError(f"no data within {self._timeout}s") from e
             if not data:
                 if self._decoder.pending:
                     raise TruncatedError("connection closed mid-frame")

@@ -37,6 +37,8 @@ from attestsim.crypto import (
     derive_session_key,
     ed25519_public_key,
     ed25519_sign,
+    hmac_pads,
+    hmac_sha256,
     load_keystore,
     open_sealed,
     seal,
@@ -118,6 +120,36 @@ class TestPrimitiveVectors:
     def test_x25519_low_order_rejected(self):
         with pytest.raises(AllZeroSharedSecretError):
             x25519_shared(bytes.fromhex(X25519_SCALAR), bytes(32))
+
+
+class TestHmacPads:
+    """HMAC-SHA256 from the key's pads hashed once (RFC 2104 section 4)."""
+
+    @pytest.mark.parametrize("key,msg,tag", HMAC_VECTORS)
+    def test_rfc4231_vectors(self, key, msg, tag):
+        assert hmac_sha256(hmac_pads(key), msg).hex() == tag
+
+    def test_key_longer_than_the_block_is_refused(self):
+        assert hmac_sha256(hmac_pads(bytes(64)), b"m") == hmaclib.digest(
+            bytes(64), b"m", "sha256")
+        with pytest.raises(LengthMismatchError):
+            hmac_pads(bytes(65))
+
+    @given(secret=st.binary(min_size=32, max_size=32),
+           digest=st.binary(min_size=32, max_size=32),
+           chal=st.binary(min_size=32, max_size=32))
+    @settings(max_examples=200, deadline=None)
+    def test_sign_and_verify_agree_with_hmac_digest(self, secret, digest, chal):
+        key = SignKey(SignMode.HMAC, secret)
+        tag = hmaclib.digest(secret, digest, "sha256")
+        # twice: each MAC starts from copies, the kept states stay as they were
+        assert key.sign_digest(digest) == key.sign_digest(digest) == tag
+        pk, m = digest, bytes(32)
+        sig = hmaclib.digest(secret, sha256(chal + pk + m), "sha256")
+        vk = VerifyKey(SignMode.HMAC, secret)
+        assert verify_token(vk, chal, pk, m, AttestToken(SignMode.HMAC, sig))
+        forged = bytes([sig[0] ^ 1]) + sig[1:]
+        assert not verify_token(vk, chal, pk, m, AttestToken(SignMode.HMAC, forged))
 
 
 class TestPreimage:
@@ -250,8 +282,17 @@ class TestSignKey:
 
     def test_zeroize(self):
         key = SignKey(SignMode.HMAC, bytes.fromhex("88" * 32))
+        sha256_state = type(hashlib.sha256())
+
+        def held_states():
+            refs = gc.get_referents(key)
+            refs += [r for ref in refs if isinstance(ref, tuple) for r in ref]
+            return [ref for ref in refs if isinstance(ref, sha256_state)]
+
+        assert len(held_states()) == 2
         key.zeroize()
         assert key.secret_bytes() == bytes(32)
+        assert held_states() == []
 
     @pytest.mark.parametrize("mode", list(SignMode))
     def test_zeroized_key_refuses_to_sign(self, mode):
@@ -286,6 +327,17 @@ class TestSignKey:
         assert verify_token(vk, *args, token)
         parsed = vk._ed25519
         assert verify_token(vk, *args, token) and vk._ed25519 is parsed
+        assert vk == fresh and hash(vk) == hash(fresh)
+        assert repr(vk) == repr(fresh)
+
+    def test_hmac_verify_key_keeps_its_pads_outside_equality(self):
+        key = SignKey(SignMode.HMAC, bytes.fromhex("5b" * 32))
+        vk, fresh = key.verify_key(), key.verify_key()
+        args = (bytes(32), bytes(32), bytes(32))
+        token = attest_token(key, *args)
+        assert verify_token(vk, *args, token)
+        pads = vk._hmac_pads
+        assert verify_token(vk, *args, token) and vk._hmac_pads is pads
         assert vk == fresh and hash(vk) == hash(fresh)
         assert repr(vk) == repr(fresh)
 

@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+import attestsim.crypto as crypto
 import attestsim.kernel as kernel
 import attestsim.prover as prover
 import attestsim.signing as signing
@@ -23,6 +24,7 @@ from attestsim.boot import measure_binary
 from attestsim.crypto import (
     CHANNEL_AD_INIT,
     NONCE_LEN,
+    SignMode,
     derive_session_key,
     seal,
     x25519_keypair,
@@ -92,6 +94,18 @@ def test_verify_token_once_per_check_response(runtime, up_specs, sign_key,
         chal = v.new_challenge()
         v.check_response("d", 3, chal, runtime.attest_once(3, chal))
     assert counts == {"verify_token": ROUNDS}
+
+
+@pytest.mark.parametrize("sign_mode", [SignMode.HMAC], ids=["hmac"])
+def test_ct_equal_once_per_hmac_check_response(runtime, up_specs, sign_key,
+                                               counts):
+    golden = {s.pid: measure_binary(s.binary) for s in up_specs}
+    v = Verifier(Policy({"d": DevicePolicy("d", sign_key.verify_key(), golden)}))
+    counts.hook(crypto, "ct_equal")
+    for _ in range(ROUNDS):
+        chal = v.new_challenge()
+        v.check_response("d", 3, chal, runtime.attest_once(3, chal))
+    assert counts == {"ct_equal": ROUNDS}
 
 
 def test_daemon_hooks_once_per_frame(env, counts):

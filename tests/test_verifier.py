@@ -20,6 +20,8 @@ from attestsim.crypto import (
     seal,
 )
 from attestsim.verifier import (
+    AttestFailure,
+    AttestResult,
     AttestTimeoutError,
     DevicePolicy,
     LedgerFullError,
@@ -358,6 +360,47 @@ class TestCheckResponse:
         chal = verifier.new_challenge()
         resp = craft_response(sign_key, chal, b"\xee" * 32, dev.golden[1], pid=1)
         assert verifier.check_response("dev0", 1, chal, resp).pk == b"\xee" * 32
+
+    def test_racing_first_rounds_pin_exactly_one_pk(self, setup, sign_key,
+                                                    monkeypatch):
+        """Two first rounds for one pid, with different pks, both past the
+        signature check before either is judged: one is accepted and
+        pinned, the other is refused and keeps its challenge."""
+        policy, verifier, _ = setup
+        dev = policy.device("dev0")
+        dev.pin_pk = True
+        chals = [verifier.new_challenge() for _ in range(2)]
+        pks = [b"\x11" * 32, b"\x22" * 32]
+        resps = [craft_response(sign_key, c, pk, dev.golden[1], pid=1)
+                 for c, pk in zip(chals, pks)]
+        barrier = threading.Barrier(2, timeout=5)
+        verify_token = verifier_module.verify_token
+
+        def verify_then_meet(*args):
+            ok = verify_token(*args)
+            barrier.wait()
+            return ok
+
+        monkeypatch.setattr(verifier_module, "verify_token", verify_then_meet)
+        outcomes: list = [None, None]
+
+        def judge(i):
+            try:
+                outcomes[i] = verifier.check_response("dev0", 1, chals[i], resps[i])
+            except AttestFailure as e:
+                outcomes[i] = e
+
+        threads = [threading.Thread(target=judge, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        winners = [i for i in range(2) if isinstance(outcomes[i], AttestResult)]
+        assert len(winners) == 1, outcomes
+        loser = 1 - winners[0]
+        assert isinstance(outcomes[loser], PinMismatchError)
+        assert dev.pinned == {1: pks[winners[0]]}
+        assert verifier.ledger.consume(chals[loser]) == "fresh"
 
     def test_challenges_unique(self, setup):
         _, verifier, _ = setup

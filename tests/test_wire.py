@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -314,6 +315,65 @@ class TestFrameStream:
             left.close()
             right.close()
 
+    @staticmethod
+    def _deadlines(sock):
+        """(SO_RCVTIMEO, SO_SNDTIMEO) read back from the socket, in seconds."""
+        size = struct.calcsize("ll")
+        out = []
+        for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+            sec, usec = struct.unpack(
+                "ll", sock.getsockopt(socket.SOL_SOCKET, option, size))
+            out.append(sec + usec / 1e6)
+        return tuple(out)
+
+    def test_python_timeout_becomes_a_kernel_deadline(self):
+        a, b = socket.socketpair()
+        a.settimeout(2.5)
+        stream = FrameStream(a)
+        try:
+            assert a.gettimeout() is None
+            assert self._deadlines(a) == pytest.approx((2.5, 2.5), abs=0.01)
+            stream.settimeout(None)
+            assert a.gettimeout() is None and self._deadlines(a) == (0, 0)
+        finally:
+            stream.close()
+            b.close()
+
+    def test_expired_deadline_raises_timeout(self):
+        left, right = self._pair()
+        try:
+            right.settimeout(0.05)
+            with pytest.raises(TimeoutError):
+                right.recv()
+        finally:
+            left.close()
+            right.close()
+
+    def test_zero_timeout_does_not_wait(self):
+        """0 keeps Python's meaning (do not wait); a zero SO_RCVTIMEO
+        would mean no deadline at all."""
+        a, b = socket.socketpair()
+        stream = FrameStream(a)
+        stream.settimeout(0)
+        outcome: list = []
+
+        def read():
+            try:
+                stream.recv()
+            except Exception as e:
+                outcome.append(e)
+
+        reader = threading.Thread(target=read, daemon=True)
+        try:
+            reader.start()
+            reader.join(timeout=2)
+            assert not reader.is_alive(), "recv waited with a zero timeout"
+            assert len(outcome) == 1 and isinstance(outcome[0], TimeoutError)
+        finally:
+            a.shutdown(socket.SHUT_RDWR)    # releases a reader still blocked
+            stream.close()
+            b.close()
+
     def test_settimeout_touches_the_socket_only_on_a_change(self):
         class Sock:
             calls: list = []
@@ -323,6 +383,12 @@ class TestFrameStream:
 
             def settimeout(self, value):
                 self.calls.append(value)
+
+            def setsockopt(self, level, option, value):
+                # the deadline is a timeval in SO_RCVTIMEO; zero is none
+                if option == socket.SO_RCVTIMEO:
+                    sec, usec = struct.unpack("ll", value)
+                    self.calls.append(sec + usec / 1e6 or None)
 
         sock = Sock()
         stream = FrameStream(sock)
