@@ -146,7 +146,27 @@ def build_env(root: Path, mode: SignMode = SignMode.HMAC,
 
 # --- scenarios ------------------------------------------------------------
 
-def scenario_replay(work: Path, t: list[str]) -> tuple[bool, str, str]:
+Outcome = tuple[bool, str, str]
+
+
+def expect_refusal(t: list[str], expected: type[Exception],
+                   attack: Callable[[], object], if_accepted: str,
+                   label: str = "verdict",
+                   other: type[Exception] = AttestFailure) -> Outcome:
+    """Run ``attack``, which is stopped when it raises ``expected``. A fail
+    names the ``other`` exception raised instead, or ``if_accepted``."""
+    name = expected.__name__
+    try:
+        attack()
+    except expected as e:
+        t.append(f"{label}: {e}")
+        return True, name, name
+    except other as e:
+        return False, name, type(e).__name__
+    return False, name, if_accepted
+
+
+def scenario_replay(work: Path, t: list[str]) -> Outcome:
     env = build_env(work)
     verifier = Verifier(Policy.load(str(env.policy_path)))
     with BackgroundDaemon(env.config) as daemon:
@@ -154,19 +174,15 @@ def scenario_replay(work: Path, t: list[str]) -> tuple[bool, str, str]:
             chal = verifier.new_challenge()
             stream.send(AttestRequest(pid=1, chal=chal))
             resp = stream.recv()
-        result = verifier.check_response(DEVICE, 1, chal, resp)
-        t.append(f"first presentation accepted, sigma={result.sigma.hex()[:32]}...")
-        try:
-            verifier.check_response(DEVICE, 1, chal, resp)
-        except ReplayDetectedError as e:
-            t.append(f"second presentation: {e}")
-            return True, "ReplayDetectedError", "ReplayDetectedError"
-        except AttestFailure as e:
-            return False, "ReplayDetectedError", type(e).__name__
-    return False, "ReplayDetectedError", "accepted twice"
+    result = verifier.check_response(DEVICE, 1, chal, resp)
+    t.append(f"first presentation accepted, sigma={result.sigma.hex()[:32]}...")
+    return expect_refusal(
+        t, ReplayDetectedError,
+        lambda: verifier.check_response(DEVICE, 1, chal, resp),
+        "accepted twice", label="second presentation")
 
 
-def scenario_stale_challenge(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_stale_challenge(work: Path, t: list[str]) -> Outcome:
     env = build_env(work)
     now = [1000.0]
     verifier = Verifier(Policy.load(str(env.policy_path)), ttl=30.0,
@@ -176,19 +192,15 @@ def scenario_stale_challenge(work: Path, t: list[str]) -> tuple[bool, str, str]:
             chal = verifier.new_challenge()
             stream.send(AttestRequest(pid=1, chal=chal))
             resp = stream.recv()
-        now[0] += 31.0
-        t.append("clock advanced 31s past issue (ttl 30s)")
-        try:
-            verifier.check_response(DEVICE, 1, chal, resp)
-        except StaleChallengeError as e:
-            t.append(f"verdict: {e}")
-            return True, "StaleChallengeError", "StaleChallengeError"
-        except AttestFailure as e:
-            return False, "StaleChallengeError", type(e).__name__
-    return False, "StaleChallengeError", "accepted stale"
+    now[0] += 31.0
+    t.append("clock advanced 31s past issue (ttl 30s)")
+    return expect_refusal(
+        t, StaleChallengeError,
+        lambda: verifier.check_response(DEVICE, 1, chal, resp),
+        "accepted stale")
 
 
-def scenario_tamper_binary(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_tamper_binary(work: Path, t: list[str]) -> Outcome:
     """Flip one bit of a user binary on disk, reboot, attest again."""
     env = build_env(work)
     verifier = Verifier(Policy.load(str(env.policy_path)))
@@ -201,41 +213,31 @@ def scenario_tamper_binary(work: Path, t: list[str]) -> tuple[bool, str, str]:
     env.binaries[1].write_bytes(bytes(raw))
     t.append("flipped bit 0 of byte 100 in up_1.bin; restarting daemon")
     with BackgroundDaemon(env.config) as daemon:
-        observed: Optional[str] = None
         with RecordingStream.connect_to(daemon.address, t) as stream:
-            try:
-                verifier.attest(DEVICE, 1, stream)
-            except SigInvalidError as e:
-                t.append(f"verdict: {e}")
-                observed = "SigInvalidError"
-            except AttestFailure as e:
-                return False, "SigInvalidError", type(e).__name__
-        if observed is None:
-            return False, "SigInvalidError", "tampered binary accepted"
-        # the untampered sibling must still pass after the reboot
-        with RecordingStream.connect_to(daemon.address, t) as s2:
-            verifier.attest(DEVICE, 2, s2)
-        t.append("untampered pid 2 still accepted")
-        return True, "SigInvalidError", observed
+            outcome = expect_refusal(
+                t, SigInvalidError, lambda: verifier.attest(DEVICE, 1, stream),
+                "tampered binary accepted")
+        if outcome[0]:
+            # the untampered sibling must still pass after the reboot
+            with RecordingStream.connect_to(daemon.address, t) as s2:
+                verifier.attest(DEVICE, 2, s2)
+            t.append("untampered pid 2 still accepted")
+    return outcome
 
 
-def scenario_tamper_boot_image(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_tamper_boot_image(work: Path, t: list[str]) -> Outcome:
     images = image_manifest()
     bad_kernel = bytearray(images.kernel_image)
     bad_kernel[0] ^= 0xFF
     corrupted = image_manifest(kernel_image=bytes(bad_kernel))
     t.append("corrupted first byte of the kernel image")
-    try:
-        secure_boot(corrupted)
-    except bootmod.KernelHashMismatchError as e:
-        t.append(f"boot refused: {e}")
-        return True, "KernelHashMismatchError", "KernelHashMismatchError"
-    except Exception as e:  # noqa: BLE001 (report whatever surfaced)
-        return False, "KernelHashMismatchError", type(e).__name__
-    return False, "KernelHashMismatchError", "corrupted image booted"
+    # any other exception is reported by name, whatever surfaced
+    return expect_refusal(
+        t, bootmod.KernelHashMismatchError, lambda: secure_boot(corrupted),
+        "corrupted image booted", label="boot refused", other=Exception)
 
 
-def scenario_wrong_key(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_wrong_key(work: Path, t: list[str]) -> Outcome:
     """Device signs with a key the policy does not trust."""
     rogue_policy_key = SignKey(SignMode.HMAC, random.Random(99).randbytes(32))
     env = build_env(work, policy_key=rogue_policy_key)
@@ -243,17 +245,12 @@ def scenario_wrong_key(work: Path, t: list[str]) -> tuple[bool, str, str]:
     verifier = Verifier(Policy.load(str(env.policy_path)))
     with BackgroundDaemon(env.config) as daemon:
         with RecordingStream.connect_to(daemon.address, t) as stream:
-            try:
-                verifier.attest(DEVICE, 1, stream)
-            except SigInvalidError as e:
-                t.append(f"verdict: {e}")
-                return True, "SigInvalidError", "SigInvalidError"
-            except AttestFailure as e:
-                return False, "SigInvalidError", type(e).__name__
-    return False, "SigInvalidError", "untrusted key accepted"
+            return expect_refusal(
+                t, SigInvalidError, lambda: verifier.attest(DEVICE, 1, stream),
+                "untrusted key accepted")
 
 
-def scenario_badge_forge(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_badge_forge(work: Path, t: list[str]) -> Outcome:
     """A process tries to pass itself off as another pid.
 
     There is no badge parameter anywhere in the send path, so the only
@@ -274,20 +271,16 @@ def scenario_badge_forge(work: Path, t: list[str]) -> tuple[bool, str, str]:
             # rogue pid 1 answers; adversary relabels the response as pid 2
             stream.send(AttestRequest(pid=1, chal=chal))
             resp = stream.recv()
-        forged = AttestResponse(status=resp.status, pid=target_digest_pid,
-                                pk=resp.pk, sigma=resp.sigma)
-        t.append("relabeled pid-1 response as pid 2")
-        try:
-            verifier.check_response(DEVICE, target_digest_pid, chal, forged)
-        except SigInvalidError as e:
-            t.append(f"verdict: {e}")
-            return True, "SigInvalidError", "SigInvalidError"
-        except AttestFailure as e:
-            return False, "SigInvalidError", type(e).__name__
-    return False, "SigInvalidError", "forged identity accepted"
+    forged = AttestResponse(status=resp.status, pid=target_digest_pid,
+                            pk=resp.pk, sigma=resp.sigma)
+    t.append("relabeled pid-1 response as pid 2")
+    return expect_refusal(
+        t, SigInvalidError,
+        lambda: verifier.check_response(DEVICE, target_digest_pid, chal, forged),
+        "forged identity accepted")
 
 
-def scenario_malformed_ipc(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_malformed_ipc(work: Path, t: list[str]) -> Outcome:
     """A rogue program sends a short request; the signer must answer with
     a malformed status and keep serving everyone else."""
     env = build_env(work)
@@ -327,7 +320,7 @@ def scenario_malformed_ipc(work: Path, t: list[str]) -> tuple[bool, str, str]:
         f"status {reply.status}, signer survives"
 
 
-def scenario_wire_fuzz(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_wire_fuzz(work: Path, t: list[str]) -> Outcome:
     """Throw random and near-valid garbage frames at a live daemon."""
     env = build_env(work)
     rng = random.Random(0xF022)
@@ -368,7 +361,7 @@ def scenario_wire_fuzz(work: Path, t: list[str]) -> tuple[bool, str, str]:
         f"{answered} answered / {dropped} dropped, still serving"
 
 
-def scenario_channel_theft(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_channel_theft(work: Path, t: list[str]) -> Outcome:
     """Adversary replays a captured (pk, sigma) but lacks the private key."""
     env = build_env(work)
     verifier = Verifier(Policy.load(str(env.policy_path)))
@@ -401,19 +394,16 @@ def scenario_channel_theft(work: Path, t: list[str]) -> tuple[bool, str, str]:
         thread = threading.Thread(target=adversary, daemon=True)
         thread.start()
         try:
-            verifier.establish_channel(result, RecordingStream(left, t))
-        except ConfirmFailedError as e:
-            t.append(f"verdict: {e}")
-            return True, "ConfirmFailedError", "ConfirmFailedError"
-        except AttestFailure as e:
-            return False, "ConfirmFailedError", type(e).__name__
+            return expect_refusal(
+                t, ConfirmFailedError,
+                lambda: verifier.establish_channel(result, RecordingStream(left, t)),
+                "impostor completed the channel")
         finally:
             thread.join(timeout=2)
             left.close()
-    return False, "ConfirmFailedError", "impostor completed the channel"
 
 
-def scenario_timing_audit(work: Path, t: list[str]) -> tuple[bool, str, str]:
+def scenario_timing_audit(work: Path, t: list[str]) -> Outcome:
     """Negative and positive control for the comparator audit."""
     report = audit_ct_equal(samples=30_000, seed=1)
     t.append(f"ct_equal: |t|={abs(report.t_stat):.2f} "
@@ -432,7 +422,7 @@ def scenario_timing_audit(work: Path, t: list[str]) -> tuple[bool, str, str]:
         f"|t|={abs(report.t_stat):.2f} vs control |t|={abs(control.t_stat):.2f}"
 
 
-SCENARIOS: dict[str, tuple[str, Callable[[Path, list[str]], tuple[bool, str, str]]]] = {
+SCENARIOS: dict[str, tuple[str, Callable[[Path, list[str]], Outcome]]] = {
     "replay": ("re-present an accepted response", scenario_replay),
     "stale-challenge": ("answer after the challenge ttl", scenario_stale_challenge),
     "tamper-binary": ("bit-flip a user binary, reboot, attest", scenario_tamper_binary),

@@ -12,7 +12,7 @@ Stages, in order:
    place.
 2. ``run_boot`` spawns the signing process with its two endpoints, then
    each user process from the manifest (write-xor-execute checked by the
-   kernel at spawn, binary hashed into the measurement map, send
+   kernel at spawn, binary hashed for the measurement map, send
    capability minted with the next counter badge), and drives the
    transfer of the map into the signing process over IPC.
 3. ``finalize_boot`` terminates the boot-time processes and drops kernel
@@ -233,34 +233,6 @@ def measure_binary(binary: bytes) -> bytes:
     return sha256(binary)
 
 
-class MeasurementMap:
-    """Boot-side builder: bounded, append-only, insertion-ordered."""
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._entries: list[tuple[int, bytes]] = []
-        self._pids: set[int] = set()
-
-    def add(self, pid: int, digest: bytes) -> None:
-        if len(self._entries) >= self.capacity:
-            raise CapacityExceededError(
-                f"measurement map full at {self.capacity} entries")
-        if pid in self._pids:
-            raise ManifestError(f"pid {pid} measured twice")
-        if len(digest) != 32:
-            raise ValueError("digest must be 32 bytes")
-        self._entries.append((pid, bytes(digest)))
-        self._pids.add(pid)
-
-    def entries(self) -> list[tuple[int, bytes]]:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 # --- pipeline -------------------------------------------------------------
 
 @dataclass
@@ -306,14 +278,12 @@ def secure_boot(manifest: ImageManifest) -> Kernel:
 
 
 def transfer_mmap(kernel: Kernel, pst_pid: int, sp_boot_cap: int,
-                  mmap: MeasurementMap) -> None:
-    """Send every map entry, then the sentinel, over the boot endpoint.
+                  entries: list[tuple[int, bytes]]) -> None:
+    """Send each ``(pid, digest)``, then the sentinel, over the boot endpoint.
 
     Runs as the process-spawn-and-transfer process. Each message must be
     acked with MR0 = 0; anything else aborts the boot.
     """
-
-    entries = mmap.entries()
 
     def program(ctx: ProcessApi):
         for pid, digest in entries:
@@ -372,22 +342,18 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
         kernel.start_process(SP_PID, signing_program(sp_state, sp_boot_recv, sp_attest_recv))
         kernel.run()            # SP parks on the boot endpoint
 
-        mmap = MeasurementMap(capacity)
-        badge_counter = 1
-        for spec in specs:
+        for badge, spec in enumerate(specs, start=1):
             log.info("phase=process-spawn pid=%d size=%d", spec.pid, len(spec.binary))
             digest = measure_binary(spec.binary)
             kernel.spawn_process(KernelProcessSpec(spec.pid, spec.binary, spec.regions))
-            mmap.add(spec.pid, digest)
             log.info("phase=measurement pid=%d sha256=%s", spec.pid, digest.hex())
-            badge = badge_counter
-            badge_counter += 1
             sp_cap = kernel.mint_badged_cap(ep_attest, badge, Rights(write=True), spec.pid)
             kernel.start_process(spec.pid, up_program_factory(spec, sp_cap))
             report.spawned.append((spec.pid, badge, digest))
         kernel.run()            # user processes park on their net queues
 
-        transfer_mmap(kernel, PST_PID, pst_send, mmap)
+        transfer_mmap(kernel, PST_PID, pst_send,
+                      [(pid, digest) for pid, _, digest in report.spawned])
         if not sp_state.installed:
             raise NackFromSpError("signer never installed its state")
     except (KernelError, BootError):

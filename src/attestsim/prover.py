@@ -31,14 +31,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .boot import (
-    DEFAULT_CAPACITY,
     BootedSystem,
     bring_up,
     image_manifest,
     load_anchors,
     load_user_manifest,
 )
-from .crypto import CHAL_LEN, SignKey, SignMode, load_keystore
+from .crypto import CHAL_LEN, load_keystore
 from .userland import NetChannelFail
 from .wire import (
     ERR_BAD_REQUEST,
@@ -58,6 +57,7 @@ from .wire import (
     WireMessage,
     decode_payload,
     encode,
+    parse_address,
     set_deadlines,
 )
 
@@ -74,8 +74,6 @@ class ProverConfig:
     keystore_path: str = "keystore.hex"
     anchors_path: str = "anchors.json"
     manifest_path: str = "manifest.json"
-    capacity: int = DEFAULT_CAPACITY
-    mode_override: Optional[SignMode] = None
 
 
 class ProverRuntime:
@@ -87,7 +85,6 @@ class ProverRuntime:
     """
 
     def __init__(self, system: BootedSystem):
-        self.system = system
         self.kernel = system.kernel
         self.report = system.report
         self.up_pids = set(system.report.up_pids())
@@ -117,13 +114,9 @@ class ProverRuntime:
 def build_runtime(config: ProverConfig) -> ProverRuntime:
     """Load inputs, run the measured-boot pipeline, return the runtime."""
     key = load_keystore(config.keystore_path)
-    if config.mode_override is not None and config.mode_override is not key.mode:
-        key = SignKey(config.mode_override, key.secret_bytes())
     anchors = load_anchors(config.anchors_path)
     specs = load_user_manifest(config.manifest_path)
-    system = bring_up(image_manifest(anchors), specs, key,
-                      capacity=config.capacity)
-    return ProverRuntime(system)
+    return ProverRuntime(bring_up(image_manifest(anchors), specs, key))
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -181,9 +174,10 @@ class _Handler(socketserver.BaseRequestHandler):
                last_pid: Optional[int]) -> tuple[WireMessage, Optional[int]]:
         runtime = server.runtime
         if isinstance(msg, AttestRequest):
-            if msg.pid not in runtime.up_pids:
+            pid, chal = msg
+            if pid not in runtime.up_pids:
                 return ErrorMsg(ERR_UNKNOWN_PID), last_pid
-            return runtime.attest_once(msg.pid, msg.chal), msg.pid
+            return runtime.attest_once(pid, chal), pid
         if isinstance(msg, ChannelInit):
             # no pid on the wire for channel frames: route to the pid the
             # connection last attested
@@ -199,23 +193,22 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class ProverServer(socketserver.TCPServer):
+    """The daemon: boots the device from ``config``, then binds and logs
+    the ``phase=listen`` line. ``proverd`` and ``BackgroundDaemon`` both
+    start through here."""
+
     allow_reuse_address = True
 
-    def __init__(self, config: ProverConfig, runtime: ProverRuntime):
-        self.runtime = runtime
+    def __init__(self, config: ProverConfig):
+        self.runtime = build_runtime(config)
         super().__init__((config.host, config.port), _Handler)
-
-    @property
-    def bound_port(self) -> int:
-        return self.server_address[1]
+        log.info("phase=listen host=%s port=%d pids=%s mode=%s",
+                 *self.server_address[:2], sorted(self.runtime.up_pids),
+                 self.runtime.report.mode)
 
 
 def serve(config: ProverConfig) -> None:
-    runtime = build_runtime(config)
-    with ProverServer(config, runtime) as server:
-        log.info("phase=listen host=%s port=%d pids=%s mode=%s",
-                 config.host, server.bound_port,
-                 sorted(runtime.up_pids), runtime.report.mode)
+    with ProverServer(config) as server:
         server.serve_forever()
 
 
@@ -223,34 +216,25 @@ class BackgroundDaemon:
     """Daemon on a thread, for tests and the attack harness."""
 
     def __init__(self, config: ProverConfig):
-        self.runtime = build_runtime(config)
-        self.server = ProverServer(config, self.runtime)
+        self.server = ProverServer(config)
+        self.runtime = self.server.runtime
         self.thread = threading.Thread(
             target=self.server.serve_forever, kwargs={"poll_interval": 0.05},
             daemon=True)
 
     @property
     def address(self) -> tuple[str, int]:
-        host = self.server.server_address[0]
-        return ("127.0.0.1" if host == "0.0.0.0" else host,
-                self.server.bound_port)
+        host, port = self.server.server_address[:2]
+        return ("127.0.0.1" if host == "0.0.0.0" else host, port)
 
     def __enter__(self) -> "BackgroundDaemon":
         self.thread.start()
-        log.info("phase=listen host=%s port=%d", *self.address)
         return self
 
     def __exit__(self, *exc) -> None:
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=5)
-
-
-def parse_listen(listen: str) -> tuple[str, int]:
-    host, _, port = listen.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"--listen must be host:port, got {listen!r}")
-    return host, int(port)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -266,21 +250,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="trust-anchor JSON with image digests")
     parser.add_argument("--manifest", required=True,
                         help="user-process manifest JSON")
-    parser.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
-                        help="measurement map capacity (default %(default)s)")
-    parser.add_argument("--mode", choices=[m.value for m in SignMode],
-                        help="override the keystore's signing mode tag")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
     try:
-        host, port = parse_listen(args.listen)
-        config = ProverConfig(
+        host, port = parse_address(args.listen)
+        serve(ProverConfig(
             host=host, port=port, keystore_path=args.keystore,
-            anchors_path=args.anchors, manifest_path=args.manifest,
-            capacity=args.capacity,
-            mode_override=SignMode(args.mode) if args.mode else None)
-        serve(config)
+            anchors_path=args.anchors, manifest_path=args.manifest))
     except KeyboardInterrupt:
         return 0
     except Exception as e:

@@ -56,8 +56,8 @@ def bytes_from_words_be(words: list[int]) -> bytes:
 class FrozenMeasurementMap:
     """The signer's post-boot view of measurements: lookup only.
 
-    There is no mutation method on this type at all; the builder the boot
-    pipeline uses is a different class. Entries keep transfer order.
+    There is no mutation method on this type at all; the boot pipeline
+    hands over every entry at once. Entries keep transfer order.
     """
 
     __slots__ = ("_entries", "_index")

@@ -54,15 +54,16 @@ def make_relay_program(sp_cap: int):
         while True:
             event = yield net_recv
             if isinstance(event, AttestRequest):
-                for i, word in enumerate(words_from_bytes_be(event.chal) + pk_words):
+                pid, chal = event
+                for i, word in enumerate(words_from_bytes_be(chal) + pk_words):
                     set_mr(i, word)
                 reply_len = yield call
                 status = get_mr(0)
                 sigma = bytes_from_words_be(
                     [get_mr(i) for i in range(1, reply_len)])
                 if status == 0:
-                    last = (event.chal, sigma)
-                ctx.net_send(AttestResponse(status, event.pid, pk, sigma))
+                    last = (chal, sigma)
+                ctx.net_send(AttestResponse(status, pid, pk, sigma))
             elif isinstance(event, ChannelInit):
                 if last is None:
                     ctx.net_send(NetChannelFail("no prior attestation"))

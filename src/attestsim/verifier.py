@@ -21,7 +21,6 @@ import hashlib
 import json
 import logging
 import os
-import socket
 import sys
 import threading
 import time
@@ -53,6 +52,7 @@ from .wire import (
     ErrorMsg,
     FrameStream,
     WireError,
+    parse_address,
     record,
 )
 
@@ -172,11 +172,10 @@ class Policy:
                     golden[pid] = measure_binary(bf.read())
             address = None
             if "address" in entry:
-                host, _, port = str(entry["address"]).rpartition(":")
-                if not host or not port.isdigit():
-                    raise PolicyError(
-                        f"{path}: device {device_id}: address must be host:port")
-                address = (host, int(port))
+                try:
+                    address = parse_address(str(entry["address"]))
+                except ValueError as e:
+                    raise PolicyError(f"{path}: device {device_id}: {e}") from e
             devices[device_id] = DevicePolicy(
                 device_id=device_id, vk=vk, golden=golden, address=address,
                 pin_pk=bool(entry.get("pin_pk", False)))
@@ -347,7 +346,7 @@ class Verifier:
         try:
             stream.send(AttestRequest(pid=pid, chal=chal))
             resp = stream.recv()
-        except (socket.timeout, TimeoutError) as e:
+        except TimeoutError as e:
             raise AttestTimeoutError(f"no response within {self.timeout}s") from e
         except WireError as e:
             raise ProverError(255, f"protocol: {e}") from e
@@ -375,7 +374,7 @@ class Verifier:
             stream.send(ChannelInit(eph_pk=eph_pk, nonce=nonce,
                                     ct=seal(key, nonce, token, CHANNEL_AD_INIT)))
             resp = stream.recv()
-        except (socket.timeout, TimeoutError) as e:
+        except TimeoutError as e:
             raise AttestTimeoutError(f"no confirm within {self.timeout}s") from e
         except WireError as e:
             raise ConfirmFailedError(f"protocol: {e}") from e

@@ -311,6 +311,14 @@ class FrameDecoder:
         return out
 
 
+def parse_address(text: str) -> tuple[str, int]:
+    """``"host:port"`` as ``(host, port)``; ``ValueError`` otherwise."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"address must be host:port, got {text!r}")
+    return host, int(port)
+
+
 def set_deadlines(sock: socket.socket, seconds: Optional[float]) -> None:
     """Bound each recv and send on ``sock`` by ``seconds``, in the host kernel.
 

@@ -20,7 +20,6 @@ from attestsim.boot import (
     EmptyBinaryError,
     KernelHashMismatchError,
     ManifestError,
-    MeasurementMap,
     NackFromSpError,
     ProcessSpec,
     TcbHashMismatchError,
@@ -103,24 +102,12 @@ class TestMeasurement:
         with pytest.raises(EmptyBinaryError):
             measure_binary(b"")
 
-    def test_map_capacity(self):
-        mmap = MeasurementMap(capacity=2)
-        mmap.add(1, bytes(32))
-        mmap.add(2, bytes(32))
-        with pytest.raises(CapacityExceededError):
-            mmap.add(3, bytes(32))
-
-    def test_map_duplicate_pid(self):
-        mmap = MeasurementMap()
-        mmap.add(1, bytes(32))
-        with pytest.raises(ManifestError):
-            mmap.add(1, bytes(32))
-
     def test_map_keeps_insertion_order(self):
-        mmap = MeasurementMap()
-        for pid in (5, 2, 9):
-            mmap.add(pid, bytes([pid]) * 32)
-        assert [pid for pid, _ in mmap.entries()] == [5, 2, 9]
+        specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 64)
+                 for pid in (5, 2, 9)]
+        kernel = secure_boot(image_manifest())
+        _, sp_state = run_boot(kernel, specs, KEY)
+        assert [pid for pid, _ in sp_state.mmap.entries()] == [5, 2, 9]
 
 
 class TestTransferProtocol:
@@ -148,10 +135,7 @@ class TestTransferProtocol:
         kernel.run()
         digest_a = hashlib.sha256(b"alpha").digest()
         digest_b = hashlib.sha256(b"beta").digest()
-        mmap = MeasurementMap()
-        mmap.add(12, digest_a)
-        mmap.add(34, digest_b)
-        transfer_mmap(kernel, PST_PID, send, mmap)
+        transfer_mmap(kernel, PST_PID, send, [(12, digest_a), (34, digest_b)])
 
         assert raw_messages[0][0] == 12
         assert raw_messages[0][1:] == list(struct.unpack(">4Q", digest_a))
@@ -174,10 +158,8 @@ class TestTransferProtocol:
 
         kernel.start_process(50, refuser)
         kernel.run()
-        mmap = MeasurementMap()
-        mmap.add(1, bytes(32))
         with pytest.raises(NackFromSpError):
-            transfer_mmap(kernel, PST_PID, send, mmap)
+            transfer_mmap(kernel, PST_PID, send, [(1, bytes(32))])
 
     @given(digest=st.binary(min_size=32, max_size=32))
     @settings(max_examples=100, deadline=None)

@@ -1,0 +1,51 @@
+"""Long-lived state stays bounded over many in-process attestation rounds:
+the kernel's trace ring, its queues, and the verifier's nonce ledger."""
+
+from __future__ import annotations
+
+from attestsim.boot import SP_PID, ProcessSpec, bring_up, image_manifest
+from attestsim.crypto import SignKey, SignMode
+from attestsim.kernel import TRACE_LEN
+from attestsim.prover import ProverRuntime
+from attestsim.verifier import DevicePolicy, Policy, Verifier
+
+ROUNDS = 20_000
+TTL_ROUNDS = 49         # a challenge outlives 49 ticks of the fake clock
+SKIP_EVERY = 10         # every 10th challenge is issued and never answered
+
+
+def _queues(kernel):
+    """Everything that could pile up between rounds."""
+    return ({eid: (tuple(ep.send_queue), tuple(ep.recv_queue))
+             for eid, ep in kernel._endpoints.items()},
+            sum(len(rec.net_inbox) for rec in kernel._procs.values()),
+            sum(len(box) for box in kernel._outbox.values()),
+            len(kernel._ready))
+
+
+def test_state_stays_bounded_over_many_rounds():
+    specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 256) for pid in (1, 2)]
+    key = SignKey(SignMode.HMAC, bytes(range(32)))
+    runtime = ProverRuntime(bring_up(image_manifest(), specs, key))
+    kernel = runtime.kernel
+    golden = {pid: runtime.report.digest_of(pid) for pid in (1, 2)}
+    now = [0.0]
+    verifier = Verifier(Policy({"d": DevicePolicy("d", key.verify_key(), golden)}),
+                        ttl=float(TTL_ROUNDS), clock=lambda: now[0])
+    # between rounds only the signer waits, parked on its attest endpoint
+    idle = _queues(kernel)
+    assert sorted(idle[0].values()) == [((), ()), ((), (SP_PID,))]
+    assert idle[1:] == (0, 0, 0)
+
+    for r in range(ROUNDS):
+        now[0] = float(r)
+        chal = verifier.new_challenge()
+        if r % SKIP_EVERY != SKIP_EVERY - 1:
+            pid = 1 + r % 2
+            verifier.check_response("d", pid, chal, runtime.attest_once(pid, chal))
+        assert _queues(kernel) == idle
+        # live: the unanswered challenges of the last TTL_ROUNDS + 1 ticks
+        assert len(verifier.ledger) == min((TTL_ROUNDS + 1) // SKIP_EVERY,
+                                           (r + 1) // SKIP_EVERY)
+
+    assert len(kernel.trace) == TRACE_LEN

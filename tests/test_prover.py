@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import os
+import re
 import socket
 import struct
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -20,9 +23,8 @@ from attestsim.prover import (
     ProverConfig,
     build_runtime,
     main as proverd_main,
-    parse_listen,
 )
-from attestsim.verifier import ConfirmFailedError, Policy, Verifier
+from attestsim.verifier import ConfirmFailedError, Policy, PolicyError, Verifier
 from attestsim.wire import (
     ERR_BAD_REQUEST,
     ERR_NO_CONTEXT,
@@ -35,6 +37,7 @@ from attestsim.wire import (
     ErrorMsg,
     FrameStream,
     encode,
+    parse_address,
 )
 
 
@@ -43,12 +46,6 @@ class TestBuildRuntime:
         runtime = build_runtime(env.config)
         assert runtime.up_pids == {1, 2}
         assert runtime.report.mode == SignMode.HMAC.value
-
-    def test_mode_override_rebuilds_key(self, env):
-        config = ProverConfig(**{**env.config.__dict__,
-                                 "mode_override": SignMode.ED25519})
-        runtime = build_runtime(config)
-        assert runtime.report.mode == SignMode.ED25519.value
 
     def test_missing_keystore(self, env):
         config = ProverConfig(**{**env.config.__dict__,
@@ -258,13 +255,29 @@ class TestCliPlumbing:
 
     @pytest.mark.parametrize("listen", ["127.0.0.1:7411", "0.0.0.0:0"])
     def test_parse_listen(self, listen):
-        host, port = parse_listen(listen)
+        host, port = parse_address(listen)
         assert listen == f"{host}:{port}"
 
     @pytest.mark.parametrize("listen", ["nohost", ":7411", "h:port", ""])
     def test_parse_listen_rejects(self, listen):
         with pytest.raises(ValueError):
-            parse_listen(listen)
+            parse_address(listen)
+
+    def test_policy_address_rejects(self, env):
+        raw = json.loads(env.policy_path.read_text())
+        raw["devices"]["dev0"]["address"] = "h:port"
+        env.policy_path.write_text(json.dumps(raw))
+        with pytest.raises(PolicyError, match="host:port"):
+            Policy.load(str(env.policy_path))
+
+    def test_help_lists_only_deployment_options(self, capsys):
+        with pytest.raises(SystemExit):
+            proverd_main(["--help"])
+        flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert flags == {"--help", "--listen", "--keystore", "--anchors",
+                         "--manifest"}
+        assert [f.name for f in fields(ProverConfig)] == [
+            "host", "port", "keystore_path", "anchors_path", "manifest_path"]
 
     def test_main_reports_missing_inputs(self, tmp_path, capsys):
         rc = proverd_main(["--listen", "127.0.0.1:0",
