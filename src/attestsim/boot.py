@@ -8,15 +8,14 @@ spawn/terminate authority.
 Stages, in order:
 
 1. ``secure_boot`` checks the kernel and root-process images against the
-   trust anchors and hands back a fresh kernel with the root process in
-   place.
+   trust anchors and hands back a fresh kernel.
 2. ``run_boot`` spawns the signing process with its two endpoints, then
    each user process from the manifest (write-xor-execute checked by the
    kernel at spawn, binary hashed for the measurement map, send
    capability minted with the next counter badge), and drives the
    transfer of the map into the signing process over IPC.
-3. ``finalize_boot`` terminates the boot-time processes and drops kernel
-   authority for good.
+3. ``finalize_boot`` terminates the boot-time transfer process and drops
+   kernel authority for good.
 
 Any failure mid-pipeline tears the kernel down to an empty, finalized
 state; a partially booted device is never observable.
@@ -43,6 +42,7 @@ from .kernel import (
     SELF_CODE_REGION,
 )
 from .signing import (
+    FIRST_BADGE,
     SENTINEL_PID,
     TRANSFER_LEN,
     SpState,
@@ -53,13 +53,12 @@ from .userland import make_relay_program
 
 log = logging.getLogger(__name__)
 
-DEFAULT_CAPACITY = 16
+CAPACITY = 16                 # user processes the measurement map holds
 
 # Boot-time and signer pids live in a reserved band at the top of the pid
 # space so a manifest pid can never collide with them or with the transfer
 # sentinel (2**64 - 1).
 RESERVED_PID_BASE = 2**64 - 256
-RP_PID = RESERVED_PID_BASE
 PST_PID = RESERVED_PID_BASE + 1
 SP_PID = RESERVED_PID_BASE + 3
 
@@ -237,7 +236,6 @@ def measure_binary(binary: bytes) -> bytes:
 
 @dataclass
 class BootReport:
-    sp_pid: int
     mode: str
     spawned: list[tuple[int, int, bytes]] = field(default_factory=list)
     terminated: list[int] = field(default_factory=list)
@@ -263,18 +261,16 @@ ProgramFactory = Callable[[ProcessSpec, int], Callable]
 
 
 def secure_boot(manifest: ImageManifest) -> Kernel:
-    """Verify images against anchors; a fresh kernel with the root process
-    spawned is returned only if both match."""
+    """Verify images against anchors; a fresh kernel is returned only if
+    both match."""
     if sha256(manifest.kernel_image) != manifest.expected_kernel_sha256:
         raise KernelHashMismatchError("kernel image does not match anchor")
     if sha256(manifest.rp_image) != manifest.expected_rp_sha256:
         raise TcbHashMismatchError("root-process image does not match anchor")
-    kernel = Kernel()
-    kernel.spawn_process(KernelProcessSpec(RP_PID, manifest.rp_image))
     log.info("phase=boot kernel_sha256=%s rp_sha256=%s",
              manifest.expected_kernel_sha256.hex(),
              manifest.expected_rp_sha256.hex())
-    return kernel
+    return Kernel()
 
 
 def transfer_mmap(kernel: Kernel, pst_pid: int, sp_boot_cap: int,
@@ -303,7 +299,6 @@ def transfer_mmap(kernel: Kernel, pst_pid: int, sp_boot_cap: int,
 
 
 def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
-             capacity: int = DEFAULT_CAPACITY,
              up_program_factory: Optional[ProgramFactory] = None,
              ) -> tuple[BootReport, SpState]:
     """Spawn, measure, and wire up everything on a freshly booted kernel.
@@ -315,12 +310,12 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
     """
     if up_program_factory is None:
         up_program_factory = lambda spec, sp_cap: make_relay_program(sp_cap)
-    report = BootReport(sp_pid=SP_PID, mode=sign_key.mode.value)
+    report = BootReport(mode=sign_key.mode.value)
     sp_state = SpState(sign_key)
     try:
-        if len(specs) > capacity:
+        if len(specs) > CAPACITY:
             raise CapacityExceededError(
-                f"{len(specs)} processes exceed map capacity {capacity}")
+                f"{len(specs)} processes exceed map capacity {CAPACITY}")
         seen = set()
         for spec in specs:
             if spec.pid in seen:
@@ -342,7 +337,7 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
         kernel.start_process(SP_PID, signing_program(sp_state, sp_boot_recv, sp_attest_recv))
         kernel.run()            # SP parks on the boot endpoint
 
-        for badge, spec in enumerate(specs, start=1):
+        for badge, spec in enumerate(specs, start=FIRST_BADGE):
             log.info("phase=process-spawn pid=%d size=%d", spec.pid, len(spec.binary))
             digest = measure_binary(spec.binary)
             kernel.spawn_process(KernelProcessSpec(spec.pid, spec.binary, spec.regions))
@@ -363,10 +358,9 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
 
 
 def finalize_boot(kernel: Kernel, report: BootReport) -> None:
-    """Terminate boot-time processes and drop all kernel authority."""
-    for pid in (RP_PID, PST_PID):
-        kernel.terminate_process(pid)
-        report.terminated.append(pid)
+    """Terminate the transfer process and drop all kernel authority."""
+    kernel.terminate_process(PST_PID)
+    report.terminated.append(PST_PID)
     kernel.finalize()
     log.info("phase=boot-finalized live=%d", len(kernel.live_pids()))
 
@@ -379,11 +373,9 @@ def _teardown(kernel: Kernel) -> None:
 
 
 def bring_up(images: ImageManifest, specs: list[ProcessSpec], sign_key: SignKey,
-             capacity: int = DEFAULT_CAPACITY,
              up_program_factory: Optional[ProgramFactory] = None) -> BootedSystem:
     """Full pipeline: verify images, boot, transfer, finalize."""
     kernel = secure_boot(images)
-    report, sp_state = run_boot(kernel, specs, sign_key, capacity,
-                                up_program_factory)
+    report, sp_state = run_boot(kernel, specs, sign_key, up_program_factory)
     finalize_boot(kernel, report)
     return BootedSystem(kernel=kernel, report=report, sp_state=sp_state)

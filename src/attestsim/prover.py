@@ -119,60 +119,61 @@ def build_runtime(config: ProverConfig) -> ProverRuntime:
     return ProverRuntime(bring_up(image_manifest(anchors), specs, key))
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One connection: a loop of reads until EOF or loss of sync.
+class ProverServer(socketserver.TCPServer):
+    """The daemon: boots the device from ``config``, then binds and logs
+    the ``phase=listen`` line. ``proverd`` and ``BackgroundDaemon`` both
+    start through here."""
 
-    Every complete frame of a read is answered, in order, and the replies
-    go back in one ``sendall``.
-    """
+    allow_reuse_address = True
 
-    def handle(self) -> None:  # noqa: D102 (behavior described on the class)
-        server: "ProverServer" = self.server  # type: ignore[assignment]
-        sock: socket.socket = self.request
-        set_deadlines(sock, IO_TIMEOUT)
+    def __init__(self, config: ProverConfig):
+        self.runtime = build_runtime(config)
+        # no handler class: finish_request serves each connection itself
+        super().__init__((config.host, config.port), None)
+        log.info("phase=listen host=%s port=%d pids=%s mode=%s",
+                 *self.server_address[:2], sorted(self.runtime.up_pids),
+                 self.runtime.report.mode)
+
+    def finish_request(self, request: socket.socket, client_address) -> None:
+        """One connection: a loop of reads until EOF, an expired deadline,
+        or loss of sync.
+
+        Every complete frame of a read is answered, in order, and the
+        replies go back in one ``sendall``.
+        """
+        set_deadlines(request, IO_TIMEOUT)
         decoder = FrameDecoder()
         last_pid: Optional[int] = None
-        while True:
-            try:
-                data = sock.recv(READ_SIZE)
-            except OSError:
-                return
-            if not data:
-                return
-            replies = bytearray()
-            for item in decoder.feed(data):
-                if isinstance(item, LostSync):
-                    # framing can't be trusted past this point; answer and drop
-                    replies += encode(ErrorMsg(ERR_BAD_REQUEST))
-                    self._send(sock, replies)
-                    return
-                try:
-                    frame = decode_payload(*item)
-                except WireError:
-                    # the declared length was consumed, so the stream is
-                    # still in sync
-                    replies += encode(ErrorMsg(ERR_BAD_REQUEST))
-                    continue
-                try:
-                    reply, last_pid = self._route(server, frame, last_pid)
-                except Exception:
-                    log.exception("handler fault on %r", type(frame).__name__)
-                    reply = ErrorMsg(ERR_INTERNAL)
-                replies += encode(reply)
-            if replies and not self._send(sock, replies):
-                return
-
-    @staticmethod
-    def _send(sock: socket.socket, data: bytes) -> bool:
         try:
-            sock.sendall(data)
-            return True
+            while data := request.recv(READ_SIZE):
+                replies = bytearray()
+                for item in decoder.feed(data):
+                    if isinstance(item, LostSync):
+                        # framing can't be trusted past this point; answer and drop
+                        replies += encode(ErrorMsg(ERR_BAD_REQUEST))
+                        request.sendall(replies)
+                        return
+                    try:
+                        frame = decode_payload(*item)
+                    except WireError:
+                        # the declared length was consumed, so the stream is
+                        # still in sync
+                        replies += encode(ErrorMsg(ERR_BAD_REQUEST))
+                        continue
+                    try:
+                        reply, last_pid = self._route(frame, last_pid)
+                    except Exception:
+                        log.exception("handler fault on %r", type(frame).__name__)
+                        reply = ErrorMsg(ERR_INTERNAL)
+                    replies += encode(reply)
+                if replies:
+                    request.sendall(replies)
         except OSError:
-            return False
+            pass            # an expired deadline or a reset: drop the connection
 
-    def _route(self, server: "ProverServer", msg: WireMessage,
-               last_pid: Optional[int]) -> tuple[WireMessage, Optional[int]]:
-        runtime = server.runtime
+    def _route(self, msg: WireMessage, last_pid: Optional[int]
+               ) -> tuple[WireMessage, Optional[int]]:
+        runtime = self.runtime
         if isinstance(msg, AttestRequest):
             pid, chal = msg
             if pid not in runtime.up_pids:
@@ -190,26 +191,6 @@ class _Handler(socketserver.BaseRequestHandler):
             return outcome, last_pid
         # clients have no business sending responses, confirms, or errors
         return ErrorMsg(ERR_BAD_REQUEST), last_pid
-
-
-class ProverServer(socketserver.TCPServer):
-    """The daemon: boots the device from ``config``, then binds and logs
-    the ``phase=listen`` line. ``proverd`` and ``BackgroundDaemon`` both
-    start through here."""
-
-    allow_reuse_address = True
-
-    def __init__(self, config: ProverConfig):
-        self.runtime = build_runtime(config)
-        super().__init__((config.host, config.port), _Handler)
-        log.info("phase=listen host=%s port=%d pids=%s mode=%s",
-                 *self.server_address[:2], sorted(self.runtime.up_pids),
-                 self.runtime.report.mode)
-
-
-def serve(config: ProverConfig) -> None:
-    with ProverServer(config) as server:
-        server.serve_forever()
 
 
 class BackgroundDaemon:
@@ -255,9 +236,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                         format="%(asctime)s %(name)s %(message)s")
     try:
         host, port = parse_address(args.listen)
-        serve(ProverConfig(
+        config = ProverConfig(
             host=host, port=port, keystore_path=args.keystore,
-            anchors_path=args.anchors, manifest_path=args.manifest))
+            anchors_path=args.anchors, manifest_path=args.manifest)
+        with ProverServer(config) as server:
+            server.serve_forever()
     except KeyboardInterrupt:
         return 0
     except Exception as e:

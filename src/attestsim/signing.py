@@ -29,6 +29,7 @@ from .kernel import BOOT_BADGE, MSG_MAX_LENGTH, ProcessApi, Recv
 SENTINEL_PID = 2**64 - 1
 REQUEST_LEN = 8               # registers in a well-formed signing request
 TRANSFER_LEN = 5              # registers per measurement-transfer message
+FIRST_BADGE = 1               # user badges count up from here, in spawn order
 
 STATUS_OK = 0
 STATUS_UNKNOWN_BADGE = 1
@@ -116,9 +117,10 @@ class SpState:
         if self.installed:
             raise SigningError("signer state is already installed")
         self.mmap = FrozenMeasurementMap(entries)
-        # badges were assigned from a counter in spawn order, which is
-        # exactly the transfer order
-        self.badge_to_pid = {i + 1: pid for i, (pid, _) in enumerate(entries)}
+        # boot transfers the entries in spawn order, the order it minted
+        # the badges in
+        self.badge_to_pid = dict(
+            enumerate((pid for pid, _ in entries), start=FIRST_BADGE))
 
     def snapshot(self) -> bytes:
         if not self.installed:

@@ -79,11 +79,11 @@ def measure_classes(op: Callable[[int], None], samples: int,
 
 
 def audit_comparator(compare: Callable[[bytes, bytes], bool],
-                     samples: int = DEFAULT_SAMPLES, length: int = 32,
-                     seed: int = 0, label: str = "ct_equal") -> TimingReport:
-    """Equal vs first-byte-differs over fixed-length random operands."""
+                     samples: int = DEFAULT_SAMPLES, seed: int = 0,
+                     label: str = "ct_equal") -> TimingReport:
+    """Equal vs first-byte-differs over 32-byte random operands."""
     rng = random.Random(seed ^ 0x5EED)
-    base = bytes(rng.randrange(256) for _ in range(length))
+    base = bytes(rng.randrange(256) for _ in range(32))
     diff = bytes([base[0] ^ 0x01]) + base[1:]
     pairs = ((base, bytes(base)), (base, diff))
 

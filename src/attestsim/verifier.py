@@ -35,6 +35,7 @@ from .crypto import (
     CHANNEL_AD_INIT,
     NONCE_LEN,
     AttestToken,
+    LengthMismatchError,
     SignMode,
     VerifyKey,
     ct_equal,
@@ -315,11 +316,10 @@ class Verifier:
                 f"response names pid {resp.pid}, requested {pid}")
         if dev.pin_pk:
             _check_pin(dev, pid, resp.pk)
-        expected_sig_len = 32 if dev.vk.mode is SignMode.HMAC else 64
-        if len(resp.sigma) != expected_sig_len:
-            raise SigInvalidError(
-                f"sigma length {len(resp.sigma)} does not fit mode {dev.vk.mode.value}")
-        token = AttestToken(dev.vk.mode, resp.sigma)
+        try:
+            token = AttestToken(dev.vk.mode, resp.sigma)
+        except LengthMismatchError as e:
+            raise SigInvalidError(str(e)) from e
         if not verify_token(dev.vk, chal, resp.pk, expected_m, token):
             raise SigInvalidError("token does not verify")
         if dev.pin_pk:

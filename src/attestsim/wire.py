@@ -157,15 +157,15 @@ def _check_u64(value: int, what: str) -> None:
         raise BadLengthError(f"{what} out of u64 range")
 
 
-def encode_payload(msg: WireMessage) -> tuple[int, bytes]:
+def encode(msg: WireMessage) -> bytes:
     # records unpack as tuples, which is cheaper than reading each field
     if isinstance(msg, AttestRequest):
         pid, chal = msg
         _check_u64(pid, "pid")
         if len(chal) != 32:
             raise BadLengthError("chal must be 32 bytes")
-        return MSG_ATTEST_REQUEST, _ATTEST_REQUEST.pack(pid, chal)
-    if isinstance(msg, AttestResponse):
+        mtype, payload = MSG_ATTEST_REQUEST, _ATTEST_REQUEST.pack(pid, chal)
+    elif isinstance(msg, AttestResponse):
         status, pid, pk, sigma = msg
         if not 0 <= status <= 255:
             raise BadLengthError("status out of u8 range")
@@ -174,32 +174,29 @@ def encode_payload(msg: WireMessage) -> tuple[int, bytes]:
             raise BadLengthError("pk must be 32 bytes")
         if len(sigma) not in (0, 32, 64):
             raise BadLengthError("sigma must be 0, 32, or 64 bytes")
-        return MSG_ATTEST_RESPONSE, _ATTEST_RESPONSE_HEAD.pack(
+        mtype, payload = MSG_ATTEST_RESPONSE, _ATTEST_RESPONSE_HEAD.pack(
             status, pid, pk, len(sigma)) + sigma
-    if isinstance(msg, ChannelInit):
+    elif isinstance(msg, ChannelInit):
         eph_pk, nonce, ct = msg
         if len(eph_pk) != 32 or len(nonce) != 12:
             raise BadLengthError("eph_pk must be 32 bytes, nonce 12")
         if len(ct) < AEAD_TAG_LEN:
             raise BadLengthError("ct shorter than an AEAD tag")
-        return MSG_CHANNEL_INIT, eph_pk + nonce + ct
-    if isinstance(msg, ChannelConfirm):
+        mtype, payload = MSG_CHANNEL_INIT, eph_pk + nonce + ct
+    elif isinstance(msg, ChannelConfirm):
         nonce, ct = msg
         if len(nonce) != 12:
             raise BadLengthError("nonce must be 12 bytes")
         if len(ct) < AEAD_TAG_LEN:
             raise BadLengthError("ct shorter than an AEAD tag")
-        return MSG_CHANNEL_CONFIRM, nonce + ct
-    if isinstance(msg, ErrorMsg):
+        mtype, payload = MSG_CHANNEL_CONFIRM, nonce + ct
+    elif isinstance(msg, ErrorMsg):
         (code,) = msg
         if not 0 <= code <= 255:
             raise BadLengthError("error code out of u8 range")
-        return MSG_ERROR, struct.pack(">B", code)
-    raise UnknownTypeError(f"cannot encode {type(msg).__name__}")
-
-
-def encode(msg: WireMessage) -> bytes:
-    mtype, payload = encode_payload(msg)
+        mtype, payload = MSG_ERROR, struct.pack(">B", code)
+    else:
+        raise UnknownTypeError(f"cannot encode {type(msg).__name__}")
     if len(payload) > MAX_PAYLOAD:
         raise OversizeFrameError(f"payload {len(payload)} exceeds {MAX_PAYLOAD}")
     return _HEADER.pack(len(payload), mtype) + payload

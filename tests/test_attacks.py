@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+import attestsim.attacks as attacks
 from attestsim.attacks import SCENARIOS, main as harness_main, run_scenario
 
 # the full-rate scenarios get their deep run in the acceptance suite
@@ -17,6 +20,37 @@ def test_scenario_stopped(name, tmp_path):
                       f"observed {result.observed}")
     assert result.transcript[0].startswith(f"scenario: {name}")
     assert result.transcript[-1].endswith("result=PASS")
+
+
+# the scenarios whose verdict goes through ``expect_refusal``
+REFUSALS = ["replay", "stale-challenge", "tamper-binary", "tamper-boot-image",
+            "wrong-key", "badge-forge", "channel-theft"]
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_verdict_in_transcript(name, tmp_path, monkeypatch):
+    """The exception that stopped the attack is in the transcript as
+    ``<label>: <exception text>``."""
+    real = attacks.expect_refusal
+    verdicts = []
+
+    def spy(t, expected, attack, *args, **kwargs):
+        call = inspect.signature(real).bind(t, expected, attack, *args, **kwargs)
+        call.apply_defaults()
+
+        def watched():
+            try:
+                return attack()
+            except expected as e:
+                verdicts.append(f"{call.arguments['label']}: {e}")
+                raise
+
+        return real(t, expected, watched, *args, **kwargs)
+
+    monkeypatch.setattr(attacks, "expect_refusal", spy)
+    result = run_scenario(name, workdir=tmp_path / name)
+    assert result.ok and len(verdicts) == 1
+    assert verdicts[0] in result.transcript
 
 
 def test_wire_fuzz_scenario(tmp_path):

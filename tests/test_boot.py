@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestsim.boot import (
+    CAPACITY,
     KERNEL_IMAGE,
     PST_PID,
     RP_IMAGE,
-    RP_PID,
     SP_PID,
     CapacityExceededError,
     EmptyBinaryError,
@@ -55,7 +55,8 @@ KEY = SignKey(SignMode.HMAC, bytes.fromhex("ab" * 32))
 class TestSecureBoot:
     def test_genuine_images_boot(self):
         kernel = secure_boot(image_manifest())
-        assert RP_PID in kernel.live_pids()
+        assert kernel.live_pids() == set()
+        kernel.create_endpoint()        # boot authority is not yet dropped
 
     def test_kernel_image_tamper_refused(self):
         bad = bytearray(KERNEL_IMAGE)
@@ -168,9 +169,9 @@ class TestTransferProtocol:
 
 
 class TestRunBoot:
-    def _boot(self, specs, key=KEY, capacity=16):
+    def _boot(self, specs, key=KEY):
         kernel = secure_boot(image_manifest())
-        report, sp_state = run_boot(kernel, specs, key, capacity)
+        report, sp_state = run_boot(kernel, specs, key)
         finalize_boot(kernel, report)
         return kernel, report, sp_state
 
@@ -189,7 +190,7 @@ class TestRunBoot:
     def test_live_set_is_ups_plus_sp(self, up_specs):
         kernel, report, _ = self._boot(up_specs)
         assert kernel.live_pids() == {1, 2, 3, SP_PID}
-        assert sorted(report.terminated) == sorted([RP_PID, PST_PID])
+        assert report.terminated == [PST_PID]
 
     def test_boot_processes_cannot_come_back(self, up_specs):
         kernel, _, _ = self._boot(up_specs)
@@ -215,10 +216,11 @@ class TestRunBoot:
         assert len(sp_state.mmap) == 0
 
     def test_capacity_exceeded_tears_down(self):
-        specs = [ProcessSpec(pid=i, binary=b"x" * 64) for i in range(1, 6)]
+        specs = [ProcessSpec(pid=i, binary=b"x" * 64)
+                 for i in range(1, CAPACITY + 2)]
         kernel = secure_boot(image_manifest())
         with pytest.raises(CapacityExceededError):
-            run_boot(kernel, specs, KEY, capacity=4)
+            run_boot(kernel, specs, KEY)
         assert kernel.live_pids() == set()
         with pytest.raises(AuthorityError):
             kernel.create_endpoint()

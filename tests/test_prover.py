@@ -205,6 +205,22 @@ class TestDaemonTcp:
             with pytest.raises(ConfirmFailedError):
                 verifier.establish_channel(result1, stream)
 
+    def test_channel_binds_the_connections_own_attestation(self, env, daemon):
+        """The channel key comes from the connection's most recent accepted
+        attestation, even after a second connection has asked the same
+        pid for another one."""
+        verifier = Verifier(Policy.load(str(env.policy_path)))
+        a = connect(daemon)
+        result = verifier.attest("dev0", 1, a)
+        with connect(daemon) as b:
+            chal = verifier.new_challenge()
+            b.send(AttestRequest(pid=1, chal=chal))     # reply left unread
+            time.sleep(0.05)            # b's request is at the daemon first
+            with a:
+                assert verifier.establish_channel(result, a).pid == 1
+            resp = b.recv()
+        assert verifier.check_response("dev0", 1, chal, resp).pid == 1
+
     def test_idle_connection_is_dropped_at_the_deadline(self, env, monkeypatch):
         """A silent client is closed after ``IO_TIMEOUT``; a client that
         connected behind it is then served."""
