@@ -57,6 +57,9 @@ log = logging.getLogger(__name__)
 
 DEVICE = "dev0"
 FUZZ_OVERSIZE_LEN = 5000      # deliberately past the 4096 payload cap
+ENV_PIDS = (1, 2)             # user processes every harness device runs
+ENV_BINARY_SIZE = 4096        # bytes of random code per user binary
+ENV_SEED = 7                  # seeds the binaries and the device key
 
 
 @dataclass
@@ -81,12 +84,8 @@ class RecordingStream(FrameStream):
         sock = socket.create_connection(address, timeout=timeout)
         return cls(sock, transcript)
 
-    def send(self, msg) -> None:
-        self.transcript.append(f">> {encode(msg).hex()}")
-        super().send(msg)
-
     def send_raw(self, data: bytes) -> None:
-        self.transcript.append(f">> (raw) {data.hex()}")
+        self.transcript.append(f">> {data.hex()}")
         super().send_raw(data)
 
     def recv(self, allow_eof: bool = False):
@@ -102,23 +101,21 @@ class HarnessEnv:
     config: ProverConfig
     policy_path: Path
     key: SignKey
-    pids: list[int]
     binaries: dict[int, Path]
 
 
 def build_env(root: Path, mode: SignMode = SignMode.HMAC,
-              pids: tuple[int, ...] = (1, 2), binary_size: int = 4096,
-              seed: int = 7, policy_key: Optional[SignKey] = None) -> HarnessEnv:
+              policy_key: Optional[SignKey] = None) -> HarnessEnv:
     """Lay out keystore, anchors, binaries, manifest, and policy on disk."""
-    rng = random.Random(seed)
+    rng = random.Random(ENV_SEED)
     root.mkdir(parents=True, exist_ok=True)
     bindir = root / "bin"
     bindir.mkdir(exist_ok=True)
     binaries: dict[int, Path] = {}
     manifest = []
-    for pid in pids:
+    for pid in ENV_PIDS:
         path = bindir / f"up_{pid}.bin"
-        path.write_bytes(rng.randbytes(binary_size))
+        path.write_bytes(rng.randbytes(ENV_BINARY_SIZE))
         binaries[pid] = path
         manifest.append({"pid": pid, "binary": f"bin/up_{pid}.bin",
                          "caps": [{"region": "self_code",
@@ -131,7 +128,7 @@ def build_env(root: Path, mode: SignMode = SignMode.HMAC,
     policy = {"devices": {DEVICE: {
         "mode": vk.mode.value,
         "verify_key": vk.material.hex(),
-        "golden": {str(pid): f"bin/up_{pid}.bin" for pid in pids},
+        "golden": {str(pid): f"bin/up_{pid}.bin" for pid in ENV_PIDS},
     }}}
     policy_path = root / "policy.json"
     policy_path.write_text(json.dumps(policy, indent=2))
@@ -141,7 +138,7 @@ def build_env(root: Path, mode: SignMode = SignMode.HMAC,
         anchors_path=str(root / "anchors.json"),
         manifest_path=str(root / "manifest.json"))
     return HarnessEnv(root=root, config=config, policy_path=policy_path,
-                      key=key, pids=list(pids), binaries=binaries)
+                      key=key, binaries=binaries)
 
 
 # --- scenarios ------------------------------------------------------------

@@ -8,14 +8,15 @@ spawn/terminate authority.
 Stages, in order:
 
 1. ``secure_boot`` checks the kernel and root-process images against the
-   trust anchors and hands back a fresh kernel.
+   trust anchors and hands back a fresh kernel holding one process, the
+   spawn-and-transfer root process, spawned from the checked image.
 2. ``run_boot`` spawns the signing process with its two endpoints, then
    each user process from the manifest (write-xor-execute checked by the
    kernel at spawn, binary hashed for the measurement map, send
-   capability minted with the next counter badge), and drives the
-   transfer of the map into the signing process over IPC.
-3. ``finalize_boot`` terminates the boot-time transfer process and drops
-   kernel authority for good.
+   capability minted with the next counter badge), and has the root
+   process transfer the map into the signing process over IPC.
+3. ``finalize_boot`` terminates the root process and drops kernel
+   authority for good.
 
 Any failure mid-pipeline tears the kernel down to an empty, finalized
 state; a partially booted device is never observable.
@@ -127,6 +128,8 @@ def default_anchors() -> dict[str, str]:
 def load_anchors(path: str) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{path}: top level must be a JSON object")
     anchors = {}
     for field_name in ("kernel_sha256", "rp_sha256"):
         value = raw.get(field_name)
@@ -169,7 +172,9 @@ class ProcessSpec:
     )
 
 
-def _region_from_entry(entry: dict) -> RegionRequest:
+def _region_from_entry(entry: object) -> RegionRequest:
+    if not isinstance(entry, dict):
+        raise ManifestError("cap entry must be an object")
     region = entry.get("region")
     if not isinstance(region, str) or not region:
         raise ManifestError("cap entry needs a nonempty 'region'")
@@ -209,8 +214,7 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
         binary_path = entry.get("binary")
         if not isinstance(binary_path, str):
             raise ManifestError(f"{path}[{i}]: 'binary' must be a path")
-        if not os.path.isabs(binary_path):
-            binary_path = os.path.join(base, binary_path)
+        binary_path = os.path.join(base, binary_path)   # keeps an absolute path
         with open(binary_path, "rb") as bf:
             binary = bf.read()
         caps = entry.get("caps")
@@ -261,8 +265,9 @@ ProgramFactory = Callable[[ProcessSpec, int], Callable]
 
 
 def secure_boot(manifest: ImageManifest) -> Kernel:
-    """Verify images against anchors; a fresh kernel is returned only if
-    both match."""
+    """Verify images against anchors; only if both match, return a fresh
+    kernel holding ``PST_PID``, the boot-time spawn-and-transfer process,
+    spawned from the root-process image just checked."""
     if sha256(manifest.kernel_image) != manifest.expected_kernel_sha256:
         raise KernelHashMismatchError("kernel image does not match anchor")
     if sha256(manifest.rp_image) != manifest.expected_rp_sha256:
@@ -270,7 +275,9 @@ def secure_boot(manifest: ImageManifest) -> Kernel:
     log.info("phase=boot kernel_sha256=%s rp_sha256=%s",
              manifest.expected_kernel_sha256.hex(),
              manifest.expected_rp_sha256.hex())
-    return Kernel()
+    kernel = Kernel()
+    kernel.spawn_process(KernelProcessSpec(PST_PID, manifest.rp_image))
+    return kernel
 
 
 def transfer_mmap(kernel: Kernel, pst_pid: int, sp_boot_cap: int,
@@ -301,7 +308,7 @@ def transfer_mmap(kernel: Kernel, pst_pid: int, sp_boot_cap: int,
 def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
              up_program_factory: Optional[ProgramFactory] = None,
              ) -> tuple[BootReport, SpState]:
-    """Spawn, measure, and wire up everything on a freshly booted kernel.
+    """Spawn, measure, and wire up everything on a kernel from secure_boot.
 
     On return the signing process is live and serving, every user process
     is live and holds exactly one badged send capability to the signing
@@ -324,7 +331,6 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
                 raise ManifestError(f"pid {spec.pid} is reserved")
             seen.add(spec.pid)
 
-        kernel.spawn_process(KernelProcessSpec(PST_PID, _keystream_blob("pst", 512)))
         log.info("phase=process-spawn pid=%#x role=signing-process", SP_PID)
         kernel.spawn_process(KernelProcessSpec(
             SP_PID, SP_IMAGE,

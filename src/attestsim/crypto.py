@@ -46,7 +46,6 @@ PK_LEN = 32
 SEED_LEN = 32
 HMAC_SIG_LEN = 32
 ED25519_SIG_LEN = 64
-PREIMAGE_LEN = CHAL_LEN + PK_LEN + DIGEST_LEN
 SESSION_KEY_LEN = 32
 NONCE_LEN = 12
 SHA256_BLOCK_LEN = 64
@@ -253,9 +252,7 @@ def attest_preimage(chal: bytes, pk: bytes, m: bytes) -> bytes:
         raise LengthMismatchError(f"pk must be {PK_LEN} bytes")
     if len(m) != DIGEST_LEN:
         raise LengthMismatchError(f"m must be {DIGEST_LEN} bytes")
-    head = chal + pk
-    assert len(head) == CHAL_LEN + PK_LEN
-    return head + m
+    return chal + pk + m
 
 
 def attest_token(key: SignKey, chal: bytes, pk: bytes, m: bytes) -> AttestToken:
@@ -360,8 +357,11 @@ def load_keystore(path: str) -> SignKey:
     st = os.stat(path)
     if stat.S_ISREG(st.st_mode) and (st.st_mode & stat.S_IROTH):
         raise KeystoreError(f"{path} is world-readable; refusing to load")
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f.read().splitlines() if ln.strip()]
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not raw.isascii():
+        raise KeystoreError(f"{path}: keystore must be ASCII")
+    lines = [ln.strip() for ln in raw.decode("ascii").splitlines() if ln.strip()]
     if len(lines) != 2:
         raise KeystoreError(f"{path}: expected secret line and mode line")
     secret_hex, mode_tag = lines

@@ -33,7 +33,6 @@ FIRST_BADGE = 1               # user badges count up from here, in spawn order
 
 STATUS_OK = 0
 STATUS_UNKNOWN_BADGE = 1
-STATUS_PID_NOT_MEASURED = 2
 STATUS_MALFORMED = 3
 
 _REQUEST = struct.Struct(">8Q")   # MR0..MR7 as the 64 request bytes
@@ -94,7 +93,9 @@ class FrozenMeasurementMap:
 
 
 class SpState:
-    """Everything the signing process owns: key, measurements, badge map.
+    """Everything the signing process owns: key and measurements. Badge
+    ``FIRST_BADGE + i`` names map entry ``i``: boot mints badges and
+    transfers entries in the same spawn order.
 
     Installed exactly once when the boot transfer completes and bitwise
     invariant afterwards; ``snapshot()`` digests the canonical
@@ -102,12 +103,11 @@ class SpState:
     out.
     """
 
-    __slots__ = ("sign_key", "mmap", "badge_to_pid")
+    __slots__ = ("sign_key", "mmap")
 
     def __init__(self, sign_key: SignKey):
         self.sign_key = sign_key
         self.mmap: Optional[FrozenMeasurementMap] = None
-        self.badge_to_pid: Optional[dict[int, int]] = None
 
     @property
     def installed(self) -> bool:
@@ -117,24 +117,16 @@ class SpState:
         if self.installed:
             raise SigningError("signer state is already installed")
         self.mmap = FrozenMeasurementMap(entries)
-        # boot transfers the entries in spawn order, the order it minted
-        # the badges in
-        self.badge_to_pid = dict(
-            enumerate((pid for pid, _ in entries), start=FIRST_BADGE))
 
     def snapshot(self) -> bytes:
-        if not self.installed:
+        if self.mmap is None:
             raise SigningError("signer state not installed yet")
-        assert self.mmap is not None and self.badge_to_pid is not None
         h = hashlib.sha256()
         h.update(b"mmap:")
         h.update(self.mmap.serialize())
         h.update(b"key:")
         h.update(self.sign_key.mode.value.encode("ascii"))
         h.update(self.sign_key.secret_bytes())
-        h.update(b"badges:")
-        for badge in sorted(self.badge_to_pid):
-            h.update(struct.pack(">QQ", badge, self.badge_to_pid[badge]))
         return h.digest()
 
 
@@ -156,13 +148,11 @@ def handle_request(state: SpState, badge: int, msg_len: int,
     """
     if msg_len != REQUEST_LEN or len(regs) < REQUEST_LEN:
         return STATUS_MALFORMED, [STATUS_MALFORMED]
-    assert state.badge_to_pid is not None and state.mmap is not None
-    pid = state.badge_to_pid.get(badge)
-    if pid is None:
+    assert state.mmap is not None
+    entries = state.mmap.entries()
+    if not FIRST_BADGE <= badge < FIRST_BADGE + len(entries):
         return STATUS_UNKNOWN_BADGE, [STATUS_UNKNOWN_BADGE]
-    m = state.mmap.lookup(pid)
-    if m is None:
-        return STATUS_PID_NOT_MEASURED, [STATUS_PID_NOT_MEASURED]
+    m = entries[badge - FIRST_BADGE][1]
     chal, pk = decode_request(regs[:REQUEST_LEN])
     token = attest_token(state.sign_key, chal, pk, m)
     return STATUS_OK, [STATUS_OK] + words_from_bytes_be(token.sig)

@@ -141,8 +141,11 @@ class Policy:
     def load(cls, path: str) -> "Policy":
         """Read policy JSON and recompute golden digests from the trusted
         binary copies it references (paths relative to the policy file)."""
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                raw = json.load(f)
+        except ValueError as e:         # not UTF-8, or not JSON
+            raise PolicyError(f"{path}: not a JSON policy: {e}") from e
         if not isinstance(raw, dict) or not isinstance(raw.get("devices"), dict):
             raise PolicyError(f"{path}: expected an object with 'devices'")
         base = os.path.dirname(os.path.abspath(path))
@@ -153,7 +156,7 @@ class Policy:
             try:
                 mode = SignMode(entry["mode"])
                 vk = VerifyKey.from_hex(mode, entry["verify_key"])
-            except (KeyError, ValueError) as e:
+            except (KeyError, ValueError, TypeError, LengthMismatchError) as e:
                 raise PolicyError(
                     f"{path}: device {device_id}: bad mode/verify_key") from e
             golden_raw = entry.get("golden")
@@ -164,11 +167,10 @@ class Policy:
             for pid_str, binary_path in golden_raw.items():
                 try:
                     pid = int(pid_str)
-                except ValueError as e:
-                    raise PolicyError(
-                        f"{path}: device {device_id}: pid {pid_str!r}") from e
-                if not os.path.isabs(binary_path):
                     binary_path = os.path.join(base, binary_path)
+                except (ValueError, TypeError) as e:
+                    raise PolicyError(
+                        f"{path}: device {device_id}: golden {pid_str!r}") from e
                 with open(binary_path, "rb") as bf:
                     golden[pid] = measure_binary(bf.read())
             address = None

@@ -67,7 +67,9 @@ def test_transcripts_record_wire_traffic(tmp_path):
     result = run_scenario("replay", workdir=tmp_path / "replay")
     sent = [line for line in result.transcript if line.startswith(">>")]
     received = [line for line in result.transcript if line.startswith("<<")]
-    assert sent and received
+    # one AttestRequest out, one AttestResponse back, each logged once
+    assert len(sent) == 1 and len(received) == 1
+    assert sent[0].startswith(">> ") and not sent[0].startswith(">> (")
 
 
 def test_cli_single_scenario(tmp_path, capsys):

@@ -55,8 +55,15 @@ KEY = SignKey(SignMode.HMAC, bytes.fromhex("ab" * 32))
 class TestSecureBoot:
     def test_genuine_images_boot(self):
         kernel = secure_boot(image_manifest())
-        assert kernel.live_pids() == set()
+        assert kernel.live_pids() == {PST_PID}
         kernel.create_endpoint()        # boot authority is not yet dropped
+
+    def test_root_process_runs_the_anchored_image(self):
+        """The image checked against ``rp_sha256`` is the code of the one
+        process secure boot hands over: the spawn-and-transfer process."""
+        kernel = secure_boot(image_manifest())
+        assert kernel.live_pids() == {PST_PID}
+        assert ("spawn", PST_PID, len(RP_IMAGE)) in kernel.trace
 
     def test_kernel_image_tamper_refused(self):
         bad = bytearray(KERNEL_IMAGE)
@@ -75,6 +82,12 @@ class TestSecureBoot:
         anchors["kernel_sha256"] = "00" * 32
         with pytest.raises(KernelHashMismatchError):
             secure_boot(image_manifest(anchors))
+
+    def test_anchor_file_must_be_an_object(self, tmp_path):
+        path = tmp_path / "anchors.json"
+        path.write_text(json.dumps([default_anchors()]))
+        with pytest.raises(ManifestError):
+            load_anchors(str(path))
 
     def test_anchor_file_roundtrip(self, tmp_path):
         path = tmp_path / "anchors.json"
@@ -300,6 +313,14 @@ class TestUserManifest:
     def test_schema_violations(self, tmp_path, entries):
         (tmp_path / "p.bin").write_bytes(b"z")
         path = self._write(tmp_path, entries)
+        with pytest.raises(ManifestError):
+            load_user_manifest(path)
+
+    @pytest.mark.parametrize("cap", ["self_code", ["self_code"], None])
+    def test_cap_entry_must_be_an_object(self, tmp_path, cap):
+        (tmp_path / "p.bin").write_bytes(b"z")
+        path = self._write(tmp_path, [{"pid": 1, "binary": "p.bin",
+                                       "caps": [cap]}])
         with pytest.raises(ManifestError):
             load_user_manifest(path)
 

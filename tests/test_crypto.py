@@ -377,6 +377,13 @@ class TestKeystore:
         with pytest.raises(KeystoreError):
             load_keystore(str(path))
 
+    def test_non_ascii_rejected(self, tmp_path):
+        path = tmp_path / "ks.hex"
+        path.write_bytes(("ab" * 32 + "\nhmac\n").encode("ascii") + b"\xff\n")
+        os.chmod(path, 0o600)
+        with pytest.raises(KeystoreError, match="ASCII"):
+            load_keystore(str(path))
+
 
 class TestChannelCrypto:
     def test_both_sides_derive_the_same_key(self):

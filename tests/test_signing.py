@@ -14,11 +14,11 @@ from attestsim.boot import SP_PID, bring_up, image_manifest
 from attestsim.crypto import AttestToken, SignKey, SignMode, verify_token
 from attestsim.kernel import ProcState
 from attestsim.signing import (
+    FIRST_BADGE,
     REQUEST_LEN,
     SENTINEL_PID,
     STATUS_MALFORMED,
     STATUS_OK,
-    STATUS_PID_NOT_MEASURED,
     STATUS_UNKNOWN_BADGE,
     FrozenMeasurementMap,
     SigningError,
@@ -42,6 +42,11 @@ def installed_state(entries=None, key=KEY) -> SpState:
 
 def request_regs(chal: bytes, pk: bytes) -> list[int]:
     return words_from_bytes_be(chal + pk)
+
+
+def signed_by(reply: list[int], chal: bytes, pk: bytes, m: bytes) -> bool:
+    token = AttestToken(KEY.mode, bytes_from_words_be(reply[1:]))
+    return verify_token(KEY.verify_key(), chal, pk, m, token)
 
 
 class TestWordCodec:
@@ -100,8 +105,17 @@ class TestSpState:
             state.install([(2, bytes(32))])
 
     def test_badges_count_from_one_in_order(self):
-        state = installed_state([(9, bytes(32)), (4, bytes([1]) * 32)])
-        assert state.badge_to_pid == {1: 9, 2: 4}
+        digests = [bytes(32), bytes([1]) * 32]
+        state = installed_state([(9, digests[0]), (4, digests[1])])
+        chal, pk = bytes([7]) * 32, bytes([8]) * 32
+        regs = request_regs(chal, pk)
+        for badge, digest in zip((1, 2), digests):
+            status, reply = handle_request(state, badge, REQUEST_LEN, regs)
+            assert status == STATUS_OK
+            assert signed_by(reply, chal, pk, digest)
+        for badge in (0, 3):
+            assert handle_request(state, badge, REQUEST_LEN, regs)[0] == \
+                STATUS_UNKNOWN_BADGE
 
     def test_snapshot_requires_install(self):
         with pytest.raises(SigningError):
@@ -170,13 +184,27 @@ class TestHandleRequest:
                                        request_regs(bytes(32), bytes(32)))
         assert (status, reply) == (STATUS_UNKNOWN_BADGE, [STATUS_UNKNOWN_BADGE])
 
-    def test_pid_not_measured(self):
-        state = SpState(KEY)
-        state.install([(1, bytes([1]) * 32)])
-        state.badge_to_pid[2] = 999     # badge mapping without a measurement
-        status, reply = handle_request(state, 2, REQUEST_LEN,
-                                       request_regs(bytes(32), bytes(32)))
-        assert (status, reply) == (STATUS_PID_NOT_MEASURED, [STATUS_PID_NOT_MEASURED])
+    @given(entries=st.lists(
+               st.tuples(st.integers(min_value=1, max_value=2**64 - 2),
+                         st.binary(min_size=32, max_size=32)),
+               max_size=16, unique_by=(lambda e: e[0], lambda e: e[1])),
+           badge=st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                           st.integers(min_value=0, max_value=18)))
+    @settings(max_examples=200, deadline=None)
+    def test_badge_selects_its_transfer_entry(self, entries, badge):
+        """A badge is signed for exactly when it names an installed entry,
+        and the token binds that entry's digest and no other."""
+        state = installed_state(entries)
+        chal, pk = bytes([3]) * 32, bytes([4]) * 32
+        status, reply = handle_request(state, badge, REQUEST_LEN,
+                                       request_regs(chal, pk))
+        in_range = FIRST_BADGE <= badge < FIRST_BADGE + len(entries)
+        assert (status == STATUS_OK) == in_range
+        if not in_range:
+            assert (status, reply) == (STATUS_UNKNOWN_BADGE, [STATUS_UNKNOWN_BADGE])
+            return
+        for i, (_, digest) in enumerate(entries):
+            assert signed_by(reply, chal, pk, digest) == (i == badge - FIRST_BADGE)
 
     @pytest.mark.parametrize("msg_len", [0, 1, 5, 7, 9, 120])
     def test_malformed_lengths(self, msg_len):

@@ -123,6 +123,23 @@ class TestPolicyLoad:
         with pytest.raises(PolicyError):
             Policy.load(self._write(tmp_path, entry))
 
+    @pytest.mark.parametrize("entry", [
+        {"mode": "hmac", "verify_key": 7, "golden": {"1": "bin/one.bin"}},
+        {"mode": "hmac", "verify_key": "aa" * 31, "golden": {"1": "bin/one.bin"}},
+        {"mode": "hmac", "verify_key": "aa" * 32, "golden": {"1": ["bin/one.bin"]}},
+    ], ids=["vk-not-a-string", "vk-short", "golden-path-not-a-string"])
+    def test_mistyped_fields_are_policy_errors(self, tmp_path, entry):
+        with pytest.raises(PolicyError):
+            Policy.load(self._write(tmp_path, entry))
+
+    @pytest.mark.parametrize("blob", [b"{\"devices\": ", b"\xff\xfe{}"],
+                             ids=["truncated-json", "not-utf8"])
+    def test_unparsable_file_is_a_policy_error(self, tmp_path, blob):
+        path = tmp_path / "policy.json"
+        path.write_bytes(blob)
+        with pytest.raises(PolicyError):
+            Policy.load(str(path))
+
     def test_top_level_must_hold_devices(self, tmp_path):
         path = tmp_path / "policy.json"
         path.write_text(json.dumps(["not", "an", "object"]))
@@ -635,6 +652,19 @@ class TestCli:
         rc = verifier_main(["attest", "--device", "dev0", "--pid", "1",
                             "--policy", str(out)])
         assert rc == 4
+
+    @pytest.mark.parametrize("text", [
+        "{",
+        json.dumps({"devices": {"dev0": {
+            "mode": "hmac", "verify_key": None, "golden": {"1": "x.bin"}}}}),
+    ], ids=["unparsable", "mistyped-verify-key"])
+    def test_malformed_policy_exit_four(self, tmp_path, capsys, text):
+        path = tmp_path / "policy-bad.json"
+        path.write_text(text)
+        rc = verifier_main(["attest", "--device", "dev0", "--pid", "1",
+                            "--policy", str(path)])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_device_exit_four(self, env, daemon, tmp_path):
         policy = self._policy_with_address(env, daemon.address, tmp_path)
