@@ -44,8 +44,6 @@ from .kernel import (
 )
 from .signing import (
     FIRST_BADGE,
-    SENTINEL_PID,
-    TRANSFER_LEN,
     SpState,
     signing_program,
     words_from_bytes_be,
@@ -57,8 +55,7 @@ log = logging.getLogger(__name__)
 CAPACITY = 16                 # user processes the measurement map holds
 
 # Boot-time and signer pids live in a reserved band at the top of the pid
-# space so a manifest pid can never collide with them or with the transfer
-# sentinel (2**64 - 1).
+# space so a manifest pid can never collide with them.
 RESERVED_PID_BASE = 2**64 - 256
 PST_PID = RESERVED_PID_BASE + 1
 SP_PID = RESERVED_PID_BASE + 3
@@ -125,9 +122,16 @@ def default_anchors() -> dict[str, str]:
     }
 
 
+def _load_json(path: str) -> object:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as e:         # not UTF-8, or not JSON
+        raise ManifestError(f"{path}: not a JSON file: {e}") from e
+
+
 def load_anchors(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: top level must be a JSON object")
     anchors = {}
@@ -143,9 +147,9 @@ def load_anchors(path: str) -> dict[str, str]:
     return anchors
 
 
-def write_anchor_file(path: str, anchors: Optional[dict[str, str]] = None) -> None:
+def write_anchor_file(path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(anchors or default_anchors(), f, indent=2)
+        json.dump(default_anchors(), f, indent=2)
         f.write("\n")
 
 
@@ -178,11 +182,11 @@ def _region_from_entry(entry: object) -> RegionRequest:
     region = entry.get("region")
     if not isinstance(region, str) or not region:
         raise ManifestError("cap entry needs a nonempty 'region'")
-    return RegionRequest(region, Rights(
-        read=bool(entry.get("read", False)),
-        write=bool(entry.get("write", False)),
-        execute=bool(entry.get("execute", False)),
-    ))
+    flags = {name: entry.get(name, False) for name in ("read", "write", "execute")}
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ManifestError(f"cap entry '{name}' must be true or false")
+    return RegionRequest(region, Rights(**flags))
 
 
 def load_user_manifest(path: str) -> list[ProcessSpec]:
@@ -192,8 +196,7 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
     "caps": [{"region": ..., "read": ..., "write": ..., "execute": ...}]}``
     with ``caps`` defaulting to read+execute over the process's own code.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = _load_json(path)
     if not isinstance(raw, list):
         raise ManifestError(f"{path}: top level must be a JSON array")
     base = os.path.dirname(os.path.abspath(path))
@@ -280,28 +283,27 @@ def secure_boot(manifest: ImageManifest) -> Kernel:
     return kernel
 
 
-def transfer_mmap(kernel: Kernel, pst_pid: int, sp_boot_cap: int,
+def transfer_mmap(kernel: Kernel, sp_boot_cap: int,
                   entries: list[tuple[int, bytes]]) -> None:
-    """Send each ``(pid, digest)``, then the sentinel, over the boot endpoint.
+    """Send the whole map to the signer in one message on the boot endpoint.
 
-    Runs as the process-spawn-and-transfer process. Each message must be
-    acked with MR0 = 0; anything else aborts the boot.
+    Runs as the spawn-and-transfer process ``PST_PID``. MR0 is the entry
+    count n; each ``(pid, digest)`` follows as the pid and then the
+    digest's four big-endian words, ``1 + 5n`` registers in all. The ack
+    MR0 = 0 means the map is installed; any other reply aborts the boot.
     """
+    words = [len(entries)]
+    for pid, digest in entries:
+        words += [pid, *words_from_bytes_be(digest)]
 
     def program(ctx: ProcessApi):
-        for pid, digest in entries:
-            ctx.set_mr(0, pid)
-            for i, word in enumerate(words_from_bytes_be(digest), start=1):
-                ctx.set_mr(i, word)
-            reply_len = yield Call(sp_boot_cap, TRANSFER_LEN)
-            if reply_len != 1 or ctx.get_mr(0) != 0:
-                raise NackFromSpError(f"transfer of pid {pid} was refused")
-        ctx.set_mr(0, SENTINEL_PID)
-        reply_len = yield Call(sp_boot_cap, 1)
+        for i, word in enumerate(words):
+            ctx.set_mr(i, word)
+        reply_len = yield Call(sp_boot_cap, len(words))
         if reply_len != 1 or ctx.get_mr(0) != 0:
-            raise NackFromSpError("sentinel was refused")
+            raise NackFromSpError(f"transfer of {len(entries)} entries was refused")
 
-    kernel.start_process(pst_pid, program)
+    kernel.start_process(PST_PID, program)
     kernel.run()
 
 
@@ -353,7 +355,7 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
             report.spawned.append((spec.pid, badge, digest))
         kernel.run()            # user processes park on their net queues
 
-        transfer_mmap(kernel, PST_PID, pst_send,
+        transfer_mmap(kernel, pst_send,
                       [(pid, digest) for pid, _, digest in report.spawned])
         if not sp_state.installed:
             raise NackFromSpError("signer never installed its state")

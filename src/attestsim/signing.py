@@ -3,10 +3,11 @@
 Two IPC protocols terminate here, both speaking 64-bit big-endian register
 words:
 
-Boot transfer (one entry per message, then a sentinel):
-    MR0 = pid, MR1..MR4 = measurement digest as four words.
-    Sentinel: single register MR0 = 2**64 - 1. Every message is
-    acknowledged with a one-register reply MR0 = 0.
+Boot transfer (the whole map in one message of 1 + 5n registers):
+    MR0 = entry count n, then each entry as its pid followed by its
+    measurement digest as four words. Reply: MR0 = 0 once the map is
+    installed; MR0 = 1 for a message that is not from boot authority or
+    whose length disagrees with MR0, after which the signer keeps waiting.
 
 Attestation request (exactly 8 registers):
     MR0..MR3 = 32-byte challenge, MR4..MR7 = 32-byte requester public key.
@@ -26,9 +27,8 @@ from typing import Generator, Optional
 from .crypto import CHAL_LEN, PK_LEN, SignKey, attest_token
 from .kernel import BOOT_BADGE, MSG_MAX_LENGTH, ProcessApi, Recv
 
-SENTINEL_PID = 2**64 - 1
 REQUEST_LEN = 8               # registers in a well-formed signing request
-TRANSFER_LEN = 5              # registers per measurement-transfer message
+ENTRY_LEN = 5                 # registers per map entry in the boot transfer
 FIRST_BADGE = 1               # user badges count up from here, in spawn order
 
 STATUS_OK = 0
@@ -159,40 +159,33 @@ def handle_request(state: SpState, badge: int, msg_len: int,
 
 
 def signing_program(state: SpState, boot_cap: int, attest_cap: int):
-    """Build the SP program: collect measurements, then serve forever.
+    """Build the SP program: take the measurement map, then serve forever.
 
-    Phase 1 receives transfer messages on ``boot_cap`` until the sentinel,
-    acking each, and installs the frozen state. Phase 2 is the
+    Phase 1 waits on ``boot_cap`` for one boot-authority message carrying
+    the whole map (``MR0`` entries of ``ENTRY_LEN`` registers each),
+    installs the frozen state and only then acks with MR0 = 0; any other
+    message is nacked with MR0 = 1 and ignored. Phase 2 is the
     listen/sign/reply loop on ``attest_cap``; it never exits and never
     lets a request go unanswered.
     """
 
     def program(ctx: ProcessApi) -> Generator:
-        entries: list[tuple[int, bytes]] = []
+        get_mr, set_mr = ctx.get_mr, ctx.set_mr
         recv_boot = Recv(boot_cap)
         while True:
             badge, msg_len = yield recv_boot
-            if badge != BOOT_BADGE:
-                # only boot-time authority may feed the map; nack and drop
-                ctx.set_mr(0, 1)
-                ctx.reply(1)
-                continue
-            first = ctx.get_mr(0)
-            if msg_len == 1 and first == SENTINEL_PID:
-                ctx.set_mr(0, 0)
-                ctx.reply(1)
+            # only boot-time authority may feed the map, and all of it at once
+            if (badge == BOOT_BADGE and msg_len >= 1
+                    and msg_len == 1 + ENTRY_LEN * get_mr(0)):
                 break
-            if msg_len != TRANSFER_LEN:
-                ctx.set_mr(0, 1)
-                ctx.reply(1)
-                continue
-            digest = bytes_from_words_be([ctx.get_mr(i) for i in range(1, 5)])
-            entries.append((first, digest))
-            ctx.set_mr(0, 0)
+            set_mr(0, 1)
             ctx.reply(1)
-        state.install(entries)
+        words = [get_mr(i) for i in range(1, msg_len)]
+        state.install([(words[i], bytes_from_words_be(words[i + 1:i + ENTRY_LEN]))
+                       for i in range(0, len(words), ENTRY_LEN)])
+        set_mr(0, 0)
+        ctx.reply(1)
         recv_attest = Recv(attest_cap)
-        get_mr, set_mr = ctx.get_mr, ctx.set_mr
         while True:
             badge, msg_len = yield recv_attest
             regs = [get_mr(i) for i in range(min(msg_len, MSG_MAX_LENGTH))]

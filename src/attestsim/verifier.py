@@ -28,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .boot import measure_binary
+from .boot import EmptyBinaryError, measure_binary
 from .crypto import (
     CHAL_LEN,
     CHANNEL_AD_CONFIRM,
@@ -172,16 +172,25 @@ class Policy:
                     raise PolicyError(
                         f"{path}: device {device_id}: golden {pid_str!r}") from e
                 with open(binary_path, "rb") as bf:
-                    golden[pid] = measure_binary(bf.read())
+                    binary = bf.read()
+                try:
+                    golden[pid] = measure_binary(binary)
+                except EmptyBinaryError as e:
+                    raise PolicyError(f"{path}: device {device_id}: "
+                                      f"golden binary for pid {pid} is empty") from e
             address = None
             if "address" in entry:
                 try:
                     address = parse_address(str(entry["address"]))
                 except ValueError as e:
                     raise PolicyError(f"{path}: device {device_id}: {e}") from e
+            pin_pk = entry.get("pin_pk", False)
+            if not isinstance(pin_pk, bool):
+                raise PolicyError(
+                    f"{path}: device {device_id}: pin_pk must be true or false")
             devices[device_id] = DevicePolicy(
                 device_id=device_id, vk=vk, golden=golden, address=address,
-                pin_pk=bool(entry.get("pin_pk", False)))
+                pin_pk=pin_pk)
         return cls(devices=devices)
 
     def device(self, device_id: str) -> DevicePolicy:

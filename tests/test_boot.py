@@ -39,6 +39,7 @@ from attestsim.kernel import (
     AuthorityError,
     Kernel,
     KernelProcessSpec,
+    MSG_MAX_LENGTH,
     ProcState,
     Recv,
     RegionRequest,
@@ -46,7 +47,7 @@ from attestsim.kernel import (
     WxViolationError,
 )
 from attestsim.crypto import SignKey, SignMode
-from attestsim.signing import SENTINEL_PID, bytes_from_words_be, words_from_bytes_be
+from attestsim.signing import ENTRY_LEN, bytes_from_words_be, words_from_bytes_be
 
 
 KEY = SignKey(SignMode.HMAC, bytes.fromhex("ab" * 32))
@@ -94,6 +95,14 @@ class TestSecureBoot:
         write_anchor_file(str(path))
         assert load_anchors(str(path)) == default_anchors()
 
+    @pytest.mark.parametrize("blob", [b'{"kernel_sha256": ', b"\xff\xfe{}"],
+                             ids=["truncated-json", "not-utf8"])
+    def test_unparsable_anchor_file_is_a_manifest_error(self, tmp_path, blob):
+        path = tmp_path / "anchors.json"
+        path.write_bytes(blob)
+        with pytest.raises(ManifestError):
+            load_anchors(str(path))
+
     @pytest.mark.parametrize("payload", [
         {},
         {"kernel_sha256": "xy" * 32, "rp_sha256": "00" * 32},
@@ -126,8 +135,9 @@ class TestMeasurement:
 
 class TestTransferProtocol:
     def test_word_layout_on_the_wire(self):
-        """Independent check of the register encoding: MR0 pid, MR1..4 the
-        digest as four big-endian u64 words, sentinel 2**64-1, ack 0."""
+        """Independent check of the register encoding: one message holding
+        MR0 = entry count, then per entry the pid and the digest as four
+        big-endian u64 words; ack 0."""
         kernel = Kernel()
         ep = kernel.create_endpoint()
         kernel.spawn_process(KernelProcessSpec(PST_PID, b"pst"))
@@ -142,20 +152,19 @@ class TestTransferProtocol:
                 raw_messages.append([ctx.get_mr(i) for i in range(n)])
                 ctx.set_mr(0, 0)
                 ctx.reply(1)
-                if raw_messages[-1][0] == SENTINEL_PID:
-                    return
 
         kernel.start_process(50, collector)
         kernel.run()
         digest_a = hashlib.sha256(b"alpha").digest()
         digest_b = hashlib.sha256(b"beta").digest()
-        transfer_mmap(kernel, PST_PID, send, [(12, digest_a), (34, digest_b)])
+        transfer_mmap(kernel, send, [(12, digest_a), (34, digest_b)])
 
-        assert raw_messages[0][0] == 12
-        assert raw_messages[0][1:] == list(struct.unpack(">4Q", digest_a))
-        assert raw_messages[1][0] == 34
-        assert raw_messages[1][1:] == list(struct.unpack(">4Q", digest_b))
-        assert raw_messages[2] == [SENTINEL_PID]
+        assert raw_messages == [
+            [2, 12, *struct.unpack(">4Q", digest_a),
+             34, *struct.unpack(">4Q", digest_b)]]
+
+    def test_full_map_fits_one_message(self):
+        assert 1 + ENTRY_LEN * CAPACITY <= MSG_MAX_LENGTH
 
     def test_nack_aborts(self):
         kernel = Kernel()
@@ -173,7 +182,7 @@ class TestTransferProtocol:
         kernel.start_process(50, refuser)
         kernel.run()
         with pytest.raises(NackFromSpError):
-            transfer_mmap(kernel, PST_PID, send, [(1, bytes(32))])
+            transfer_mmap(kernel, send, [(1, bytes(32))])
 
     @given(digest=st.binary(min_size=32, max_size=32))
     @settings(max_examples=100, deadline=None)
@@ -222,6 +231,17 @@ class TestRunBoot:
         _, report, sp_state = self._boot(specs)
         assert report.digest_of(1) == report.digest_of(2)
         assert len(sp_state.mmap) == 2
+
+    def test_full_map_crosses_in_one_rendezvous(self):
+        specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 8)
+                 for pid in range(1, CAPACITY + 1)]
+        system = bring_up(image_manifest(), specs, KEY)
+        transfers = [e for e in system.kernel.trace
+                     if e[0] == "deliver" and e[1] == PST_PID]
+        assert len(transfers) == 1
+        assert transfers[0][-1] == 1 + ENTRY_LEN * CAPACITY
+        assert [pid for pid, _ in system.sp_state.mmap.entries()] == \
+            list(range(1, CAPACITY + 1))
 
     def test_zero_ups_is_a_valid_boot(self):
         kernel, report, sp_state = self._boot([])
@@ -309,12 +329,22 @@ class TestUserManifest:
           "caps": [{"read": True}]}],                 # cap without region
         [{"pid": 1, "binary": "p.bin"},
          {"pid": 1, "binary": "p.bin"}],              # duplicate pid
+        [{"pid": 1, "binary": "p.bin",
+          "caps": [{"region": "heap", "write": "false"}]}],  # flag not a bool
     ])
     def test_schema_violations(self, tmp_path, entries):
         (tmp_path / "p.bin").write_bytes(b"z")
         path = self._write(tmp_path, entries)
         with pytest.raises(ManifestError):
             load_user_manifest(path)
+
+    @pytest.mark.parametrize("blob", [b'[{"pid": 1, ', b"\xff\xfe[]"],
+                             ids=["truncated-json", "not-utf8"])
+    def test_unparsable_manifest_is_a_manifest_error(self, tmp_path, blob):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(blob)
+        with pytest.raises(ManifestError):
+            load_user_manifest(str(path))
 
     @pytest.mark.parametrize("cap", ["self_code", ["self_code"], None])
     def test_cap_entry_must_be_an_object(self, tmp_path, cap):

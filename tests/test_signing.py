@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from attestsim.boot import SP_PID, bring_up, image_manifest
 from attestsim.crypto import AttestToken, SignKey, SignMode, verify_token
-from attestsim.kernel import ProcState
+from attestsim.kernel import Call, Kernel, KernelProcessSpec, ProcState, Rights
 from attestsim.signing import (
+    ENTRY_LEN,
     FIRST_BADGE,
     REQUEST_LEN,
-    SENTINEL_PID,
     STATUS_MALFORMED,
     STATUS_OK,
     STATUS_UNKNOWN_BADGE,
@@ -26,6 +26,7 @@ from attestsim.signing import (
     bytes_from_words_be,
     decode_request,
     handle_request,
+    signing_program,
     words_from_bytes_be,
 )
 from attestsim.wire import AttestRequest, AttestResponse
@@ -227,49 +228,78 @@ class TestHandleRequest:
         assert len(reply) >= 1
 
 
-class TestInKernel:
-    def test_rogue_sender_cannot_seed_the_map(self, up_specs, rng):
-        """A badged (non-boot) sender on the boot endpoint gets nacked and
-        contributes nothing to the measurement map."""
-        from attestsim.kernel import Call, Kernel, KernelProcessSpec, Rights
-        from attestsim.signing import signing_program
+def map_message(entries) -> list[int]:
+    """The boot transfer's registers: count, then pid and digest words."""
+    words = [len(entries)]
+    for pid, digest in entries:
+        words += [pid, *struct.unpack(">4Q", digest)]
+    return words
 
-        kernel = Kernel()
-        state = SpState(KEY)
-        kernel.spawn_process(KernelProcessSpec(SP_PID, b"sp"))
-        ep_boot = kernel.create_endpoint()
-        ep_attest = kernel.create_endpoint()
-        boot_recv = kernel.mint_badged_cap(ep_boot, None, Rights(read=True), SP_PID)
-        attest_recv = kernel.mint_badged_cap(ep_attest, None, Rights(read=True), SP_PID)
-        kernel.start_process(SP_PID, signing_program(state, boot_recv, attest_recv))
-        kernel.run()
 
-        kernel.spawn_process(KernelProcessSpec(1, b"rogue"))
-        rogue_cap = kernel.mint_badged_cap(ep_boot, 6, Rights(write=True), 1)
-        nacks = []
+def signer_on_boot_endpoint():
+    """A kernel whose signing process waits for its map, and a sender:
+    ``send(pid, badge, words, msg_len)`` calls the boot endpoint from a
+    new process and returns the reply as ``(reply_len, MR0)``."""
+    kernel = Kernel()
+    state = SpState(KEY)
+    kernel.spawn_process(KernelProcessSpec(SP_PID, b"sp"))
+    ep_boot = kernel.create_endpoint()
+    ep_attest = kernel.create_endpoint()
+    boot_recv = kernel.mint_badged_cap(ep_boot, None, Rights(read=True), SP_PID)
+    attest_recv = kernel.mint_badged_cap(ep_attest, None, Rights(read=True), SP_PID)
+    kernel.start_process(SP_PID, signing_program(state, boot_recv, attest_recv))
+    kernel.run()
 
-        def rogue(ctx):
-            ctx.set_mr(0, 1)                       # pid it wants to claim
-            for i, word in enumerate(words_from_bytes_be(bytes(32)), start=1):
+    def send(pid, badge, words, msg_len=None):
+        kernel.spawn_process(KernelProcessSpec(pid, b"sender"))
+        cap = kernel.mint_badged_cap(ep_boot, badge, Rights(write=True), pid)
+        replies = []
+
+        def sender(ctx):
+            for i, word in enumerate(words):
                 ctx.set_mr(i, word)
-            yield Call(rogue_cap, 5)
-            nacks.append(ctx.get_mr(0))
+            reply_len = yield Call(cap, len(words) if msg_len is None else msg_len)
+            replies.append((reply_len, ctx.get_mr(0)))
 
-        kernel.start_process(1, rogue)
+        kernel.start_process(pid, sender)
         kernel.run()
-        assert nacks == [1]
+        (reply,) = replies
+        return reply
 
-        kernel.spawn_process(KernelProcessSpec(2, b"pst"))
-        pst_cap = kernel.mint_badged_cap(ep_boot, None, Rights(write=True), 2)
+    return state, send
 
-        def pst(ctx):
-            ctx.set_mr(0, SENTINEL_PID)
-            yield Call(pst_cap, 1)
 
-        kernel.start_process(2, pst)
-        kernel.run()
+class TestInKernel:
+    def test_rogue_sender_cannot_seed_the_map(self):
+        """A badged (non-boot) sender on the boot endpoint gets nacked and
+        contributes nothing to the measurement map, even with a
+        well-formed map message."""
+        state, send = signer_on_boot_endpoint()
+        assert send(1, 6, map_message([(1, bytes(32))])) == (1, 1)
+        assert not state.installed
+        assert send(2, None, map_message([])) == (1, 0)
         assert state.installed
         assert len(state.mmap) == 0                # rogue entry never landed
+
+    @pytest.mark.parametrize("words,msg_len", [
+        ([1, 7, 0, 0, 0], None),
+        ([1, 7, 0, 0, 0, 0, 0], None),
+        ([0, 7, 0, 0, 0, 0], None),
+        ([2**64 - 1], None),
+        ([0], 0),
+    ], ids=["one-short", "one-over", "count-too-small", "old-sentinel", "empty"])
+    def test_boot_message_whose_length_disagrees_is_nacked(self, words, msg_len):
+        """MR0 must count exactly the entries that follow; anything else is
+        nacked, installs nothing, and the signer keeps waiting for a
+        well-formed map, which it installs in transfer order."""
+        state, send = signer_on_boot_endpoint()
+        assert send(1, None, words, msg_len) == (1, 1)
+        assert not state.installed
+        entries = [(9, bytes([9]) * 32), (3, bytes([3]) * 32)]
+        message = map_message(entries)
+        assert len(message) == 1 + ENTRY_LEN * len(entries)
+        assert send(2, None, message) == (1, 0)
+        assert state.mmap.entries() == tuple(entries)
 
     def test_interleaved_callers_each_get_their_own_identity(self, up_specs, sign_key):
         system = bring_up(image_manifest(), up_specs, sign_key)

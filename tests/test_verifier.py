@@ -117,8 +117,10 @@ class TestPolicyLoad:
         {"mode": "hmac", "verify_key": "aa" * 32, "golden": {"one": "bin/one.bin"}},
         {"mode": "hmac", "verify_key": "aa" * 32, "golden": {"1": "bin/one.bin"},
          "address": "no-port"},
+        {"mode": "hmac", "verify_key": "aa" * 32, "golden": {"1": "bin/one.bin"},
+         "pin_pk": "false"},
     ], ids=["no-mode", "bad-mode", "bad-vk-hex", "no-golden", "empty-golden",
-            "non-int-pid", "bad-address"])
+            "non-int-pid", "bad-address", "pin-pk-not-a-bool"])
     def test_malformed_entries(self, tmp_path, entry):
         with pytest.raises(PolicyError):
             Policy.load(self._write(tmp_path, entry))
@@ -149,6 +151,12 @@ class TestPolicyLoad:
     def test_missing_golden_binary(self, tmp_path):
         path = self._write(tmp_path, self._entry(golden={"1": "bin/absent.bin"}))
         with pytest.raises(OSError):
+            Policy.load(path)
+
+    def test_empty_golden_binary_is_a_policy_error(self, tmp_path):
+        (tmp_path / "empty.bin").write_bytes(b"")
+        path = self._write(tmp_path, self._entry(golden={"7": "empty.bin"}))
+        with pytest.raises(PolicyError, match="dev0.*pid 7"):
             Policy.load(path)
 
     def test_unknown_device(self, tmp_path):
@@ -657,8 +665,11 @@ class TestCli:
         "{",
         json.dumps({"devices": {"dev0": {
             "mode": "hmac", "verify_key": None, "golden": {"1": "x.bin"}}}}),
-    ], ids=["unparsable", "mistyped-verify-key"])
+        json.dumps({"devices": {"dev0": {
+            "mode": "hmac", "verify_key": "aa" * 32, "golden": {"1": "empty.bin"}}}}),
+    ], ids=["unparsable", "mistyped-verify-key", "empty-golden-binary"])
     def test_malformed_policy_exit_four(self, tmp_path, capsys, text):
+        (tmp_path / "empty.bin").write_bytes(b"")
         path = tmp_path / "policy-bad.json"
         path.write_text(text)
         rc = verifier_main(["attest", "--device", "dev0", "--pid", "1",
