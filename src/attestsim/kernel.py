@@ -382,7 +382,9 @@ class Kernel:
 
         Returns the number of scheduler dispatches. Exceptions a syscall
         raises are thrown into the faulting program at its yield point; if
-        the program does not handle them they propagate to the caller.
+        the program does not handle them, or raises one of its own, the
+        process is retired as a ``"fault"`` and the exception propagates to
+        the caller.
         """
         steps = 0
         ready, procs, syscalls = self._ready, self._procs, _SYSCALLS
@@ -409,10 +411,13 @@ class Kernel:
                         sc = gen.throw(e)
             except StopIteration:
                 self._retire(rec, "exit")
+            except Exception:
+                self._retire(rec, "fault")
+                raise
         return steps
 
     def _retire(self, rec: _Process, kind: str) -> None:
-        """Retire a process that exited or was terminated (``kind``).
+        """Retire a process that exited, faulted or was terminated (``kind``).
 
         The record stays (pids are never reused) but its cspace is emptied,
         it is pulled out of every queue, and any reply obligation pointing

@@ -38,7 +38,7 @@ from .boot import (
     load_user_manifest,
 )
 from .crypto import CHAL_LEN, load_keystore
-from .userland import NetChannelFail
+from .userland import BoundChannelInit, NetChannelFail
 from .wire import (
     ERR_BAD_REQUEST,
     ERR_CHANNEL,
@@ -66,6 +66,8 @@ log = logging.getLogger(__name__)
 DEFAULT_LISTEN = "0.0.0.0:7411"
 IO_TIMEOUT = 10.0
 
+Binding = tuple[int, bytes, bytes]  # (pid, chal, sigma) last accepted
+
 
 @dataclass
 class ProverConfig:
@@ -80,8 +82,9 @@ class ProverRuntime:
     """The booted device plus the event plumbing the daemon drives.
 
     Also usable without any socket: ``attest_once`` and ``channel_once``
-    inject a wire message as a host event, run the kernel to quiescence,
-    and return the single event the target process emitted.
+    inject a host event, run the kernel to quiescence, and return the
+    single event the target process emitted. ``channel_once`` is given the
+    ``chal`` and ``sigma`` of the accepted attestation its channel binds to.
     """
 
     def __init__(self, system: BootedSystem):
@@ -94,11 +97,12 @@ class ProverRuntime:
             raise ValueError(f"chal must be {CHAL_LEN} bytes")
         return self._exchange(pid, AttestRequest(pid, chal), AttestResponse)
 
-    def channel_once(self, pid: int, init: ChannelInit
-                     ) -> ChannelConfirm | NetChannelFail:
-        return self._exchange(pid, init, (ChannelConfirm, NetChannelFail))
+    def channel_once(self, pid: int, chal: bytes, sigma: bytes,
+                     init: ChannelInit) -> ChannelConfirm | NetChannelFail:
+        return self._exchange(pid, BoundChannelInit(init, chal, sigma),
+                              (ChannelConfirm, NetChannelFail))
 
-    def _exchange(self, pid: int, event: WireMessage,
+    def _exchange(self, pid: int, event: WireMessage | BoundChannelInit,
                   expected: type | tuple[type, ...]):
         if pid not in self.up_pids:
             raise KeyError(f"pid {pid} is not an attestable process")
@@ -143,7 +147,7 @@ class ProverServer(socketserver.TCPServer):
         """
         set_deadlines(request, IO_TIMEOUT)
         decoder = FrameDecoder()
-        last_pid: Optional[int] = None
+        bound: Optional[Binding] = None
         try:
             while data := request.recv(READ_SIZE):
                 replies = bytearray()
@@ -161,7 +165,7 @@ class ProverServer(socketserver.TCPServer):
                         replies += encode(ErrorMsg(ERR_BAD_REQUEST))
                         continue
                     try:
-                        reply, last_pid = self._route(frame, last_pid)
+                        reply, bound = self._route(frame, bound)
                     except Exception:
                         log.exception("handler fault on %r", type(frame).__name__)
                         reply = ErrorMsg(ERR_INTERNAL)
@@ -171,26 +175,27 @@ class ProverServer(socketserver.TCPServer):
         except OSError:
             pass            # an expired deadline or a reset: drop the connection
 
-    def _route(self, msg: WireMessage, last_pid: Optional[int]
-               ) -> tuple[WireMessage, Optional[int]]:
+    def _route(self, msg: WireMessage, bound: Optional[Binding]
+               ) -> tuple[WireMessage, Optional[Binding]]:
         runtime = self.runtime
         if isinstance(msg, AttestRequest):
             pid, chal = msg
             if pid not in runtime.up_pids:
-                return ErrorMsg(ERR_UNKNOWN_PID), last_pid
-            return runtime.attest_once(pid, chal), pid
+                return ErrorMsg(ERR_UNKNOWN_PID), bound
+            reply = runtime.attest_once(pid, chal)
+            return reply, (pid, chal, reply.sigma) if reply.status == 0 else bound
         if isinstance(msg, ChannelInit):
-            # no pid on the wire for channel frames: route to the pid the
-            # connection last attested
-            if last_pid is None:
-                return ErrorMsg(ERR_NO_CONTEXT), last_pid
-            outcome = runtime.channel_once(last_pid, msg)
+            # no pid on the wire for channel frames: route to the pid of the
+            # connection's last accepted attestation
+            if bound is None:
+                return ErrorMsg(ERR_NO_CONTEXT), bound
+            outcome = runtime.channel_once(*bound, msg)
             if isinstance(outcome, NetChannelFail):
-                log.info("channel refused for pid=%d: %s", last_pid, outcome.reason)
-                return ErrorMsg(ERR_CHANNEL), last_pid
-            return outcome, last_pid
+                log.info("channel refused for pid=%d: %s", bound[0], outcome.reason)
+                return ErrorMsg(ERR_CHANNEL), bound
+            return outcome, bound
         # clients have no business sending responses, confirms, or errors
-        return ErrorMsg(ERR_BAD_REQUEST), last_pid
+        return ErrorMsg(ERR_BAD_REQUEST), bound
 
 
 class BackgroundDaemon:

@@ -3,18 +3,19 @@
 A relay program is what an attestable user process runs in this simulator.
 It owns an X25519 keypair (the private half lives only in the program
 closure) and forwards challenges to the signing process over its badged
-endpoint capability. Its network events are the wire messages themselves:
-the daemon injects the ``AttestRequest`` or ``ChannelInit`` it decoded,
-and the relay emits the ``AttestResponse`` or ``ChannelConfirm`` to send
-back, or a :class:`NetChannelFail` that the daemon turns into an error
-frame. The programs themselves never see sockets.
+endpoint capability. Its network events are the ``AttestRequest`` the
+daemon decoded, or a ``ChannelInit`` in a :class:`BoundChannelInit` with
+the attestation its channel binds to (the relay keeps none). It emits the
+``AttestResponse`` or ``ChannelConfirm`` to send back, or a
+:class:`NetChannelFail` that the daemon turns into an error frame. The
+programs themselves never see sockets.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from .crypto import (
     CHANNEL_AD_CONFIRM,
@@ -36,18 +37,26 @@ class NetChannelFail:
     reason: str
 
 
+@dataclass(frozen=True)
+class BoundChannelInit:
+    """A ``ChannelInit`` and the accepted attestation its channel binds to."""
+    init: ChannelInit
+    chal: bytes
+    sigma: bytes
+
+
 def make_relay_program(sp_cap: int):
     """Program factory for a standard relay user process.
 
     ``sp_cap`` is the handle of the badged send capability to the signing
     endpoint. The channel private key is drawn fresh, built into its key
-    object once, captured in the closure, and never leaves it.
+    object once, captured in the closure, and never leaves it. A channel
+    key binds the event's ``chal`` and ``sigma`` and the relay's own ``pk``.
     """
     private, pk = x25519_keypair()
     pk_words = words_from_bytes_be(pk)
 
     def program(ctx: ProcessApi) -> Generator:
-        last: Optional[tuple[bytes, bytes]] = None    # (chal, sigma)
         net_recv = NetRecv()
         call = Call(sp_cap, REQUEST_LEN)
         get_mr, set_mr = ctx.get_mr, ctx.set_mr
@@ -61,21 +70,16 @@ def make_relay_program(sp_cap: int):
                 status = get_mr(0)
                 sigma = bytes_from_words_be(
                     [get_mr(i) for i in range(1, reply_len)])
-                if status == 0:
-                    last = (chal, sigma)
                 ctx.net_send(AttestResponse(status, pid, pk, sigma))
-            elif isinstance(event, ChannelInit):
-                if last is None:
-                    ctx.net_send(NetChannelFail("no prior attestation"))
-                    continue
-                chal, sigma = last
-                transcript = chal + pk + sigma
+            elif isinstance(event, BoundChannelInit):
+                init = event.init
+                transcript = event.chal + pk + event.sigma
                 try:
-                    key = derive_session_key(private, event.eph_pk, transcript)
+                    key = derive_session_key(private, init.eph_pk, transcript)
                 except AllZeroSharedSecretError:
                     ctx.net_send(NetChannelFail("degenerate peer key"))
                     continue
-                token = open_sealed(key, event.nonce, event.ct, CHANNEL_AD_INIT)
+                token = open_sealed(key, init.nonce, init.ct, CHANNEL_AD_INIT)
                 if token is None:
                     ctx.net_send(NetChannelFail("init did not authenticate"))
                     continue

@@ -218,7 +218,7 @@ def test_04_signer_state_invariant():
         session = derive_session_key(eph, pk, chal + pk + sigma)
         token = rng.randbytes(32)
         nonce = rng.randbytes(12)
-        out = runtime.channel_once(pid, ChannelInit(
+        out = runtime.channel_once(pid, chal, sigma, ChannelInit(
             eph_pk=x25519_public_key(eph), nonce=nonce,
             ct=seal(session, nonce, token, CHANNEL_AD_INIT)))
         echoed = open_sealed(session, out.nonce, out.ct, CHANNEL_AD_CONFIRM)
@@ -226,7 +226,8 @@ def test_04_signer_state_invariant():
 
     def do_channel_garbage() -> None:
         pid = rng.choice([1, 2, 3])
-        runtime.channel_once(pid, ChannelInit(
+        chal, _, sigma = last[pid]
+        runtime.channel_once(pid, chal, sigma, ChannelInit(
             eph_pk=x25519_public_key(rng.randbytes(32)),
             nonce=rng.randbytes(12), ct=rng.randbytes(48)))
 

@@ -80,7 +80,8 @@ def test_relay_channel_crypto_once_per_channel_once(runtime, counts):
         nonce = os.urandom(NONCE_LEN)
         init = ChannelInit(eph_pk, nonce, seal(key, nonce, os.urandom(32),
                                                CHANNEL_AD_INIT))
-        assert isinstance(runtime.channel_once(2, init), ChannelConfirm)
+        assert isinstance(runtime.channel_once(2, chal, resp.sigma, init),
+                          ChannelConfirm)
     assert counts == {"derive_session_key": ROUNDS, "seal": ROUNDS,
                       "open_sealed": ROUNDS}
 

@@ -522,6 +522,26 @@ class TestLifecycle:
         kernel.start_process(1, program)
         with pytest.raises(ValueError, match="deliberate"):
             kernel.run()
+        self._assert_retired_as_fault(kernel, 1)
+
+    def test_unhandled_syscall_fault_retires(self):
+        kernel = Kernel()
+        spawn(kernel, 1)
+
+        def program(ctx):
+            yield Call(99, 0)           # no capability at handle 99
+
+        kernel.start_process(1, program)
+        with pytest.raises(BadCapabilityError):
+            kernel.run()
+        self._assert_retired_as_fault(kernel, 1)
+
+    @staticmethod
+    def _assert_retired_as_fault(kernel, pid):
+        assert kernel.process_state(pid) is ProcState.TERMINATED
+        assert kernel.trace[-1] == ("fault", pid)
+        with pytest.raises(UnknownPidError):
+            kernel.inject_net(pid, "late")
 
     def test_authority_gone_after_finalize(self):
         kernel = Kernel()

@@ -14,9 +14,22 @@ import time
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from attestsim.attacks import build_env
-from attestsim.crypto import AttestToken, SignMode, verify_token, x25519_public_key
+from attestsim.crypto import (
+    CHANNEL_AD_CONFIRM,
+    CHANNEL_AD_INIT,
+    AttestToken,
+    SignMode,
+    derive_session_key,
+    open_sealed,
+    seal,
+    verify_token,
+    x25519_keypair,
+    x25519_public_key,
+)
 import attestsim.prover as prover
 from attestsim.prover import (
     BackgroundDaemon,
@@ -24,6 +37,7 @@ from attestsim.prover import (
     build_runtime,
     main as proverd_main,
 )
+from attestsim.userland import NetChannelFail
 from attestsim.verifier import ConfirmFailedError, Policy, PolicyError, Verifier
 from attestsim.wire import (
     ERR_BAD_REQUEST,
@@ -71,6 +85,38 @@ class TestRuntimeInjection:
         assert reply.status == 0
         assert verify_token(sign_key.verify_key(), chal, reply.pk, m, token)
 
+    @given(rounds=st.lists(st.tuples(st.sampled_from([1, 2, 3]),
+                                     st.binary(min_size=32, max_size=32)),
+                           min_size=1, max_size=8),
+           data=st.data())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_channel_binds_any_accepted_round(self, runtime, rounds, data):
+        """A channel confirms against any earlier accepted round of its
+        pid, later rounds of that pid notwithstanding, and fails against
+        another pid's process or another pid's round."""
+        accepted = []
+        for pid, chal in rounds:
+            reply = runtime.attest_once(pid, chal)
+            assert reply.status == 0
+            accepted.append((pid, chal, reply.pk, reply.sigma))
+        pid, chal, pk, sigma = data.draw(st.sampled_from(accepted))
+        eph, eph_pk = x25519_keypair()
+        key = derive_session_key(eph, pk, chal + pk + sigma)
+        token, nonce = bytes([7]) * 32, bytes(12)
+        init = ChannelInit(eph_pk, nonce,
+                           seal(key, nonce, token, CHANNEL_AD_INIT))
+        out = runtime.channel_once(pid, chal, sigma, init)
+        assert isinstance(out, ChannelConfirm)
+        assert open_sealed(key, out.nonce, out.ct, CHANNEL_AD_CONFIRM) == token
+        refused = NetChannelFail("init did not authenticate")
+        for other in {1, 2, 3} - {pid}:
+            assert runtime.channel_once(other, chal, sigma, init) == refused
+        for other, other_chal, _, other_sigma in accepted:
+            if other != pid:
+                assert runtime.channel_once(
+                    pid, other_chal, other_sigma, init) == refused
+
 
 def connect(daemon: BackgroundDaemon) -> FrameStream:
     return FrameStream.connect(*daemon.address, timeout=5.0)
@@ -98,13 +144,25 @@ class TestDaemonTcp:
             reply = stream.recv()
         assert reply == ErrorMsg(code=ERR_UNKNOWN_PID)
 
-    def test_channel_before_attest_has_no_context(self, daemon):
+    def test_channel_before_attest_has_no_context(self, env, daemon):
         init = ChannelInit(eph_pk=x25519_public_key(b"\x01" * 32),
                            nonce=bytes(12), ct=bytes(16))
         with connect(daemon) as stream:
             stream.send(init)
             reply = stream.recv()
         assert reply == ErrorMsg(code=ERR_NO_CONTEXT)
+        # only an accepted attestation binds a channel
+        with connect(daemon) as stream:
+            stream.send(AttestRequest(pid=9, chal=bytes(32)))
+            assert stream.recv() == ErrorMsg(code=ERR_UNKNOWN_PID)
+            stream.send(init)
+            assert stream.recv() == ErrorMsg(code=ERR_NO_CONTEXT)
+        verifier = Verifier(Policy.load(str(env.policy_path)))
+        with connect(daemon) as stream:
+            result = verifier.attest("dev0", 1, stream)
+            stream.send(AttestRequest(pid=9, chal=bytes(32)))
+            assert stream.recv() == ErrorMsg(code=ERR_UNKNOWN_PID)
+            assert verifier.establish_channel(result, stream).pid == 1
 
     @pytest.mark.parametrize("msg", [
         AttestResponse(status=0, pid=1, pk=bytes(32), sigma=b"\x00" * 32),

@@ -518,7 +518,7 @@ class TestChannel:
         result = self._attested(verifier, runtime)
 
         def handler(msg):
-            out = runtime.channel_once(1, msg)
+            out = runtime.channel_once(1, result.chal, result.sigma, msg)
             return ChannelConfirm(nonce=out.nonce, ct=out.ct)
 
         t = _serve_once(right, handler)
@@ -539,7 +539,7 @@ class TestChannel:
         seen = {}
 
         def handler(msg):
-            out = runtime.channel_once(1, msg)
+            out = runtime.channel_once(1, result.chal, result.sigma, msg)
             seen["confirm"] = out
             return ChannelConfirm(nonce=out.nonce, ct=out.ct)
 
@@ -585,7 +585,7 @@ class TestChannel:
         result = self._attested(verifier, runtime, pid=1)
 
         def handler(msg):
-            out = runtime.channel_once(2, msg)
+            out = runtime.channel_once(2, result.chal, result.sigma, msg)
             if hasattr(out, "ct"):
                 return ChannelConfirm(nonce=out.nonce, ct=out.ct)
             return ErrorMsg(code=5)
