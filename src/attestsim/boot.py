@@ -35,7 +35,6 @@ from .crypto import SignKey, sha256
 from .kernel import (
     Call,
     Kernel,
-    KernelError,
     KernelProcessSpec,
     ProcessApi,
     RegionRequest,
@@ -359,7 +358,9 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
                       [(pid, digest) for pid, _, digest in report.spawned])
         if not sp_state.installed:
             raise NackFromSpError("signer never installed its state")
-    except (KernelError, BootError):
+    except BaseException:
+        # whatever failed (a kernel refusal, a boot check, the signer's own
+        # SigningError from install), nothing half-booted is left behind
         _teardown(kernel)
         raise
     return report, sp_state

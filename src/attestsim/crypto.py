@@ -139,6 +139,11 @@ class SignMode(Enum):
     ED25519 = "eddsa"
 
 
+# for the per-round checks: an enum member read through its class costs a
+# lookup on every use
+_HMAC = SignMode.HMAC
+
+
 class SignKey:
     """Device signing secret: a 32-byte seed plus the mode fixed at boot.
 
@@ -183,7 +188,7 @@ class SignKey:
         """HMAC tag or Ed25519 signature over ``digest``."""
         if self._zeroized:
             raise KeyZeroizedError("signing key was zeroized")
-        if self.mode is SignMode.HMAC:
+        if self.mode is _HMAC:
             return hmac_sha256(self._hmac_pads, digest)
         return self._ed25519.sign(digest)
 
@@ -235,7 +240,7 @@ class AttestToken:
     sig: bytes
 
     def __new__(cls, mode: SignMode, sig: bytes):
-        want = HMAC_SIG_LEN if mode is SignMode.HMAC else ED25519_SIG_LEN
+        want = HMAC_SIG_LEN if mode is _HMAC else ED25519_SIG_LEN
         if len(sig) != want:
             raise LengthMismatchError(
                 f"{mode.value} token must be {want} bytes, got {len(sig)}")
@@ -257,7 +262,7 @@ def attest_preimage(chal: bytes, pk: bytes, m: bytes) -> bytes:
 
 def attest_token(key: SignKey, chal: bytes, pk: bytes, m: bytes) -> AttestToken:
     """Sign the SHA-256 digest of the preimage under the key's mode."""
-    digest = sha256(attest_preimage(chal, pk, m))
+    digest = hashlib.sha256(attest_preimage(chal, pk, m)).digest()
     return AttestToken(key.mode, key.sign_digest(digest))
 
 
@@ -267,8 +272,8 @@ def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,
     signature, only on malformed inputs."""
     if token.mode is not vk.mode:
         return False
-    digest = sha256(attest_preimage(chal, pk, m))
-    if vk.mode is SignMode.HMAC:
+    digest = hashlib.sha256(attest_preimage(chal, pk, m)).digest()
+    if vk.mode is _HMAC:
         return ct_equal(hmac_sha256(vk._hmac_pads, digest), token.sig)
     try:
         vk._ed25519.verify(token.sig, digest)

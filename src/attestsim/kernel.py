@@ -19,6 +19,12 @@ Security properties maintained here and relied on by everything above:
 * After ``finalize()`` every authority-bearing operation (endpoint or
   capability creation, spawn, terminate) raises ``AuthorityError``.
 
+IPC is a rendezvous: a ``Call`` blocks its caller until the callee
+replies. A caller whose callee retires (exits, faults or is terminated)
+before replying stays blocked for good: nothing wakes it or fails its
+call. The host above the kernel decides what that means for the device
+(``prover.ProverRuntime`` stops serving).
+
 Scheduling is strictly FIFO over a ready queue and every state transition
 appends a tuple to ``Kernel.trace``, so identical operation sequences
 produce identical traces. The trace is a ring of the last ``TRACE_LEN``
@@ -135,6 +141,15 @@ class ProcState(Enum):
     TERMINATED = "terminated"
 
 
+# the states the IPC path sets, as globals: an enum member read through its
+# class costs a lookup on every use
+_RUNNABLE = ProcState.RUNNABLE
+_BLOCKED_RECV = ProcState.BLOCKED_RECV
+_BLOCKED_CALL = ProcState.BLOCKED_CALL
+_BLOCKED_NET = ProcState.BLOCKED_NET
+_TERMINATED = ProcState.TERMINATED
+
+
 # --- syscall descriptors (yielded by programs) ---------------------------
 
 @dataclass(frozen=True)
@@ -202,17 +217,20 @@ class ProcessApi:
 
     This is everything a running program can touch. No operation here
     creates authority, inspects capabilities, or names another process.
-    It holds its own process's register list (the kernel only ever
-    writes that list in place), so a register access is one bounds check
-    and one list index.
+    It holds its own process's register list and outbox, and the
+    kernel's trace (the kernel only ever changes those in place), so a
+    register access is one bounds check and one list index, and an emitted
+    event is two appends.
     """
 
-    __slots__ = ("_kernel", "_pid", "_ipc")
+    __slots__ = ("_kernel", "_pid", "_ipc", "_outbox", "_trace")
 
     def __init__(self, kernel: "Kernel", pid: int):
         self._kernel = kernel
         self._pid = pid
         self._ipc = kernel._procs[pid].ipc
+        self._outbox = kernel._outbox[pid]
+        self._trace = kernel.trace
 
     def get_mr(self, index: int) -> int:
         if not 0 <= index < MSG_MAX_LENGTH:
@@ -229,7 +247,8 @@ class ProcessApi:
         self._kernel._reply(self._pid, msg_len)
 
     def net_send(self, event: Any) -> None:
-        self._kernel._net_send(self._pid, event)
+        self._outbox.append(event)
+        self._trace.append(("net_out", self._pid, type(event).__name__))
 
 
 class Kernel:
@@ -339,12 +358,12 @@ class Kernel:
     def inject_net(self, pid: int, event: Any) -> None:
         """Deliver a network event to ``pid`` (queued if it is not waiting)."""
         rec = self._procs.get(pid)
-        if rec is None or rec.state is ProcState.TERMINATED:
+        if rec is None or rec.state is _TERMINATED:
             raise UnknownPidError(f"pid {pid}")
         self.trace.append(("net_in", pid, type(event).__name__))
-        if rec.state is ProcState.BLOCKED_NET:
+        if rec.state is _BLOCKED_NET:
             rec.resume_value = event
-            rec.state = ProcState.RUNNABLE
+            rec.state = _RUNNABLE
             self._ready.append(pid)
         else:
             rec.net_inbox.append(event)
@@ -388,11 +407,10 @@ class Kernel:
         """
         steps = 0
         ready, procs, syscalls = self._ready, self._procs, _SYSCALLS
-        runnable = ProcState.RUNNABLE
         while ready:
             rec = procs[ready.popleft()]
             gen = rec.gen
-            if rec.state is not runnable or gen is None:
+            if rec.state is not _RUNNABLE or gen is None:
                 continue
             steps += 1
             # a fresh generator starts on send(None), and resume_value starts None
@@ -445,32 +463,33 @@ class Kernel:
             rec.resume_value = rec.net_inbox.popleft()
             self._ready.append(rec.pid)
         else:
-            rec.state = ProcState.BLOCKED_NET
+            rec.state = _BLOCKED_NET
 
-    def _cap(self, rec: _Process, handle: int) -> Capability:
-        cap = rec.cspace.get(handle)
-        if cap is None or cap.kind != "endpoint":
-            raise BadCapabilityError(f"pid {rec.pid}: handle {handle}")
-        return cap
+    # _do_call and _do_recv look the handle up inline, a call cheaper
 
     def _do_call(self, rec: _Process, sc: Call) -> None:
-        cap = self._cap(rec, sc.cap)
+        cap = rec.cspace.get(sc.cap)
+        if cap is None or cap.kind != "endpoint":
+            raise BadCapabilityError(f"pid {rec.pid}: handle {sc.cap}")
         if not cap.rights.write:
             raise NoSendRightError(f"pid {rec.pid}: endpoint {cap.obj}")
-        if not 0 <= sc.msg_len <= MSG_MAX_LENGTH:
-            raise LengthOverflowError(f"msg_len {sc.msg_len}")
+        msg_len = sc.msg_len
+        if not 0 <= msg_len <= MSG_MAX_LENGTH:
+            raise LengthOverflowError(f"msg_len {msg_len}")
         ep = self._endpoints[cap.obj]
         badge = BOOT_BADGE if cap.badge is None else cap.badge
-        rec.state = ProcState.BLOCKED_CALL
+        rec.state = _BLOCKED_CALL
         if ep.recv_queue:
             rpid = ep.recv_queue.popleft()
-            self._deliver(rec, self._procs[rpid], ep, badge, sc.msg_len)
+            self._deliver(rec, self._procs[rpid], ep, badge, msg_len)
         else:
-            ep.send_queue.append((rec.pid, sc.msg_len, badge))
-            self.trace.append(("queued", rec.pid, ep.eid, sc.msg_len))
+            ep.send_queue.append((rec.pid, msg_len, badge))
+            self.trace.append(("queued", rec.pid, ep.eid, msg_len))
 
     def _do_recv(self, rec: _Process, sc: Recv) -> None:
-        cap = self._cap(rec, sc.cap)
+        cap = rec.cspace.get(sc.cap)
+        if cap is None or cap.kind != "endpoint":
+            raise BadCapabilityError(f"pid {rec.pid}: handle {sc.cap}")
         if not cap.rights.read:
             raise NoReceiveRightError(f"pid {rec.pid}: endpoint {cap.obj}")
         ep = self._endpoints[cap.obj]
@@ -478,7 +497,7 @@ class Kernel:
             spid, msg_len, badge = ep.send_queue.popleft()
             self._deliver(self._procs[spid], rec, ep, badge, msg_len)
         else:
-            rec.state = ProcState.BLOCKED_RECV
+            rec.state = _BLOCKED_RECV
             ep.recv_queue.append(rec.pid)
 
     def _deliver(self, sender: _Process, receiver: _Process, ep: _Endpoint,
@@ -486,7 +505,7 @@ class Kernel:
         receiver.ipc[:msg_len] = sender.ipc[:msg_len]
         receiver.reply_to = sender.pid
         receiver.resume_value = (badge, msg_len)
-        receiver.state = ProcState.RUNNABLE
+        receiver.state = _RUNNABLE
         self._ready.append(receiver.pid)
         self.trace.append(("deliver", sender.pid, receiver.pid, ep.eid, badge, msg_len))
 
@@ -498,17 +517,13 @@ class Kernel:
             raise NoPendingCallerError(f"pid {pid} has no caller awaiting reply")
         caller = self._procs[rec.reply_to]
         rec.reply_to = None
-        if caller.state is not ProcState.BLOCKED_CALL:
+        if caller.state is not _BLOCKED_CALL:
             raise NoPendingCallerError(f"pid {pid}: caller no longer waiting")
         caller.ipc[:msg_len] = rec.ipc[:msg_len]
         caller.resume_value = msg_len
-        caller.state = ProcState.RUNNABLE
+        caller.state = _RUNNABLE
         self._ready.append(caller.pid)
         self.trace.append(("reply", pid, caller.pid, msg_len))
-
-    def _net_send(self, pid: int, event: Any) -> None:
-        self._outbox[pid].append(event)
-        self.trace.append(("net_out", pid, type(event).__name__))
 
 
 # syscall descriptor type -> handler; anything else a program yields is a fault

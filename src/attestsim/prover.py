@@ -17,6 +17,14 @@ Frame handling is total. A frame that parses but cannot be honored gets
 an Error frame back; a stream whose framing can no longer be trusted
 (oversize declared length, torn frame) is closed. The daemon never
 crashes on input.
+
+A fault in the device is contained where it happens. A relay process that
+faults is retired by the kernel and its pid leaves ``up_pids``, so that pid
+answers ``ERR_UNKNOWN_PID`` from then on. A signer that faults leaves every
+relay that called it blocked for good (the kernel's rendezvous rule), so
+the runtime fails stop: every later request, on any pid, is answered
+``ERR_INTERNAL`` without reaching the kernel. Either fault is logged once,
+as a ``phase=fault`` line.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .boot import (
+    SP_PID,
     BootedSystem,
     bring_up,
     image_manifest,
@@ -69,6 +78,14 @@ IO_TIMEOUT = 10.0
 Binding = tuple[int, bytes, bytes]  # (pid, chal, sigma) last accepted
 
 
+class NotAttestableError(KeyError):
+    """The pid names no live relay process of the device."""
+
+
+class DeviceFaultError(RuntimeError):
+    """The signer faulted earlier; the device serves no request any more."""
+
+
 @dataclass
 class ProverConfig:
     host: str = "0.0.0.0"
@@ -85,12 +102,17 @@ class ProverRuntime:
     inject a host event, run the kernel to quiescence, and return the
     single event the target process emitted. ``channel_once`` is given the
     ``chal`` and ``sigma`` of the accepted attestation its channel binds to.
+
+    Both raise ``NotAttestableError`` (a ``KeyError``) for a pid outside
+    ``up_pids``, and ``DeviceFaultError`` once ``fault`` holds the
+    exception a signer fault raised.
     """
 
     def __init__(self, system: BootedSystem):
         self.kernel = system.kernel
         self.report = system.report
         self.up_pids = set(system.report.up_pids())
+        self.fault: Optional[Exception] = None
 
     def attest_once(self, pid: int, chal: bytes) -> AttestResponse:
         if len(chal) != CHAL_LEN:
@@ -104,15 +126,35 @@ class ProverRuntime:
 
     def _exchange(self, pid: int, event: WireMessage | BoundChannelInit,
                   expected: type | tuple[type, ...]):
+        if self.fault is not None:
+            raise DeviceFaultError(f"the signer faulted: {self.fault!r}")
         if pid not in self.up_pids:
-            raise KeyError(f"pid {pid} is not an attestable process")
-        self.kernel.inject_net(pid, event)
-        self.kernel.run()
-        events = self.kernel.drain_net(pid)
+            raise NotAttestableError(f"pid {pid} is not an attestable process")
+        kernel = self.kernel
+        kernel.inject_net(pid, event)
+        try:
+            kernel.run()
+        except Exception as e:
+            self._contain(e)
+            raise
+        events = kernel.drain_net(pid)
         if len(events) != 1 or not isinstance(events[0], expected):
             raise RuntimeError(
                 f"pid {pid} emitted {events!r} for {type(event).__name__}")
         return events[0]
+
+    def _contain(self, error: Exception) -> None:
+        """Take the process ``Kernel.run`` retired for ``error`` out of
+        service: a relay loses its pid, a signer stops the device."""
+        trace = self.kernel.trace
+        if not trace or trace[-1][0] != "fault":
+            return
+        pid = trace[-1][1]
+        log.error("phase=fault pid=%d error=%r", pid, error)
+        if pid == SP_PID:
+            self.fault = error
+        else:
+            self.up_pids.discard(pid)
 
 
 def build_runtime(config: ProverConfig) -> ProverRuntime:
@@ -178,22 +220,25 @@ class ProverServer(socketserver.TCPServer):
     def _route(self, msg: WireMessage, bound: Optional[Binding]
                ) -> tuple[WireMessage, Optional[Binding]]:
         runtime = self.runtime
-        if isinstance(msg, AttestRequest):
-            pid, chal = msg
-            if pid not in runtime.up_pids:
-                return ErrorMsg(ERR_UNKNOWN_PID), bound
-            reply = runtime.attest_once(pid, chal)
-            return reply, (pid, chal, reply.sigma) if reply.status == 0 else bound
-        if isinstance(msg, ChannelInit):
-            # no pid on the wire for channel frames: route to the pid of the
-            # connection's last accepted attestation
-            if bound is None:
-                return ErrorMsg(ERR_NO_CONTEXT), bound
-            outcome = runtime.channel_once(*bound, msg)
-            if isinstance(outcome, NetChannelFail):
-                log.info("channel refused for pid=%d: %s", bound[0], outcome.reason)
-                return ErrorMsg(ERR_CHANNEL), bound
-            return outcome, bound
+        try:
+            if isinstance(msg, AttestRequest):
+                pid, chal = msg
+                reply = runtime.attest_once(pid, chal)
+                return reply, (pid, chal, reply.sigma) if reply.status == 0 else bound
+            if isinstance(msg, ChannelInit):
+                # no pid on the wire for channel frames: route to the pid of
+                # the connection's last accepted attestation
+                if bound is None:
+                    return ErrorMsg(ERR_NO_CONTEXT), bound
+                outcome = runtime.channel_once(*bound, msg)
+                if isinstance(outcome, NetChannelFail):
+                    log.info("channel refused for pid=%d: %s", bound[0], outcome.reason)
+                    return ErrorMsg(ERR_CHANNEL), bound
+                return outcome, bound
+        except NotAttestableError:
+            return ErrorMsg(ERR_UNKNOWN_PID), bound
+        except DeviceFaultError:
+            return ErrorMsg(ERR_INTERNAL), bound    # logged when it faulted
         # clients have no business sending responses, confirms, or errors
         return ErrorMsg(ERR_BAD_REQUEST), bound
 

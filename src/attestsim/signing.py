@@ -24,8 +24,8 @@ import hashlib
 import struct
 from typing import Generator, Optional
 
-from .crypto import CHAL_LEN, PK_LEN, SignKey, attest_token
-from .kernel import BOOT_BADGE, MSG_MAX_LENGTH, ProcessApi, Recv
+from .crypto import CHAL_LEN, SignKey, attest_token
+from .kernel import BOOT_BADGE, ProcessApi, Recv
 
 REQUEST_LEN = 8               # registers in a well-formed signing request
 ENTRY_LEN = 5                 # registers per map entry in the boot transfer
@@ -35,22 +35,30 @@ STATUS_OK = 0
 STATUS_UNKNOWN_BADGE = 1
 STATUS_MALFORMED = 3
 
-_REQUEST = struct.Struct(">8Q")   # MR0..MR7 as the 64 request bytes
+# WORDS[n] is the big-endian layout of n 64-bit words, for n up to the 8 of
+# a request or of an Ed25519 signature
+WORDS = tuple(struct.Struct(f">{n}Q") for n in range(REQUEST_LEN + 1))
+_REQUEST = WORDS[REQUEST_LEN]     # MR0..MR7 as the 64 request bytes
 
 
 class SigningError(Exception):
     pass
 
 
+def _words(n: int) -> struct.Struct:
+    return WORDS[n] if n <= REQUEST_LEN else struct.Struct(f">{n}Q")
+
+
 def words_from_bytes_be(data: bytes) -> list[int]:
     """Pack bytes (length a multiple of 8) into big-endian 64-bit words."""
-    if len(data) % 8 != 0:
+    n, rest = divmod(len(data), 8)
+    if rest:
         raise SigningError(f"byte length {len(data)} not word-aligned")
-    return list(struct.unpack(f">{len(data) // 8}Q", data))
+    return list(_words(n).unpack(data))
 
 
 def bytes_from_words_be(words: list[int]) -> bytes:
-    return struct.pack(f">{len(words)}Q", *words)
+    return _words(len(words)).pack(*words)
 
 
 class FrozenMeasurementMap:
@@ -130,32 +138,26 @@ class SpState:
         return h.digest()
 
 
-def decode_request(regs: list[int]) -> tuple[bytes, bytes]:
-    """Split a validated 8-register request into (chal, pk)."""
-    if len(regs) != REQUEST_LEN:
-        raise SigningError(f"expected {REQUEST_LEN} registers, got {len(regs)}")
-    raw = _REQUEST.pack(*regs)
-    return raw[:CHAL_LEN], raw[CHAL_LEN:CHAL_LEN + PK_LEN]
-
-
 def handle_request(state: SpState, badge: int, msg_len: int,
                    regs: list[int]) -> tuple[int, list[int]]:
     """Total request handler: always returns (status, reply registers).
 
-    Whatever arrives, the caller gets an answer; errors are statuses, not
-    exceptions. The identity that gets attested comes from ``badge``
-    alone.
+    ``regs`` holds the ``msg_len`` registers the request carried; a
+    request is exactly ``REQUEST_LEN`` of them. Whatever arrives, the
+    caller gets an answer; errors are statuses, not exceptions. The
+    identity that gets attested comes from ``badge`` alone.
     """
-    if msg_len != REQUEST_LEN or len(regs) < REQUEST_LEN:
+    if msg_len != REQUEST_LEN or len(regs) != REQUEST_LEN:
         return STATUS_MALFORMED, [STATUS_MALFORMED]
     assert state.mmap is not None
-    entries = state.mmap.entries()
+    entries = state.mmap._entries
     if not FIRST_BADGE <= badge < FIRST_BADGE + len(entries):
         return STATUS_UNKNOWN_BADGE, [STATUS_UNKNOWN_BADGE]
-    m = entries[badge - FIRST_BADGE][1]
-    chal, pk = decode_request(regs[:REQUEST_LEN])
-    token = attest_token(state.sign_key, chal, pk, m)
-    return STATUS_OK, [STATUS_OK] + words_from_bytes_be(token.sig)
+    raw = _REQUEST.pack(*regs)
+    token = attest_token(state.sign_key, raw[:CHAL_LEN], raw[CHAL_LEN:],
+                         entries[badge - FIRST_BADGE][1])
+    sig = token.sig
+    return STATUS_OK, [STATUS_OK, *WORDS[len(sig) // 8].unpack(sig)]
 
 
 def signing_program(state: SpState, boot_cap: int, attest_cap: int):
@@ -170,7 +172,7 @@ def signing_program(state: SpState, boot_cap: int, attest_cap: int):
     """
 
     def program(ctx: ProcessApi) -> Generator:
-        get_mr, set_mr = ctx.get_mr, ctx.set_mr
+        get_mr, set_mr, reply = ctx.get_mr, ctx.set_mr, ctx.reply
         recv_boot = Recv(boot_cap)
         while True:
             badge, msg_len = yield recv_boot
@@ -179,19 +181,20 @@ def signing_program(state: SpState, boot_cap: int, attest_cap: int):
                     and msg_len == 1 + ENTRY_LEN * get_mr(0)):
                 break
             set_mr(0, 1)
-            ctx.reply(1)
+            reply(1)
         words = [get_mr(i) for i in range(1, msg_len)]
         state.install([(words[i], bytes_from_words_be(words[i + 1:i + ENTRY_LEN]))
                        for i in range(0, len(words), ENTRY_LEN)])
         set_mr(0, 0)
-        ctx.reply(1)
+        reply(1)
         recv_attest = Recv(attest_cap)
         while True:
+            # the kernel caps msg_len at MSG_MAX_LENGTH registers
             badge, msg_len = yield recv_attest
-            regs = [get_mr(i) for i in range(min(msg_len, MSG_MAX_LENGTH))]
-            status, reply = handle_request(state, badge, msg_len, regs)
-            for i, word in enumerate(reply):
+            _, answer = handle_request(state, badge, msg_len,
+                                       list(map(get_mr, range(msg_len))))
+            for i, word in enumerate(answer):
                 set_mr(i, word)
-            ctx.reply(len(reply))
+            reply(len(answer))
 
     return program

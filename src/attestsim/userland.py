@@ -28,7 +28,7 @@ from .crypto import (
     x25519_keypair,
 )
 from .kernel import Call, NetRecv, ProcessApi
-from .signing import REQUEST_LEN, bytes_from_words_be, words_from_bytes_be
+from .signing import REQUEST_LEN, WORDS
 from .wire import AttestRequest, AttestResponse, ChannelConfirm, ChannelInit
 
 
@@ -54,39 +54,40 @@ def make_relay_program(sp_cap: int):
     key binds the event's ``chal`` and ``sigma`` and the relay's own ``pk``.
     """
     private, pk = x25519_keypair()
-    pk_words = words_from_bytes_be(pk)
+    pk_words = WORDS[4].unpack(pk)
 
     def program(ctx: ProcessApi) -> Generator:
         net_recv = NetRecv()
         call = Call(sp_cap, REQUEST_LEN)
-        get_mr, set_mr = ctx.get_mr, ctx.set_mr
+        get_mr, set_mr, net_send = ctx.get_mr, ctx.set_mr, ctx.net_send
+        chal_words = WORDS[4].unpack
         while True:
             event = yield net_recv
-            if isinstance(event, AttestRequest):
+            if type(event) is AttestRequest:
                 pid, chal = event
-                for i, word in enumerate(words_from_bytes_be(chal) + pk_words):
+                for i, word in enumerate(chal_words(chal) + pk_words):
                     set_mr(i, word)
                 reply_len = yield call
+                # the reply is the status, then the token's words, if any
                 status = get_mr(0)
-                sigma = bytes_from_words_be(
-                    [get_mr(i) for i in range(1, reply_len)])
-                ctx.net_send(AttestResponse(status, pid, pk, sigma))
+                sigma = WORDS[reply_len - 1].pack(*map(get_mr, range(1, reply_len)))
+                net_send(AttestResponse(status, pid, pk, sigma))
             elif isinstance(event, BoundChannelInit):
                 init = event.init
                 transcript = event.chal + pk + event.sigma
                 try:
                     key = derive_session_key(private, init.eph_pk, transcript)
                 except AllZeroSharedSecretError:
-                    ctx.net_send(NetChannelFail("degenerate peer key"))
+                    net_send(NetChannelFail("degenerate peer key"))
                     continue
                 token = open_sealed(key, init.nonce, init.ct, CHANNEL_AD_INIT)
                 if token is None:
-                    ctx.net_send(NetChannelFail("init did not authenticate"))
+                    net_send(NetChannelFail("init did not authenticate"))
                     continue
                 nonce = os.urandom(NONCE_LEN)
-                ctx.net_send(ChannelConfirm(
+                net_send(ChannelConfirm(
                     nonce, seal(key, nonce, token, CHANNEL_AD_CONFIRM)))
             else:
-                ctx.net_send(NetChannelFail(f"unhandled event {type(event).__name__}"))
+                net_send(NetChannelFail(f"unhandled event {type(event).__name__}"))
 
     return program

@@ -320,28 +320,29 @@ class Verifier:
         expected_m = dev.golden.get(pid)
         if expected_m is None:
             raise PolicyError(f"device {device_id!r} has no golden entry for pid {pid}")
-        if resp.status != 0:
-            raise ProverError(resp.status, "signing-process")
-        if resp.pid != pid:
+        status, resp_pid, pk, sigma = resp
+        if status != 0:
+            raise ProverError(status, "signing-process")
+        if resp_pid != pid:
             raise SigInvalidError(
-                f"response names pid {resp.pid}, requested {pid}")
+                f"response names pid {resp_pid}, requested {pid}")
         if dev.pin_pk:
-            _check_pin(dev, pid, resp.pk)
+            _check_pin(dev, pid, pk)
+        vk = dev.vk
         try:
-            token = AttestToken(dev.vk.mode, resp.sigma)
+            token = AttestToken(vk.mode, sigma)
         except LengthMismatchError as e:
             raise SigInvalidError(str(e)) from e
-        if not verify_token(dev.vk, chal, resp.pk, expected_m, token):
+        if not verify_token(vk, chal, pk, expected_m, token):
             raise SigInvalidError("token does not verify")
         if dev.pin_pk:
             with dev.pin_lock:
-                _check_pin(dev, pid, resp.pk)
+                _check_pin(dev, pid, pk)
                 self._consume(chal)
-                dev.pinned.setdefault(pid, resp.pk)
+                dev.pinned.setdefault(pid, pk)
         else:
             self._consume(chal)
-        return AttestResult(device_id, pid, chal, resp.pk, resp.sigma,
-                            expected_m)
+        return AttestResult(device_id, pid, chal, pk, sigma, expected_m)
 
     def _consume(self, chal: bytes) -> None:
         freshness = self.ledger.consume(chal)
@@ -355,7 +356,7 @@ class Verifier:
         chal = self.new_challenge()
         stream.settimeout(self.timeout)
         try:
-            stream.send(AttestRequest(pid=pid, chal=chal))
+            stream.send(AttestRequest(pid, chal))
             resp = stream.recv()
         except TimeoutError as e:
             raise AttestTimeoutError(f"no response within {self.timeout}s") from e

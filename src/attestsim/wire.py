@@ -47,6 +47,9 @@ ERR_CHANNEL = 5
 _HEADER = struct.Struct(">IB")
 _ATTEST_REQUEST = struct.Struct(">Q32s")          # pid, chal
 _ATTEST_RESPONSE_HEAD = struct.Struct(">BQ32sH")  # status, pid, pk, sigma_len
+# the same layouts behind the frame header, for encode's one pack
+_ATTEST_REQUEST_FRAME = struct.Struct(">IBQ32s")
+_ATTEST_RESPONSE_FRAME = struct.Struct(">IBBQ32sH")
 _TIMEVAL = struct.Struct("ll")                    # struct timeval: s, us
 _NO_DEADLINE = _TIMEVAL.pack(0, 0)
 
@@ -152,45 +155,46 @@ WireMessage = Union[AttestRequest, AttestResponse, ChannelInit,
                     ChannelConfirm, ErrorMsg]
 
 
-def _check_u64(value: int, what: str) -> None:
-    if not 0 <= value < 2**64:
-        raise BadLengthError(f"{what} out of u64 range")
-
-
 def encode(msg: WireMessage) -> bytes:
-    # records unpack as tuples, which is cheaper than reading each field
-    if isinstance(msg, AttestRequest):
-        pid, chal = msg
-        _check_u64(pid, "pid")
-        if len(chal) != 32:
-            raise BadLengthError("chal must be 32 bytes")
-        mtype, payload = MSG_ATTEST_REQUEST, _ATTEST_REQUEST.pack(pid, chal)
-    elif isinstance(msg, AttestResponse):
+    # Dispatch is on the exact type. Records unpack as tuples, which is
+    # cheaper than reading each field. The two attestation messages are
+    # packed with their header in one go; both fit MAX_PAYLOAD by layout.
+    kind = type(msg)
+    if kind is AttestResponse:
         status, pid, pk, sigma = msg
         if not 0 <= status <= 255:
             raise BadLengthError("status out of u8 range")
-        _check_u64(pid, "pid")
+        if not 0 <= pid < 2**64:
+            raise BadLengthError("pid out of u64 range")
         if len(pk) != 32:
             raise BadLengthError("pk must be 32 bytes")
-        if len(sigma) not in (0, 32, 64):
+        n = len(sigma)
+        if n not in (0, 32, 64):
             raise BadLengthError("sigma must be 0, 32, or 64 bytes")
-        mtype, payload = MSG_ATTEST_RESPONSE, _ATTEST_RESPONSE_HEAD.pack(
-            status, pid, pk, len(sigma)) + sigma
-    elif isinstance(msg, ChannelInit):
+        return _ATTEST_RESPONSE_FRAME.pack(
+            43 + n, MSG_ATTEST_RESPONSE, status, pid, pk, n) + sigma
+    if kind is AttestRequest:
+        pid, chal = msg
+        if not 0 <= pid < 2**64:
+            raise BadLengthError("pid out of u64 range")
+        if len(chal) != 32:
+            raise BadLengthError("chal must be 32 bytes")
+        return _ATTEST_REQUEST_FRAME.pack(40, MSG_ATTEST_REQUEST, pid, chal)
+    if kind is ChannelInit:
         eph_pk, nonce, ct = msg
         if len(eph_pk) != 32 or len(nonce) != 12:
             raise BadLengthError("eph_pk must be 32 bytes, nonce 12")
         if len(ct) < AEAD_TAG_LEN:
             raise BadLengthError("ct shorter than an AEAD tag")
         mtype, payload = MSG_CHANNEL_INIT, eph_pk + nonce + ct
-    elif isinstance(msg, ChannelConfirm):
+    elif kind is ChannelConfirm:
         nonce, ct = msg
         if len(nonce) != 12:
             raise BadLengthError("nonce must be 12 bytes")
         if len(ct) < AEAD_TAG_LEN:
             raise BadLengthError("ct shorter than an AEAD tag")
         mtype, payload = MSG_CHANNEL_CONFIRM, nonce + ct
-    elif isinstance(msg, ErrorMsg):
+    elif kind is ErrorMsg:
         (code,) = msg
         if not 0 <= code <= 255:
             raise BadLengthError("error code out of u8 range")
@@ -204,11 +208,13 @@ def encode(msg: WireMessage) -> bytes:
 
 def decode_payload(mtype: int, payload: bytes) -> WireMessage:
     """Strict per-type payload parser; every byte must be accounted for."""
+    # The two attestation records have no __new__ of their own, so
+    # tuple.__new__ builds them from their fields without a Python call.
     n = len(payload)
     if mtype == MSG_ATTEST_REQUEST:
         if n != 40:
             raise BadLengthError(f"attest request payload must be 40 bytes, got {n}")
-        return AttestRequest(*_ATTEST_REQUEST.unpack(payload))
+        return tuple.__new__(AttestRequest, _ATTEST_REQUEST.unpack(payload))
     if mtype == MSG_ATTEST_RESPONSE:
         if n < 43:
             raise TruncatedError(f"attest response payload too short ({n})")
@@ -218,7 +224,8 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
         if n != 43 + sigma_len:
             raise BadLengthError(
                 f"attest response payload {n} != {43 + sigma_len}")
-        return AttestResponse(status, pid, pk, payload[43:43 + sigma_len])
+        return tuple.__new__(AttestResponse,
+                             (status, pid, pk, payload[43:43 + sigma_len]))
     if mtype == MSG_CHANNEL_INIT:
         if n < 44 + AEAD_TAG_LEN:
             raise TruncatedError(f"channel init payload too short ({n})")

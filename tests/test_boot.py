@@ -47,7 +47,13 @@ from attestsim.kernel import (
     WxViolationError,
 )
 from attestsim.crypto import SignKey, SignMode
-from attestsim.signing import ENTRY_LEN, bytes_from_words_be, words_from_bytes_be
+from attestsim.signing import (
+    ENTRY_LEN,
+    SigningError,
+    SpState,
+    bytes_from_words_be,
+    words_from_bytes_be,
+)
 
 
 KEY = SignKey(SignMode.HMAC, bytes.fromhex("ab" * 32))
@@ -273,6 +279,20 @@ class TestRunBoot:
         with pytest.raises(EmptyBinaryError):
             run_boot(kernel, [ProcessSpec(pid=1, binary=b"")], KEY)
         assert kernel.live_pids() == set()
+
+    def test_signer_install_failure_tears_down(self, monkeypatch):
+        """The signer's own SigningError during the map transfer is neither a
+        kernel nor a boot error, and still leaves nothing half-booted."""
+        def refuse(state, entries):
+            raise SigningError("install refused")
+
+        monkeypatch.setattr(SpState, "install", refuse)
+        kernel = secure_boot(image_manifest())
+        with pytest.raises(SigningError):
+            run_boot(kernel, [ProcessSpec(pid=1, binary=b"x" * 64)], KEY)
+        assert kernel.live_pids() == set()
+        with pytest.raises(AuthorityError):
+            kernel.create_endpoint()
 
     @pytest.mark.parametrize("pid", [0, SP_PID, 2**64 - 1])
     def test_reserved_pid_rejected(self, pid):

@@ -1,12 +1,18 @@
 """Long-lived state stays bounded over many in-process attestation rounds:
-the kernel's trace ring, its queues, and the verifier's nonce ledger."""
+the kernel's trace ring, its queues, and the verifier's nonce ledger, also
+after a fault in the signer."""
 
 from __future__ import annotations
 
+import logging
+
+import pytest
+
+import attestsim.signing as signing
 from attestsim.boot import SP_PID, ProcessSpec, bring_up, image_manifest
 from attestsim.crypto import SignKey, SignMode
-from attestsim.kernel import TRACE_LEN
-from attestsim.prover import ProverRuntime
+from attestsim.kernel import TRACE_LEN, ProcState
+from attestsim.prover import DeviceFaultError, ProverRuntime
 from attestsim.verifier import DevicePolicy, Policy, Verifier
 
 ROUNDS = 20_000
@@ -49,3 +55,40 @@ def test_state_stays_bounded_over_many_rounds():
                                            (r + 1) // SKIP_EVERY)
 
     assert len(kernel.trace) == TRACE_LEN
+
+
+def test_signer_fault_stops_the_device_and_nothing_piles_up(monkeypatch, caplog):
+    """One fault in the signer leaves the relay that called it blocked for
+    good (the kernel's rendezvous rule). The runtime fails stop: every later
+    request on every pid is refused before it reaches the kernel, so no
+    relay's inbox grows, and the fault is logged once."""
+    specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 256) for pid in (1, 2)]
+    runtime = ProverRuntime(bring_up(image_manifest(), specs,
+                                     SignKey(SignMode.HMAC, bytes(range(32)))))
+    kernel = runtime.kernel
+    inner = signing.handle_request
+    faults = iter([RuntimeError("signer fault")])
+
+    def faulty(*args):
+        fault = next(faults, None)
+        if fault is not None:
+            raise fault
+        return inner(*args)
+
+    monkeypatch.setattr(signing, "handle_request", faulty)
+    caplog.set_level(logging.INFO, logger="attestsim.prover")
+    with pytest.raises(RuntimeError, match="signer fault"):
+        runtime.attest_once(1, bytes(32))
+    assert kernel.process_state(SP_PID) is ProcState.TERMINATED
+    assert kernel.process_state(1) is ProcState.BLOCKED_CALL
+    trace_len = len(kernel.trace)
+    for r in range(1000):
+        for pid in (1, 2):
+            with pytest.raises(DeviceFaultError):
+                runtime.attest_once(pid, r.to_bytes(32, "big"))
+    assert _queues(kernel)[1:] == (0, 0, 0)
+    assert len(kernel.trace) == trace_len
+    faults_logged = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("phase=fault")]
+    assert faults_logged == [
+        f"phase=fault pid={SP_PID} error=RuntimeError('signer fault')"]

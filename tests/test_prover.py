@@ -17,7 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import attestsim.signing as signing
+import attestsim.userland as userland
 from attestsim.attacks import build_env
+from attestsim.boot import SP_PID
 from attestsim.crypto import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
@@ -41,6 +44,7 @@ from attestsim.userland import NetChannelFail
 from attestsim.verifier import ConfirmFailedError, Policy, PolicyError, Verifier
 from attestsim.wire import (
     ERR_BAD_REQUEST,
+    ERR_INTERNAL,
     ERR_NO_CONTEXT,
     ERR_UNKNOWN_PID,
     MAX_PAYLOAD,
@@ -72,6 +76,23 @@ class TestRuntimeInjection:
     def test_unknown_pid(self, runtime):
         with pytest.raises(KeyError):
             runtime.attest_once(42, bytes(32))
+
+    def test_round_adds_the_four_ipc_transitions(self, runtime, sign_key):
+        """One round is the host event in, the request delivered to the
+        signer (8 registers), its reply (status and the token's words) and
+        the response out: nothing more, in either signing mode."""
+        trace = runtime.kernel.trace
+        sig_words = 4 if sign_key.mode is SignMode.HMAC else 8
+        attest_ep = 2                   # the signer's second endpoint
+        for pid, badge in ((1, 1), (3, 3), (1, 1)):
+            before = len(trace)
+            runtime.attest_once(pid, os.urandom(32))
+            assert list(trace)[before:] == [
+                ("net_in", pid, "AttestRequest"),
+                ("deliver", pid, SP_PID, attest_ep, badge, 8),
+                ("reply", SP_PID, pid, 1 + sig_words),
+                ("net_out", pid, "AttestResponse"),
+            ]
 
     def test_bad_chal_length(self, runtime):
         with pytest.raises(ValueError):
@@ -292,6 +313,53 @@ class TestDaemonTcp:
                     assert idle.recv(1) == b""
                     assert time.monotonic() - t0 < 1.0
                     assert verifier.attest("dev0", 1, stream).pid == 1
+
+
+def _raise_once(monkeypatch, module, name: str, fault: Exception) -> None:
+    """Make ``module.name`` raise ``fault`` on its next call only."""
+    inner = getattr(module, name)
+    pending = [fault]
+
+    def once(*args):
+        if pending:
+            raise pending.pop()
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, once)
+
+
+class TestFaultContainment:
+    def test_signer_fault_fails_stop(self, env, monkeypatch, caplog):
+        _raise_once(monkeypatch, signing, "handle_request",
+                    RuntimeError("signer fault"))
+        with caplog.at_level(logging.INFO, logger="attestsim.prover"):
+            with BackgroundDaemon(env.config) as d, connect(d) as stream:
+                for pid in (1, 2, 1, 2, 7):
+                    stream.send(AttestRequest(pid, os.urandom(32)))
+                    assert stream.recv() == ErrorMsg(ERR_INTERNAL)
+                assert d.runtime.fault is not None
+                assert d.runtime.up_pids == {1, 2}
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("phase=fault")] == [
+            f"phase=fault pid={SP_PID} error=RuntimeError('signer fault')"]
+
+    def test_relay_fault_retires_only_its_pid(self, env, monkeypatch, caplog):
+        # the relay builds its reply after the signer answered, so only the
+        # relay faults
+        _raise_once(monkeypatch, userland, "AttestResponse",
+                    RuntimeError("relay fault"))
+        verifier = Verifier(Policy.load(str(env.policy_path)))
+        with caplog.at_level(logging.INFO, logger="attestsim.prover"):
+            with BackgroundDaemon(env.config) as d, connect(d) as stream:
+                stream.send(AttestRequest(1, os.urandom(32)))
+                assert stream.recv() == ErrorMsg(ERR_INTERNAL)
+                assert d.runtime.up_pids == {2} and d.runtime.fault is None
+                stream.send(AttestRequest(1, os.urandom(32)))
+                assert stream.recv() == ErrorMsg(ERR_UNKNOWN_PID)
+                assert verifier.attest("dev0", 2, stream).pid == 2
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("phase=fault")] == [
+            "phase=fault pid=1 error=RuntimeError('relay fault')"]
 
 
 class TestPhaseLogs:

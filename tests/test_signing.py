@@ -24,7 +24,6 @@ from attestsim.signing import (
     SigningError,
     SpState,
     bytes_from_words_be,
-    decode_request,
     handle_request,
     signing_program,
     words_from_bytes_be,
@@ -134,20 +133,6 @@ class TestSpState:
         assert other_key.snapshot() != base
         other_mode = installed_state(key=SignKey(SignMode.ED25519, bytes.fromhex("5a" * 32)))
         assert other_mode.snapshot() != base
-
-
-class TestDecodeRequest:
-    def test_split_matches_struct_layout(self):
-        chal = bytes(range(32))
-        pk = bytes(range(100, 132))
-        regs = request_regs(chal, pk)
-        assert regs == list(struct.unpack(">8Q", chal + pk))
-        got_chal, got_pk = decode_request(regs)
-        assert got_chal == chal and got_pk == pk
-
-    def test_wrong_count_rejected(self):
-        with pytest.raises(SigningError):
-            decode_request([0] * 7)
 
 
 class TestHandleRequest:

@@ -105,6 +105,53 @@ class TestRoundtrip:
                                ct=bytes(MAX_PAYLOAD)))
 
 
+U8 = st.integers(min_value=0, max_value=255)
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+KEY32 = st.binary(min_size=32, max_size=32)
+SIGMA = st.sampled_from([0, 32, 64]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n))
+NOT_U8 = st.one_of(st.integers(max_value=-1), st.integers(min_value=256))
+NOT_U64 = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+NOT_32 = st.binary(max_size=80).filter(lambda b: len(b) != 32)
+NOT_SIGMA = st.binary(max_size=96).filter(lambda b: len(b) not in (0, 32, 64))
+
+
+class TestEncodeAttestation:
+    """encode's two attestation messages: the layout of docs/protocol.md
+    built field by field here, and a BadLengthError for each field out of
+    range, whatever the other fields hold."""
+
+    @given(pid=U64, chal=KEY32)
+    def test_request_layout(self, pid, chal):
+        assert encode(AttestRequest(pid, chal)) == (
+            (40).to_bytes(4, "big") + bytes([MSG_ATTEST_REQUEST])
+            + pid.to_bytes(8, "big") + chal)
+
+    @given(status=U8, pid=U64, pk=KEY32, sigma=SIGMA)
+    def test_response_layout(self, status, pid, pk, sigma):
+        assert encode(AttestResponse(status, pid, pk, sigma)) == (
+            (43 + len(sigma)).to_bytes(4, "big") + b"\x02" + bytes([status])
+            + pid.to_bytes(8, "big") + pk + len(sigma).to_bytes(2, "big")
+            + sigma)
+
+    @given(data=st.data(), field=st.sampled_from(["pid", "chal"]))
+    def test_request_refusals(self, data, field):
+        fields = {"pid": data.draw(U64), "chal": data.draw(KEY32)}
+        fields[field] = data.draw(NOT_U64 if field == "pid" else NOT_32)
+        with pytest.raises(BadLengthError):
+            encode(AttestRequest(**fields))
+
+    @given(data=st.data(),
+           field=st.sampled_from(["status", "pid", "pk", "sigma"]))
+    def test_response_refusals(self, data, field):
+        fields = {"status": data.draw(U8), "pid": data.draw(U64),
+                  "pk": data.draw(KEY32), "sigma": data.draw(SIGMA)}
+        fields[field] = data.draw({"status": NOT_U8, "pid": NOT_U64,
+                                   "pk": NOT_32, "sigma": NOT_SIGMA}[field])
+        with pytest.raises(BadLengthError):
+            encode(AttestResponse(**fields))
+
+
 class TestStrictParsing:
     def test_truncated_header(self):
         with pytest.raises(TruncatedError):
