@@ -47,6 +47,7 @@ from .boot import (
     load_user_manifest,
 )
 from .crypto import CHAL_LEN, load_keystore
+from .kernel import ProcState
 from .userland import BoundChannelInit, NetChannelFail
 from .wire import (
     ERR_BAD_REQUEST,
@@ -135,7 +136,7 @@ class ProverRuntime:
         try:
             kernel.run()
         except Exception as e:
-            self._contain(e)
+            self._contain(pid, e)
             raise
         events = kernel.drain_net(pid)
         if len(events) != 1 or not isinstance(events[0], expected):
@@ -143,18 +144,19 @@ class ProverRuntime:
                 f"pid {pid} emitted {events!r} for {type(event).__name__}")
         return events[0]
 
-    def _contain(self, error: Exception) -> None:
+    def _contain(self, target: int, error: Exception) -> None:
         """Take the process ``Kernel.run`` retired for ``error`` out of
         service: a relay loses its pid, a signer stops the device."""
-        trace = self.kernel.trace
-        if not trace or trace[-1][0] != "fault":
-            return
-        pid = trace[-1][1]
-        log.error("phase=fault pid=%d error=%r", pid, error)
-        if pid == SP_PID:
+        state = self.kernel.process_state
+        if state(SP_PID) is ProcState.TERMINATED:
             self.fault = error
+            pid = SP_PID
+        elif state(target) is ProcState.TERMINATED:
+            self.up_pids.discard(target)
+            pid = target
         else:
-            self.up_pids.discard(pid)
+            return
+        log.error("phase=fault pid=%d error=%r", pid, error)
 
 
 def build_runtime(config: ProverConfig) -> ProverRuntime:

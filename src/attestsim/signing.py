@@ -45,20 +45,15 @@ class SigningError(Exception):
     pass
 
 
-def _words(n: int) -> struct.Struct:
-    return WORDS[n] if n <= REQUEST_LEN else struct.Struct(f">{n}Q")
-
-
 def words_from_bytes_be(data: bytes) -> list[int]:
     """Pack bytes (length a multiple of 8) into big-endian 64-bit words."""
-    n, rest = divmod(len(data), 8)
-    if rest:
+    if len(data) % 8 != 0:
         raise SigningError(f"byte length {len(data)} not word-aligned")
-    return list(_words(n).unpack(data))
+    return list(struct.unpack(f">{len(data) // 8}Q", data))
 
 
 def bytes_from_words_be(words: list[int]) -> bytes:
-    return _words(len(words)).pack(*words)
+    return struct.pack(f">{len(words)}Q", *words)
 
 
 class FrozenMeasurementMap:
@@ -150,7 +145,7 @@ def handle_request(state: SpState, badge: int, msg_len: int,
     if msg_len != REQUEST_LEN or len(regs) != REQUEST_LEN:
         return STATUS_MALFORMED, [STATUS_MALFORMED]
     assert state.mmap is not None
-    entries = state.mmap._entries
+    entries = state.mmap.entries()
     if not FIRST_BADGE <= badge < FIRST_BADGE + len(entries):
         return STATUS_UNKNOWN_BADGE, [STATUS_UNKNOWN_BADGE]
     raw = _REQUEST.pack(*regs)

@@ -20,7 +20,7 @@ from attestsim.prover import ProverServer
 from attestsim.verifier import Policy, Verifier
 from attestsim.wire import AttestRequest, FrameDecoder, FrameStream, encode
 
-DAEMON_FRAME_CALLS = 53     # feed, decode, route (kernel, relay, signer), encode
+DAEMON_FRAME_CALLS = 54     # feed, decode, route (kernel, relay, signer), encode
 VERIFIER_ROUND_CALLS = 20   # challenge, send, recv, check_response
 
 

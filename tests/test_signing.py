@@ -198,6 +198,12 @@ class TestHandleRequest:
         status, reply = handle_request(state, 1, msg_len, [0] * min(msg_len, 120))
         assert (status, reply) == (STATUS_MALFORMED, [STATUS_MALFORMED])
 
+    @pytest.mark.parametrize("n_regs", [7, 9])
+    def test_register_count_disagrees_with_msg_len(self, n_regs):
+        state = installed_state()
+        status, reply = handle_request(state, 1, REQUEST_LEN, [0] * n_regs)
+        assert (status, reply) == (STATUS_MALFORMED, [STATUS_MALFORMED])
+
     @given(badge=st.integers(min_value=0, max_value=2**64 - 1),
            msg_len=st.integers(min_value=0, max_value=120),
            seed=st.integers(min_value=0, max_value=2**32))
