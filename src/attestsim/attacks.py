@@ -163,14 +163,20 @@ def expect_refusal(t: list[str], expected: type[Exception],
     return False, name, if_accepted
 
 
-def scenario_replay(work: Path, t: list[str]) -> Outcome:
-    env = build_env(work)
-    verifier = Verifier(Policy.load(str(env.policy_path)))
+def capture_response(env: HarnessEnv, verifier: Verifier, t: list[str]
+                     ) -> tuple[bytes, AttestResponse]:
+    """Pid 1's answer to a new challenge, from a daemon stopped after it."""
     with BackgroundDaemon(env.config) as daemon:
         with RecordingStream.connect_to(daemon.address, t) as stream:
             chal = verifier.new_challenge()
             stream.send(AttestRequest(pid=1, chal=chal))
-            resp = stream.recv()
+            return chal, stream.recv()
+
+
+def scenario_replay(work: Path, t: list[str]) -> Outcome:
+    env = build_env(work)
+    verifier = Verifier(Policy.load(str(env.policy_path)))
+    chal, resp = capture_response(env, verifier, t)
     result = verifier.check_response(DEVICE, 1, chal, resp)
     t.append(f"first presentation accepted, sigma={result.sigma.hex()[:32]}...")
     return expect_refusal(
@@ -184,11 +190,7 @@ def scenario_stale_challenge(work: Path, t: list[str]) -> Outcome:
     now = [1000.0]
     verifier = Verifier(Policy.load(str(env.policy_path)), ttl=30.0,
                         clock=lambda: now[0])
-    with BackgroundDaemon(env.config) as daemon:
-        with RecordingStream.connect_to(daemon.address, t) as stream:
-            chal = verifier.new_challenge()
-            stream.send(AttestRequest(pid=1, chal=chal))
-            resp = stream.recv()
+    chal, resp = capture_response(env, verifier, t)
     now[0] += 31.0
     t.append("clock advanced 31s past issue (ttl 30s)")
     return expect_refusal(
@@ -261,13 +263,9 @@ def scenario_badge_forge(work: Path, t: list[str]) -> Outcome:
              f"{[f for f in Call.__dataclass_fields__]} (no badge)")
     env = build_env(work)
     verifier = Verifier(Policy.load(str(env.policy_path)))
-    with BackgroundDaemon(env.config) as daemon:
-        target_digest_pid = 2
-        with RecordingStream.connect_to(daemon.address, t) as stream:
-            chal = verifier.new_challenge()
-            # rogue pid 1 answers; adversary relabels the response as pid 2
-            stream.send(AttestRequest(pid=1, chal=chal))
-            resp = stream.recv()
+    target_digest_pid = 2
+    # rogue pid 1 answers; adversary relabels the response as pid 2
+    chal, resp = capture_response(env, verifier, t)
     forged = AttestResponse(status=resp.status, pid=target_digest_pid,
                             pk=resp.pk, sigma=resp.sigma)
     t.append("relabeled pid-1 response as pid 2")
@@ -297,7 +295,7 @@ def scenario_malformed_ipc(work: Path, t: list[str]) -> Outcome:
                     ctx.net_send(
                         AttestResponse(status, event.pid, bytes(32), sigma))
             return rogue
-        return make_relay_program(sp_cap)
+        return make_relay_program(spec, sp_cap)
 
     key = load_keystore(env.config.keystore_path)
     specs = load_user_manifest(env.config.manifest_path)

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .crypto import SignKey, sha256
+from .crypto import SignKey, measure_binary, sha256
 from .kernel import (
     Call,
     Kernel,
@@ -47,7 +47,6 @@ from .signing import (
     signing_program,
     words_from_bytes_be,
 )
-from .userland import make_relay_program
 
 log = logging.getLogger(__name__)
 
@@ -77,10 +76,6 @@ class CapacityExceededError(BootError):
 
 
 class NackFromSpError(BootError):
-    pass
-
-
-class EmptyBinaryError(BootError):
     pass
 
 
@@ -230,14 +225,6 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
     return specs
 
 
-# --- measurement ----------------------------------------------------------
-
-def measure_binary(binary: bytes) -> bytes:
-    if len(binary) == 0:
-        raise EmptyBinaryError("refusing to measure an empty binary")
-    return sha256(binary)
-
-
 # --- pipeline -------------------------------------------------------------
 
 @dataclass
@@ -263,6 +250,8 @@ class BootedSystem:
     sp_state: SpState
 
 
+# ``factory(spec, sp_cap)`` returns a user process's program. The caller passes
+# it (the daemon passes ``userland.make_relay_program``): boot loads no user code.
 ProgramFactory = Callable[[ProcessSpec, int], Callable]
 
 
@@ -307,8 +296,7 @@ def transfer_mmap(kernel: Kernel, sp_boot_cap: int,
 
 
 def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
-             up_program_factory: Optional[ProgramFactory] = None,
-             ) -> tuple[BootReport, SpState]:
+             up_program_factory: ProgramFactory) -> tuple[BootReport, SpState]:
     """Spawn, measure, and wire up everything on a kernel from secure_boot.
 
     On return the signing process is live and serving, every user process
@@ -316,8 +304,6 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
     endpoint, and the measurement map has been transferred and installed.
     Boot authority is still held; call ``finalize_boot`` next.
     """
-    if up_program_factory is None:
-        up_program_factory = lambda spec, sp_cap: make_relay_program(sp_cap)
     report = BootReport(mode=sign_key.mode.value)
     sp_state = SpState(sign_key)
     try:
@@ -382,7 +368,7 @@ def _teardown(kernel: Kernel) -> None:
 
 
 def bring_up(images: ImageManifest, specs: list[ProcessSpec], sign_key: SignKey,
-             up_program_factory: Optional[ProgramFactory] = None) -> BootedSystem:
+             up_program_factory: ProgramFactory) -> BootedSystem:
     """Full pipeline: verify images, boot, transfer, finalize."""
     kernel = secure_boot(images)
     report, sp_state = run_boot(kernel, specs, sign_key, up_program_factory)

@@ -12,7 +12,8 @@ composition:
   32-byte digest),
 * the constant-time equality used wherever a secret-derived value is
   compared,
-* session-key derivation for the post-attestation channel.
+* session-key derivation for the post-attestation channel,
+* ``measure_binary``, and ``record``, the tuple-backed value type.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import stat
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -37,8 +39,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-
-from .wire import record
 
 DIGEST_LEN = 32
 CHAL_LEN = 32
@@ -78,8 +78,19 @@ class KeyZeroizedError(CryptoError):
     """A zeroized signing key was asked to sign."""
 
 
+class EmptyBinaryError(CryptoError):
+    pass
+
+
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+def measure_binary(binary: bytes) -> bytes:
+    """``m``, the SHA-256 of a process binary, for boot and verifier alike."""
+    if len(binary) == 0:
+        raise EmptyBinaryError("refusing to measure an empty binary")
+    return sha256(binary)
 
 
 def hmac_pads(key: bytes) -> tuple:
@@ -232,6 +243,49 @@ class VerifyKey:
         if len(material) != 32:
             raise LengthMismatchError("verify key material must be 32 bytes")
         return cls(mode, material)
+
+
+# --- value types ----------------------------------------------------------
+
+def record(cls: type) -> type:
+    """Class decorator: an immutable value type backed by a tuple.
+
+    The fields are the class's annotations, in order. The result is a
+    ``namedtuple`` of the same name: construction, attribute access and
+    the repr are those of a frozen dataclass, while building one costs one
+    tuple. Equality and hash include the type, so a record never equals a
+    plain tuple or a record of another type with the same fields. Names
+    defined in the class body are kept; a ``__new__`` there may check the
+    fields before it calls ``tuple.__new__(cls, fields)``, and ``_make``
+    and ``_replace`` build through it too.
+    """
+    rec = namedtuple(cls.__name__, tuple(cls.__annotations__),
+                     module=cls.__module__)
+    for name, value in vars(cls).items():
+        if name not in ("__dict__", "__weakref__"):
+            setattr(rec, name, value)
+    rec.__qualname__ = cls.__qualname__
+    rec.__eq__ = _record_eq
+    rec.__ne__ = _record_ne
+    rec.__hash__ = _record_hash
+    rec._make = classmethod(_record_make)
+    return rec
+
+
+def _record_eq(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return not _record_eq(self, other)
+
+
+def _record_hash(self) -> int:
+    return hash((type(self), tuple(self)))
+
+
+def _record_make(cls, iterable):
+    return cls(*iterable)
 
 
 @record

@@ -48,7 +48,7 @@ from .boot import (
 )
 from .crypto import CHAL_LEN, load_keystore
 from .kernel import ProcState
-from .userland import BoundChannelInit, NetChannelFail
+from .userland import BoundChannelInit, NetChannelFail, make_relay_program
 from .wire import (
     ERR_BAD_REQUEST,
     ERR_CHANNEL,
@@ -164,7 +164,7 @@ def build_runtime(config: ProverConfig) -> ProverRuntime:
     key = load_keystore(config.keystore_path)
     anchors = load_anchors(config.anchors_path)
     specs = load_user_manifest(config.manifest_path)
-    return ProverRuntime(bring_up(image_manifest(anchors), specs, key))
+    return ProverRuntime(bring_up(image_manifest(anchors), specs, key, make_relay_program))
 
 
 class ProverServer(socketserver.TCPServer):

@@ -45,8 +45,8 @@ class BoundChannelInit:
     sigma: bytes
 
 
-def make_relay_program(sp_cap: int):
-    """Program factory for a standard relay user process.
+def make_relay_program(spec, sp_cap: int):
+    """``boot.ProgramFactory`` of a standard relay user process (any ``spec``).
 
     ``sp_cap`` is the handle of the badged send capability to the signing
     endpoint. The channel private key is drawn fresh, built into its key

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import threading
@@ -28,19 +29,21 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .boot import EmptyBinaryError, measure_binary
 from .crypto import (
     CHAL_LEN,
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
     NONCE_LEN,
     AttestToken,
+    EmptyBinaryError,
     LengthMismatchError,
     SignMode,
     VerifyKey,
     ct_equal,
     derive_session_key,
+    measure_binary,
     open_sealed,
+    record,
     seal,
     verify_token,
     x25519_keypair,
@@ -54,7 +57,6 @@ from .wire import (
     FrameStream,
     WireError,
     parse_address,
-    record,
 )
 
 log = logging.getLogger(__name__)
@@ -167,17 +169,11 @@ class Policy:
             for pid_str, binary_path in golden_raw.items():
                 try:
                     pid = int(pid_str)
-                    binary_path = os.path.join(base, binary_path)
-                except (ValueError, TypeError) as e:
+                    with open(os.path.join(base, binary_path), "rb") as bf:
+                        golden[pid] = measure_binary(bf.read())
+                except (ValueError, TypeError, EmptyBinaryError) as e:
                     raise PolicyError(
-                        f"{path}: device {device_id}: golden {pid_str!r}") from e
-                with open(binary_path, "rb") as bf:
-                    binary = bf.read()
-                try:
-                    golden[pid] = measure_binary(binary)
-                except EmptyBinaryError as e:
-                    raise PolicyError(f"{path}: device {device_id}: "
-                                      f"golden binary for pid {pid} is empty") from e
+                        f"{path}: device {device_id}: golden pid {pid_str}: {e}") from e
             address = None
             if "address" in entry:
                 try:
@@ -406,8 +402,7 @@ def _cli_attest(args: argparse.Namespace) -> int:
     policy = Policy.load(args.policy)
     dev = policy.device(args.device)
     if dev.address is None:
-        print(f"device {args.device!r} has no address in policy", file=sys.stderr)
-        return 4
+        raise PolicyError(f"device {args.device!r} has no address in policy")
     verifier = Verifier(policy, timeout=args.timeout)
     try:
         with FrameStream.connect(*dev.address, timeout=args.timeout) as stream:
@@ -431,8 +426,13 @@ def _cli_attest(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):      # exit 4 in one line, as policy errors do
+        self.exit(4, f"error: {message}\n")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="verifier",
         description="Attest a remote simulated device and optionally "
                     "bootstrap an authenticated channel.")
@@ -444,14 +444,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--pid", required=True, type=int,
                        help="user process id to attest")
         p.add_argument("--policy", required=True, help="policy JSON path")
-        p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
+        p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+                       help="seconds per read and write, finite and above 0")
         p.set_defaults(channel=with_channel)
     args = parser.parse_args(argv)
+    if not 0 < args.timeout < math.inf:
+        parser.error(f"--timeout {args.timeout} is not a finite number above 0")
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
     try:
         return _cli_attest(args)
-    except (PolicyError, OSError) as e:
+    except (PolicyError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
 

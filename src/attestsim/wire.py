@@ -21,11 +21,14 @@ compression, version negotiation) is deliberately absent.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
-from collections import deque, namedtuple
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
+
+from .crypto import record
 
 MAX_PAYLOAD = 4096
 HEADER_LEN = 5
@@ -72,51 +75,6 @@ class UnknownTypeError(WireError):
 
 class BadLengthError(WireError):
     pass
-
-
-def record(cls: type) -> type:
-    """Class decorator: an immutable value type backed by a tuple.
-
-    The fields are the class's annotations, in order. The result is a
-    ``namedtuple`` of the same name, so positional and keyword
-    construction, attribute access and the repr (``AttestRequest(pid=1,
-    chal=b'...')``) are those of a frozen dataclass, while building one
-    costs one tuple. Unlike a bare namedtuple, equality and hash include
-    the type: a record never equals a plain tuple, or a record of another
-    type with the same fields. Assigning to a field raises
-    ``AttributeError``.
-
-    Names defined in the class body are kept. A ``__new__`` there may check
-    the fields before it calls ``tuple.__new__(cls, fields)``; ``_make``
-    and ``_replace`` build through it too.
-    """
-    rec = namedtuple(cls.__name__, tuple(cls.__annotations__),
-                     module=cls.__module__)
-    for name, value in vars(cls).items():
-        if name not in ("__dict__", "__weakref__"):
-            setattr(rec, name, value)
-    rec.__qualname__ = cls.__qualname__
-    rec.__eq__ = _record_eq
-    rec.__ne__ = _record_ne
-    rec.__hash__ = _record_hash
-    rec._make = classmethod(_record_make)
-    return rec
-
-
-def _record_eq(self, other) -> bool:
-    return type(self) is type(other) and tuple.__eq__(self, other)
-
-
-def _record_ne(self, other) -> bool:
-    return not _record_eq(self, other)
-
-
-def _record_hash(self) -> int:
-    return hash((type(self), tuple(self)))
-
-
-def _record_make(cls, iterable):
-    return cls(*iterable)
 
 
 @record
@@ -335,17 +293,18 @@ def set_deadlines(sock: socket.socket, seconds: Optional[float]) -> None:
     ``None`` clears both deadlines. 0 keeps Python's meaning, a
     non-blocking socket, because a zero ``timeval`` means no deadline at
     all; any other value is rounded to whole microseconds, at least one.
+    A negative or non-finite value raises ``ValueError``, socket untouched.
     """
-    blocking = 0.0 if seconds == 0 else None
-    if sock.gettimeout() != blocking:
-        sock.settimeout(blocking)
+    if seconds is not None and not 0 <= seconds < math.inf:
+        raise ValueError(f"timeout {seconds} is negative or not finite")
     if seconds:
-        if seconds < 0:
-            raise ValueError(f"timeout {seconds} is negative")
         usec = max(1, round(seconds * 1_000_000))
         timeval = _TIMEVAL.pack(*divmod(usec, 1_000_000))
     else:
         timeval = _NO_DEADLINE
+    blocking = 0.0 if seconds == 0 else None
+    if sock.gettimeout() != blocking:
+        sock.settimeout(blocking)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 

@@ -49,6 +49,7 @@ from attestsim.kernel import (
 from attestsim.prover import BackgroundDaemon, ProverRuntime
 from attestsim.signing import STATUS_OK, FrozenMeasurementMap, handle_request
 from attestsim.timing import audit_ct_equal, audit_symmetric_verify
+from attestsim.userland import make_relay_program
 from attestsim.verifier import (
     DevicePolicy,
     Policy,
@@ -80,7 +81,7 @@ def fresh_system(mode: SignMode, seed: int = 11, n_up: int = 3,
     specs = [ProcessSpec(pid=i + 1, binary=rng.randbytes(size))
              for i in range(n_up)]
     key = SignKey(mode, rng.randbytes(32))
-    booted = bring_up(image_manifest(), specs, key)
+    booted = bring_up(image_manifest(), specs, key, make_relay_program)
     return specs, key, booted, ProverRuntime(booted)
 
 
@@ -172,7 +173,8 @@ def test_03_single_bit_tamper_sweep():
 
     # control: the untampered binary must be accepted
     runtime = ProverRuntime(bring_up(
-        image_manifest(), [ProcessSpec(pid=1, binary=base)], key))
+        image_manifest(), [ProcessSpec(pid=1, binary=base)], key,
+        make_relay_program))
     chal = verifier.new_challenge()
     reply = runtime.attest_once(1, chal)
     verifier.check_response("dev0", 1, chal, AttestResponse(
@@ -184,7 +186,8 @@ def test_03_single_bit_tamper_sweep():
         bit = 1 << rng.randrange(8)
         tampered = base[:pos] + bytes([base[pos] ^ bit]) + base[pos + 1:]
         rt = ProverRuntime(bring_up(
-            image_manifest(), [ProcessSpec(pid=1, binary=tampered)], key))
+            image_manifest(), [ProcessSpec(pid=1, binary=tampered)], key,
+            make_relay_program))
         chal = verifier.new_challenge()
         reply = rt.attest_once(1, chal)
         try:
@@ -333,11 +336,11 @@ def test_07_boot_time_scales_with_process_count():
     counts, medians = [], []
     for n in range(1, 11):
         specs = [ProcessSpec(pid=i + 1, binary=blobs[i]) for i in range(n)]
-        bring_up(image_manifest(), specs, key)        # warmup boot, discarded
+        bring_up(image_manifest(), specs, key, make_relay_program)  # warmup, discarded
         runs = []
         for _ in range(5):
             t0 = time.perf_counter()
-            bring_up(image_manifest(), specs, key)
+            bring_up(image_manifest(), specs, key, make_relay_program)
             runs.append(time.perf_counter() - t0)
         counts.append(n)
         medians.append(statistics.median(runs))
@@ -476,7 +479,7 @@ def test_10_structural_guarantees():
     rng = random.Random(0xA10)
     specs = [ProcessSpec(pid=1, binary=rng.randbytes(512))]
     key = SignKey(SignMode.HMAC, rng.randbytes(32))
-    booted = bring_up(image_manifest(), specs, key)
+    booted = bring_up(image_manifest(), specs, key, make_relay_program)
     with pytest.raises(AuthorityError):
         booted.kernel.spawn_process(KernelProcessSpec(pid=9, code=b"\x00"))
     notes.append("authority dropped")

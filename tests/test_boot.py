@@ -17,7 +17,6 @@ from attestsim.boot import (
     RP_IMAGE,
     SP_PID,
     CapacityExceededError,
-    EmptyBinaryError,
     KernelHashMismatchError,
     ManifestError,
     NackFromSpError,
@@ -29,7 +28,6 @@ from attestsim.boot import (
     image_manifest,
     load_anchors,
     load_user_manifest,
-    measure_binary,
     run_boot,
     secure_boot,
     transfer_mmap,
@@ -46,7 +44,13 @@ from attestsim.kernel import (
     Rights,
     WxViolationError,
 )
-from attestsim.crypto import SignKey, SignMode
+from attestsim.crypto import (
+    CryptoError,
+    EmptyBinaryError,
+    SignKey,
+    SignMode,
+    measure_binary,
+)
 from attestsim.signing import (
     ENTRY_LEN,
     SigningError,
@@ -54,6 +58,7 @@ from attestsim.signing import (
     bytes_from_words_be,
     words_from_bytes_be,
 )
+from attestsim.userland import make_relay_program
 
 
 KEY = SignKey(SignMode.HMAC, bytes.fromhex("ab" * 32))
@@ -130,12 +135,13 @@ class TestMeasurement:
     def test_empty_binary_refused(self):
         with pytest.raises(EmptyBinaryError):
             measure_binary(b"")
+        assert issubclass(EmptyBinaryError, CryptoError)
 
     def test_map_keeps_insertion_order(self):
         specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 64)
                  for pid in (5, 2, 9)]
         kernel = secure_boot(image_manifest())
-        _, sp_state = run_boot(kernel, specs, KEY)
+        _, sp_state = run_boot(kernel, specs, KEY, make_relay_program)
         assert [pid for pid, _ in sp_state.mmap.entries()] == [5, 2, 9]
 
 
@@ -199,7 +205,7 @@ class TestTransferProtocol:
 class TestRunBoot:
     def _boot(self, specs, key=KEY):
         kernel = secure_boot(image_manifest())
-        report, sp_state = run_boot(kernel, specs, key)
+        report, sp_state = run_boot(kernel, specs, key, make_relay_program)
         finalize_boot(kernel, report)
         return kernel, report, sp_state
 
@@ -241,7 +247,7 @@ class TestRunBoot:
     def test_full_map_crosses_in_one_rendezvous(self):
         specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 8)
                  for pid in range(1, CAPACITY + 1)]
-        system = bring_up(image_manifest(), specs, KEY)
+        system = bring_up(image_manifest(), specs, KEY, make_relay_program)
         transfers = [e for e in system.kernel.trace
                      if e[0] == "deliver" and e[1] == PST_PID]
         assert len(transfers) == 1
@@ -259,7 +265,7 @@ class TestRunBoot:
                  for i in range(1, CAPACITY + 2)]
         kernel = secure_boot(image_manifest())
         with pytest.raises(CapacityExceededError):
-            run_boot(kernel, specs, KEY)
+            run_boot(kernel, specs, KEY, make_relay_program)
         assert kernel.live_pids() == set()
         with pytest.raises(AuthorityError):
             kernel.create_endpoint()
@@ -271,13 +277,14 @@ class TestRunBoot:
                                    Rights(write=True, execute=True)),))]
         kernel = secure_boot(image_manifest())
         with pytest.raises(WxViolationError):
-            run_boot(kernel, specs, KEY)
+            run_boot(kernel, specs, KEY, make_relay_program)
         assert kernel.live_pids() == set()
 
     def test_empty_binary_tears_down(self):
         kernel = secure_boot(image_manifest())
         with pytest.raises(EmptyBinaryError):
-            run_boot(kernel, [ProcessSpec(pid=1, binary=b"")], KEY)
+            run_boot(kernel, [ProcessSpec(pid=1, binary=b"")], KEY,
+                     make_relay_program)
         assert kernel.live_pids() == set()
 
     def test_signer_install_failure_tears_down(self, monkeypatch):
@@ -289,7 +296,8 @@ class TestRunBoot:
         monkeypatch.setattr(SpState, "install", refuse)
         kernel = secure_boot(image_manifest())
         with pytest.raises(SigningError):
-            run_boot(kernel, [ProcessSpec(pid=1, binary=b"x" * 64)], KEY)
+            run_boot(kernel, [ProcessSpec(pid=1, binary=b"x" * 64)], KEY,
+                     make_relay_program)
         assert kernel.live_pids() == set()
         with pytest.raises(AuthorityError):
             kernel.create_endpoint()
@@ -298,18 +306,19 @@ class TestRunBoot:
     def test_reserved_pid_rejected(self, pid):
         kernel = secure_boot(image_manifest())
         with pytest.raises(ManifestError):
-            run_boot(kernel, [ProcessSpec(pid=pid, binary=b"x")], KEY)
+            run_boot(kernel, [ProcessSpec(pid=pid, binary=b"x")], KEY,
+                     make_relay_program)
 
     def test_duplicate_pid_rejected(self):
         kernel = secure_boot(image_manifest())
         specs = [ProcessSpec(pid=1, binary=b"a"), ProcessSpec(pid=1, binary=b"b")]
         with pytest.raises(ManifestError):
-            run_boot(kernel, specs, KEY)
+            run_boot(kernel, specs, KEY, make_relay_program)
 
     def test_report_mode_tracks_key(self, up_specs):
         for mode in SignMode:
             key = SignKey(mode, bytes.fromhex("cd" * 32))
-            system = bring_up(image_manifest(), up_specs, key)
+            system = bring_up(image_manifest(), up_specs, key, make_relay_program)
             assert system.report.mode == mode.value
 
 

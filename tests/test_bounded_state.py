@@ -13,6 +13,7 @@ from attestsim.boot import SP_PID, ProcessSpec, bring_up, image_manifest
 from attestsim.crypto import SignKey, SignMode
 from attestsim.kernel import TRACE_LEN, ProcState
 from attestsim.prover import DeviceFaultError, ProverRuntime
+from attestsim.userland import make_relay_program
 from attestsim.verifier import DevicePolicy, Policy, Verifier
 
 ROUNDS = 20_000
@@ -32,7 +33,8 @@ def _queues(kernel):
 def test_state_stays_bounded_over_many_rounds():
     specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 256) for pid in (1, 2)]
     key = SignKey(SignMode.HMAC, bytes(range(32)))
-    runtime = ProverRuntime(bring_up(image_manifest(), specs, key))
+    runtime = ProverRuntime(bring_up(image_manifest(), specs, key,
+                                     make_relay_program))
     kernel = runtime.kernel
     golden = {pid: runtime.report.digest_of(pid) for pid in (1, 2)}
     now = [0.0]
@@ -64,7 +66,8 @@ def test_signer_fault_stops_the_device_and_nothing_piles_up(monkeypatch, caplog)
     relay's inbox grows, and the fault is logged once."""
     specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 256) for pid in (1, 2)]
     runtime = ProverRuntime(bring_up(image_manifest(), specs,
-                                     SignKey(SignMode.HMAC, bytes(range(32)))))
+                                     SignKey(SignMode.HMAC, bytes(range(32))),
+                                     make_relay_program))
     kernel = runtime.kernel
     inner = signing.handle_request
     faults = iter([RuntimeError("signer fault")])

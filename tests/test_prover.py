@@ -382,18 +382,40 @@ class TestPhaseLogs:
 
 
 class TestCliPlumbing:
-    def test_daemon_does_not_load_numpy(self):
-        """The daemon's import closure holds device code only: no numpy,
-        no verifier, attack harness or timing audit, and no key
-        serialization (which pulls in the ssh/ec/rsa/dsa modules)."""
-        banned = ["numpy", "attestsim.verifier", "attestsim.attacks",
-                  "attestsim.timing", "cryptography.hazmat.primitives.serialization"]
-        code = ("import sys, attestsim.prover; "
-                f"print(sorted(set({banned!r}) & set(sys.modules)))")
+    # role: (module imported, the attestsim modules it loads, other
+    # modules it must not load)
+    CLOSURES = {
+        "signer": ("attestsim.signing", ["crypto", "kernel", "signing"],
+                   ["socket"]),
+        "boot": ("attestsim.boot", ["boot", "crypto", "kernel", "signing"],
+                 ["socket"]),
+        "verifier": ("attestsim.verifier", ["crypto", "verifier", "wire"], []),
+        "daemon": ("attestsim.prover",
+                   ["boot", "crypto", "kernel", "prover", "signing",
+                    "userland", "wire"],
+                   ["numpy", "attestsim.verifier", "attestsim.attacks",
+                    "attestsim.timing",
+                    "cryptography.hazmat.primitives.serialization"]),
+    }
+
+    @pytest.mark.parametrize("role", CLOSURES)
+    def test_import_closure(self, role):
+        """Each role loads its own side and nothing else, in a fresh
+        interpreter. The RA TCB (signer and boot) loads no network codec,
+        relay or socket; the verifier loads no device code; the daemon
+        loads device code only: no numpy, no verifier, attack harness or
+        timing audit, and no key serialization (which pulls in the
+        ssh/ec/rsa/dsa modules)."""
+        module, own, banned = self.CLOSURES[role]
+        code = (f"import json, sys, {module}; print(json.dumps(["
+                "sorted(m for m in sys.modules if m.startswith('attestsim.')), "
+                f"sorted(set({banned!r}) & set(sys.modules))]))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        loaded, found = json.loads(out.stdout)
+        assert loaded == [f"attestsim.{name}" for name in own]
+        assert found == []
 
     @pytest.mark.parametrize("listen", ["127.0.0.1:7411", "0.0.0.0:0"])
     def test_parse_listen(self, listen):

@@ -28,6 +28,7 @@ from attestsim.signing import (
     signing_program,
     words_from_bytes_be,
 )
+from attestsim.userland import make_relay_program
 from attestsim.wire import AttestRequest, AttestResponse
 
 KEY = SignKey(SignMode.HMAC, bytes.fromhex("5a" * 32))
@@ -293,7 +294,7 @@ class TestInKernel:
         assert state.mmap.entries() == tuple(entries)
 
     def test_interleaved_callers_each_get_their_own_identity(self, up_specs, sign_key):
-        system = bring_up(image_manifest(), up_specs, sign_key)
+        system = bring_up(image_manifest(), up_specs, sign_key, make_relay_program)
         kernel = system.kernel
         chal = bytes([0xEE]) * 32
         kernel.inject_net(1, AttestRequest(1, chal))

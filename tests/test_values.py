@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from attestsim.crypto import AttestToken, LengthMismatchError, SignMode
+from attestsim.crypto import AttestToken, LengthMismatchError, SignMode, record
 from attestsim.verifier import AttestResult
 from attestsim.wire import (
     AttestRequest,
@@ -15,7 +15,6 @@ from attestsim.wire import (
     ChannelConfirm,
     ChannelInit,
     ErrorMsg,
-    record,
 )
 
 VALUES = [

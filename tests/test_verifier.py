@@ -10,12 +10,12 @@ import threading
 import pytest
 
 import attestsim.verifier as verifier_module
-from attestsim.boot import measure_binary
 from attestsim.crypto import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
     SignKey,
     attest_token,
+    measure_binary,
     open_sealed,
     seal,
 )
@@ -682,3 +682,45 @@ class TestCli:
         rc = verifier_main(["attest", "--device", "devX", "--pid", "1",
                             "--policy", policy])
         assert rc == 4
+
+    @staticmethod
+    def _exit_code(argv):
+        """What the process would exit with: argparse exits by raising."""
+        try:
+            return verifier_main(argv)
+        except SystemExit as e:
+            return e.code
+
+    @pytest.mark.parametrize("args", [
+        ["--pid", "1", "--timeout", "-1"],
+        ["--pid", "1", "--timeout", "nan"],
+        ["--pid", "1", "--timeout", "inf"],
+        ["--pid", "1", "--timeout", "0"],
+        ["--pid", "1", "--timeout", "1e30"],    # finite, beyond a time_t
+        ["--pid", "1", "--timeout", "soon"],
+        ["--pid", "abc"],
+        [],                                     # --pid missing
+    ], ids=["negative", "nan", "inf", "zero", "huge", "not-a-number",
+            "pid-not-int", "pid-missing"])
+    def test_usage_error_exit_four(self, env, tmp_path, capsys, args):
+        """A usage error exits 4 with one line, before any connection:
+        2 is reserved for a rejected attestation, 3 for transport."""
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead = probe.getsockname()
+        probe.close()
+        policy = self._policy_with_address(env, dead, tmp_path)
+        rc = self._exit_code(["attest", "--device", "dev0", "--policy", policy,
+                              *args])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_no_command_exit_four(self, capsys):
+        assert self._exit_code([]) == 4
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["attest", "--help"]])
+    def test_help_exit_zero(self, argv, capsys):
+        assert self._exit_code(argv) == 0
+        assert "usage:" in capsys.readouterr().out

@@ -30,6 +30,7 @@ from attestsim.wire import (
     decode,
     decode_payload,
     encode,
+    set_deadlines,
 )
 
 
@@ -419,6 +420,24 @@ class TestFrameStream:
         finally:
             a.shutdown(socket.SHUT_RDWR)    # releases a reader still blocked
             stream.close()
+            b.close()
+
+    @pytest.mark.parametrize("seconds", [-1, -0.5, float("nan"), float("inf"),
+                                         float("-inf")])
+    @pytest.mark.parametrize("before", [None, 0.0, 2.5])
+    def test_refused_deadline_leaves_the_socket_as_it_was(self, seconds, before):
+        a, b = socket.socketpair()
+        try:
+            a.settimeout(before)
+            if before:
+                set_deadlines(a, before)   # a kernel deadline, Python's None
+            timeout, deadlines = a.gettimeout(), self._deadlines(a)
+            with pytest.raises(ValueError):
+                set_deadlines(a, seconds)
+            assert a.gettimeout() == timeout
+            assert self._deadlines(a) == deadlines
+        finally:
+            a.close()
             b.close()
 
     def test_settimeout_touches_the_socket_only_on_a_change(self):
