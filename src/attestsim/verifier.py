@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import threading
@@ -49,6 +48,7 @@ from .crypto import (
     x25519_keypair,
 )
 from .wire import (
+    MAX_TIMEOUT,
     AttestRequest,
     AttestResponse,
     ChannelConfirm,
@@ -445,16 +445,18 @@ def main(argv: Optional[list[str]] = None) -> int:
                        help="user process id to attest")
         p.add_argument("--policy", required=True, help="policy JSON path")
         p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
-                       help="seconds per read and write, finite and above 0")
+                       help="seconds per read and write, above 0 and at most "
+                            f"{MAX_TIMEOUT}")
         p.set_defaults(channel=with_channel)
     args = parser.parse_args(argv)
-    if not 0 < args.timeout < math.inf:
-        parser.error(f"--timeout {args.timeout} is not a finite number above 0")
+    if not 0 < args.timeout <= MAX_TIMEOUT:
+        parser.error(f"--timeout {args.timeout} is not above 0 and at most "
+                     f"{MAX_TIMEOUT}")
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
     try:
         return _cli_attest(args)
-    except (PolicyError, OSError, OverflowError) as e:
+    except (PolicyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
 

@@ -21,7 +21,6 @@ compression, version negotiation) is deliberately absent.
 
 from __future__ import annotations
 
-import math
 import socket
 import struct
 from collections import deque
@@ -33,6 +32,7 @@ from .crypto import record
 MAX_PAYLOAD = 4096
 HEADER_LEN = 5
 READ_SIZE = 65536             # bytes asked of one socket recv
+MAX_TIMEOUT = 2**32           # seconds (~136 years); socket timeouts end at 2**63 ns
 AEAD_TAG_LEN = 16
 
 MSG_ATTEST_REQUEST = 0x01
@@ -281,6 +281,14 @@ def parse_address(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def check_timeout(seconds: Optional[float]) -> None:
+    """Refuse a deadline that is negative, not finite or above
+    ``MAX_TIMEOUT`` with ``ValueError``; ``None`` (no deadline) passes."""
+    if seconds is not None and not 0 <= seconds <= MAX_TIMEOUT:
+        raise ValueError(
+            f"timeout {seconds} is negative, not finite or above {MAX_TIMEOUT}")
+
+
 def set_deadlines(sock: socket.socket, seconds: Optional[float]) -> None:
     """Bound each recv and send on ``sock`` by ``seconds``, in the host kernel.
 
@@ -293,10 +301,10 @@ def set_deadlines(sock: socket.socket, seconds: Optional[float]) -> None:
     ``None`` clears both deadlines. 0 keeps Python's meaning, a
     non-blocking socket, because a zero ``timeval`` means no deadline at
     all; any other value is rounded to whole microseconds, at least one.
-    A negative or non-finite value raises ``ValueError``, socket untouched.
+    A value that ``check_timeout`` refuses raises ``ValueError``, socket
+    untouched.
     """
-    if seconds is not None and not 0 <= seconds < math.inf:
-        raise ValueError(f"timeout {seconds} is negative or not finite")
+    check_timeout(seconds)
     if seconds:
         usec = max(1, round(seconds * 1_000_000))
         timeval = _TIMEVAL.pack(*divmod(usec, 1_000_000))
@@ -315,10 +323,21 @@ class FrameStream:
     Reads go through a ``FrameDecoder``, one ``recv`` of ``READ_SIZE`` at
     a time; frames that arrive together are handed out one per ``recv``.
 
+    A send made while replies already read still wait unconsumed is held,
+    not written: a pipelining caller is still to drain them, and its next
+    window should reach the peer in one write, to be read in one read and
+    answered in one write. Held frames go out in order, in one
+    ``sendall``, at the first ``recv`` that has to read the socket, at the
+    next send made with nothing unread (ahead of that send's frame), at
+    ``close``, or as soon as ``READ_SIZE`` bytes are held. A caller that
+    has consumed every reply, as every serial round has, writes each send
+    at once. A ``LostSync`` is not a reply.
+
     The timeout is a deadline per ``recv`` and per ``sendall``, enforced
     by the host kernel (``set_deadlines``). A socket that arrives with a
     Python timeout is converted when the stream is built. An expired
-    deadline raises ``TimeoutError``.
+    deadline raises ``TimeoutError``, from the ``recv`` that writes held
+    frames too.
     """
 
     def __init__(self, sock: socket.socket):
@@ -328,10 +347,14 @@ class FrameStream:
             set_deadlines(sock, self._timeout)
         self._decoder = FrameDecoder()
         self._ready: deque[Union[tuple[int, bytes], LostSync]] = deque()
+        self._held = bytearray()
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: Optional[float] = None
                 ) -> "FrameStream":
+        """Connect, bounding the connect and then each read and write by
+        ``timeout``; ``ValueError`` from ``check_timeout`` comes first."""
+        check_timeout(timeout)
         sock = socket.create_connection((host, port), timeout=timeout)
         return cls(sock)
 
@@ -346,6 +369,24 @@ class FrameStream:
         self.send_raw(encode(msg))
 
     def send_raw(self, data: bytes) -> None:
+        ready, held = self._ready, self._held
+        if ready and type(ready[0]) is not LostSync:
+            # a reply waits unread, so a recv that reads the socket is to come
+            held += data
+            if len(held) >= READ_SIZE:
+                self._flush()
+        elif held:
+            held += data
+            self._flush()
+        else:
+            try:
+                self._sock.sendall(data)
+            except BlockingIOError as e:
+                raise TimeoutError(f"send not done within {self._timeout}s") from e
+
+    def _flush(self) -> None:
+        """Write the held frames, in order, in one ``sendall``."""
+        data, self._held = self._held, bytearray()
         try:
             self._sock.sendall(data)
         except BlockingIOError as e:
@@ -356,6 +397,8 @@ class FrameStream:
         ``allow_eof`` is set, otherwise raises TruncatedError; EOF inside a
         frame, header included, always raises TruncatedError."""
         while not self._ready:
+            if self._held:
+                self._flush()       # the reply to wait for may answer one
             try:
                 data = self._sock.recv(READ_SIZE)
             except BlockingIOError as e:
@@ -375,6 +418,13 @@ class FrameStream:
         return decode_payload(*item)
 
     def close(self) -> None:
+        """Write any held frames, then close the socket. Neither step
+        raises ``OSError``: a peer that is gone can take no more frames."""
+        try:
+            if self._held:
+                self._flush()
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

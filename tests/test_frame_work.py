@@ -1,4 +1,4 @@
-"""Python work per frame, as a count that repeats exactly: the calls the
+"""Work per frame, as counts that repeat exactly. First the calls the
 interpreter makes (``sys.settrace`` "call" events, which include every
 resume of a generator) for one daemon-side AttestRequest frame and for one
 verifier round. Timings on a shared machine swing by tens of percent; this
@@ -8,20 +8,32 @@ per-frame path shows here first.
 The bounds are the counts of an HMAC round. They include the register
 calls of ``ProcessApi``, 26 per round: 8 ``set_mr`` and 8 ``get_mr`` for
 the request, then 5 of each for the reply.
+
+Then the writes of a pipelining verifier: with ``PIPELINE_DEPTH`` rounds
+in flight, a ``FrameStream`` sends each window of requests in one write.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from collections import deque
 
 import attestsim.prover as prover
 from attestsim.prover import ProverServer
 from attestsim.verifier import Policy, Verifier
-from attestsim.wire import AttestRequest, FrameDecoder, FrameStream, encode
+from attestsim.wire import (
+    AttestRequest,
+    AttestResponse,
+    FrameDecoder,
+    FrameStream,
+    decode_payload,
+    encode,
+)
 
 DAEMON_FRAME_CALLS = 54     # feed, decode, route (kernel, relay, signer), encode
 VERIFIER_ROUND_CALLS = 20   # challenge, send, recv, check_response
+PIPELINE_DEPTH = 32         # rounds in flight, as perfbench's pipelined load
 
 
 def calls_in(fn, *args) -> int:
@@ -71,3 +83,59 @@ def test_verifier_round_calls(env, daemon):
         counts = [calls_in(verifier.attest, "dev0", pid, stream)
                   for pid in (1, 2)]
     assert counts[0] == counts[1] <= VERIFIER_ROUND_CALLS
+
+
+class ScriptedDaemon:
+    """A socket whose peer answers as the daemon does: each read returns
+    the replies to every request written since the last read, in one
+    chunk. An AttestResponse echoes the request's pid, and its challenge
+    as the tag."""
+
+    def __init__(self):
+        self.decoder = FrameDecoder()
+        self.replies = bytearray()
+        self.sendalls = 0
+
+    def gettimeout(self):
+        return None
+
+    def sendall(self, data) -> None:
+        self.sendalls += 1
+        for item in self.decoder.feed(bytes(data)):
+            pid, chal = decode_payload(*item)
+            self.replies += encode(AttestResponse(0, pid, bytes(32), chal))
+
+    def recv(self, size: int) -> bytes:
+        assert self.replies, "recv would block"
+        data = bytes(self.replies[:size])
+        del self.replies[:size]
+        return data
+
+    def close(self) -> None:
+        pass
+
+
+def test_pipelined_rounds_go_out_a_window_per_write():
+    """Once the window is primed (one write per request, as with nothing
+    unread), N more rounds with PIPELINE_DEPTH in flight make at most
+    N / PIPELINE_DEPTH + 2 writes, and every reply answers its own round."""
+    rounds = PIPELINE_DEPTH * 20
+    peer = ScriptedDaemon()
+    stream = FrameStream(peer)
+    inflight: deque = deque()
+
+    def issue(pid: int) -> None:
+        chal = os.urandom(32)
+        stream.send(AttestRequest(pid, chal))
+        inflight.append((pid, chal))
+
+    for pid in range(PIPELINE_DEPTH):
+        issue(pid)
+    assert peer.sendalls == PIPELINE_DEPTH
+    peer.sendalls = 0
+    for pid in range(PIPELINE_DEPTH, PIPELINE_DEPTH + rounds):
+        expected = inflight.popleft()
+        resp = stream.recv()
+        assert (resp.pid, resp.sigma) == expected
+        issue(pid)
+    assert peer.sendalls <= rounds // PIPELINE_DEPTH + 2

@@ -13,8 +13,13 @@ What is compared, in both signing modes:
 * a boot under a signing key and ``ROUNDS`` ``attest_once`` rounds, for
   two keys and two challenge sets: the secrets are the key and the
   challenges, while pids, binaries and the round order stay the same;
+* ``signing.handle_request`` on its own, under two keys, for the same
+  badge and registers;
 * ``verify_token`` on a tag wrong in its first byte and on one wrong in
-  its last byte.
+  its last byte;
+* the verifier's ``check_response`` under two device keys, on an accepted
+  round and on one rejected for a wrong tag: the verdicts must be equal
+  too, and its lines are traced in ``verifier`` as well as the TCB.
 
 Each comparison runs after an untraced warm-up, because first calls take
 one-off paths (``VerifyKey`` builds its HMAC pads or its pyca key object
@@ -41,10 +46,14 @@ import attestsim.boot as boot
 import attestsim.crypto as crypto
 import attestsim.kernel as kernel
 import attestsim.signing as signing
+import attestsim.verifier as verifier
 from attestsim.boot import ProcessSpec, bring_up, image_manifest
 from attestsim.crypto import AttestToken, SignKey, SignMode, attest_token, verify_token
 from attestsim.prover import ProverRuntime
+from attestsim.signing import FIRST_BADGE, REQUEST_LEN, SpState, words_from_bytes_be
 from attestsim.userland import make_relay_program
+from attestsim.verifier import DevicePolicy, Policy, SigInvalidError, Verifier
+from attestsim.wire import AttestResponse
 
 TCB = (kernel, crypto, signing, boot)
 TCB_FILES = frozenset(module.__file__ for module in TCB)
@@ -58,9 +67,10 @@ secrets = st.binary(min_size=32, max_size=32)
 challenge_sets = st.lists(secrets, min_size=ROUNDS, max_size=ROUNDS)
 
 
-def traced(fn) -> tuple[list[tuple[str, int]], object]:
+def traced(fn, files: frozenset = TCB_FILES) -> tuple[list[tuple[str, int]], object]:
     """Run ``fn``; return the ``(file, line)`` of every line it executed in
-    the TCB modules' files, in order, and what ``fn`` returned."""
+    ``files`` (the TCB modules' by default), in order, and what ``fn``
+    returned."""
     lines: list[tuple[str, int]] = []
 
     def local(frame, event, arg):
@@ -69,7 +79,7 @@ def traced(fn) -> tuple[list[tuple[str, int]], object]:
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code.co_filename in TCB_FILES else None
+        return local if frame.f_code.co_filename in files else None
 
     previous = sys.gettrace()
     sys.settrace(calls)
@@ -114,6 +124,47 @@ def wrong_tag_lines(mode: SignMode, secret: bytes) -> tuple[list, list]:
     return traces[0], traces[1]
 
 
+def handle_request_lines(mode: SignMode, secret: bytes) -> list:
+    """``handle_request``'s lines for one fixed badge and request, under
+    the key ``secret``."""
+    state = SpState(SignKey(mode, secret))
+    state.install([(spec.pid, bytes([spec.pid]) * 32) for spec in SPECS])
+    regs = words_from_bytes_be(M + PK)
+    badge = FIRST_BADGE + 1
+    signing.handle_request(state, badge, REQUEST_LEN, regs)         # warm-up
+    lines, (status, _) = traced(
+        lambda: signing.handle_request(state, badge, REQUEST_LEN, regs))
+    assert status == signing.STATUS_OK
+    return lines
+
+
+def check_response_run(mode: SignMode, secret: bytes, wrong_tag: bool):
+    """One ``check_response`` under the device key ``secret``, after a
+    warm-up round of the same kind. Returns its lines and its verdict:
+    the accepted result without the key-made tag, or the rejection."""
+    key = SignKey(mode, secret)
+    dev = DevicePolicy("dev0", key.verify_key(), {1: M})
+    chals = iter([bytes(32), bytes([1]) * 32])
+    judge = Verifier(Policy({"dev0": dev}), clock=lambda: 0.0,
+                     rng=lambda n: next(chals))
+    for _ in range(2):
+        chal = judge.new_challenge()
+        sigma = attest_token(key, chal, PK, M).sig
+        if wrong_tag:
+            sigma = bytes([sigma[0] ^ 1]) + sigma[1:]
+        resp = AttestResponse(0, 1, PK, sigma)
+
+        def judged():
+            try:
+                result = judge.check_response("dev0", 1, chal, resp)
+            except SigInvalidError as e:
+                return type(e).__name__, str(e)
+            return result._replace(sigma=b"")
+
+        lines, verdict = traced(judged, TCB_FILES | {verifier.__file__})
+    return lines, verdict
+
+
 def compile_in(module, source: str, name: str, scope: dict):
     """``source``'s function ``name``, compiled as if it were in
     ``module``'s file, so that its lines are traced."""
@@ -132,6 +183,31 @@ def test_device_path_is_secret_independent(mode, keys, chals):
     assert {f for f, _ in lines_a} == TCB_FILES     # every TCB module ran
     assert lines_a == lines_b
     assert trace_a == trace_b
+
+
+@MODES
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(keys=st.lists(secrets, min_size=2, max_size=2, unique=True))
+def test_handle_request_is_secret_independent(mode, keys):
+    lines_a = handle_request_lines(mode, keys[0])
+    assert {f for f, _ in lines_a} == {signing.__file__, crypto.__file__}
+    assert lines_a == handle_request_lines(mode, keys[1])
+
+
+@MODES
+@pytest.mark.parametrize("wrong_tag", [False, True], ids=["accepted", "wrong-tag"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(keys=st.lists(secrets, min_size=2, max_size=2, unique=True))
+def test_check_response_is_secret_independent(mode, wrong_tag, keys):
+    lines_a, verdict_a = check_response_run(mode, keys[0], wrong_tag)
+    lines_b, verdict_b = check_response_run(mode, keys[1], wrong_tag)
+    assert verifier.__file__ in {f for f, _ in lines_a}
+    assert verdict_a == verdict_b
+    if wrong_tag:
+        assert verdict_a == ("SigInvalidError", "token does not verify")
+    else:
+        assert verdict_a.pid == 1 and verdict_a.measurement == M
+    assert lines_a == lines_b
 
 
 @MODES

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import errno
+import itertools
 import socket
 import struct
 import threading
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,7 @@ from attestsim.wire import (
     HEADER_LEN,
     MAX_PAYLOAD,
     MSG_ATTEST_REQUEST,
+    READ_SIZE,
     AttestRequest,
     AttestResponse,
     BadLengthError,
@@ -296,6 +300,67 @@ class TestFrameDecoder:
             assert payload == frame[HEADER_LEN:]
 
 
+class ScriptedSocket:
+    """A socket stand-in that logs every ``sendall``, ``recv`` and ``close``
+    in call order. ``recv`` hands out the queued chunks one per call and
+    fails where a real socket would block."""
+
+    def __init__(self, *chunks: bytes):
+        self.inbox = deque(chunks)
+        self.log: list[tuple] = []
+
+    def gettimeout(self):
+        return None
+
+    def sendall(self, data) -> None:
+        self.log.append(("sendall", bytes(data)))
+
+    def recv(self, size: int) -> bytes:
+        self.log.append(("recv",))
+        assert self.inbox, "recv would block"
+        return self.inbox.popleft()
+
+    def close(self) -> None:
+        self.log.append(("close",))
+
+    def writes(self) -> list[bytes]:
+        return [entry[1] for entry in self.log if entry[0] == "sendall"]
+
+
+class EchoSocket:
+    """A peer that echoes every byte written, in reads cut to the sizes
+    given, taken in turn. ``owed`` is what the caller has asked the stream
+    to send; a read while some of it is unwritten could wait forever on a
+    real peer, so it fails here."""
+
+    def __init__(self, sizes: list[int]):
+        self.pending = bytearray()
+        self.sizes = itertools.cycle(sizes)
+        self.written = self.owed = 0
+
+    def gettimeout(self):
+        return None
+
+    def sendall(self, data) -> None:
+        self.written += len(data)
+        self.pending += data
+
+    def recv(self, size: int) -> bytes:
+        assert self.written == self.owed, "read while frames were held"
+        assert self.pending, "recv would block"
+        n = min(size, next(self.sizes))
+        data = bytes(self.pending[:n])
+        del self.pending[:n]
+        return data
+
+    def close(self) -> None:
+        pass
+
+
+def _request(i: int) -> bytes:
+    return encode(AttestRequest(pid=i, chal=bytes([i % 256]) * 32))
+
+
 class TestFrameStream:
     def _pair(self):
         a, b = socket.socketpair()
@@ -423,7 +488,7 @@ class TestFrameStream:
             b.close()
 
     @pytest.mark.parametrize("seconds", [-1, -0.5, float("nan"), float("inf"),
-                                         float("-inf")])
+                                         float("-inf"), 1e30])
     @pytest.mark.parametrize("before", [None, 0.0, 2.5])
     def test_refused_deadline_leaves_the_socket_as_it_was(self, seconds, before):
         a, b = socket.socketpair()
@@ -461,3 +526,134 @@ class TestFrameStream:
         for value in (None, 5.0, 5.0, 5, 2.5, None, None):
             stream.settimeout(value)
         assert sock.calls == [5.0, 2.5, None]
+
+    @pytest.mark.parametrize("timeout", [-1, float("nan"), float("inf"),
+                                         1e12, 1e30])
+    def test_refused_connect_timeout_makes_no_socket(self, timeout, monkeypatch):
+        def create_connection(*args, **kwargs):
+            raise AssertionError("a socket was made")
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        with pytest.raises(ValueError):
+            FrameStream.connect("127.0.0.1", 9, timeout=timeout)
+
+    def test_sends_behind_unread_replies_go_out_in_one_write(self):
+        """With k replies unread, k sends write nothing; the next read of
+        the socket comes after exactly one write of all k frames, in order."""
+        k = 3
+        sock = ScriptedSocket(b"".join(encode(ErrorMsg(i)) for i in range(k + 1)),
+                              encode(ErrorMsg(9)))
+        stream = FrameStream(sock)
+        assert stream.recv() == ErrorMsg(0)
+        requests = [AttestRequest(pid=i, chal=bytes([i]) * 32) for i in range(k)]
+        for msg in requests:
+            stream.send(msg)
+        assert [stream.recv() for _ in range(k)] == [ErrorMsg(i + 1) for i in range(k)]
+        assert sock.log == [("recv",)]
+        assert stream.recv() == ErrorMsg(9)
+        assert sock.log == [("recv",),
+                            ("sendall", b"".join(map(encode, requests))),
+                            ("recv",)]
+
+    def test_a_send_with_nothing_unread_goes_out_at_once(self):
+        """It is written at once, after any held frames and in the same
+        write; with nothing held it is written alone."""
+        sock = ScriptedSocket(encode(ErrorMsg(1)) + encode(ErrorMsg(2)))
+        stream = FrameStream(sock)
+        stream.recv()
+        stream.send_raw(_request(1))                    # one reply unread: held
+        assert stream.recv() == ErrorMsg(2)
+        stream.send_raw(_request(2))
+        stream.send_raw(_request(3))
+        assert sock.log == [("recv",), ("sendall", _request(1) + _request(2)),
+                            ("sendall", _request(3))]
+
+    def test_close_writes_the_held_frames(self):
+        sock = ScriptedSocket(encode(ErrorMsg(1)) * 2)
+        stream = FrameStream(sock)
+        stream.recv()
+        stream.send_raw(_request(1))
+        stream.send_raw(_request(2))
+        stream.close()
+        assert sock.log == [("recv",), ("sendall", _request(1) + _request(2)),
+                            ("close",)]
+
+    def test_close_closes_when_the_held_frames_cannot_go(self):
+        class Gone(ScriptedSocket):
+            def sendall(self, data):
+                raise BrokenPipeError(errno.EPIPE, "peer gone")
+
+        sock = Gone(encode(ErrorMsg(1)) * 2)
+        stream = FrameStream(sock)
+        stream.recv()
+        stream.send_raw(_request(1))
+        stream.close()
+        assert sock.log == [("recv",), ("close",)]
+
+    def test_held_bytes_stay_under_one_read(self):
+        """Frames are held only until ``READ_SIZE`` bytes are: no write is
+        larger than one read plus one frame, and none is lost."""
+        sock = ScriptedSocket(encode(ErrorMsg(1)) * 2)
+        stream = FrameStream(sock)
+        stream.recv()                   # one reply stays unread throughout
+        frame = encode(ChannelInit(eph_pk=bytes(32), nonce=bytes(12),
+                                   ct=bytes(MAX_PAYLOAD - 44)))
+        sent = 0
+        for _ in range(3 * READ_SIZE // len(frame)):
+            stream.send_raw(frame)
+            sent += len(frame)
+            assert sent - sum(map(len, sock.writes())) < READ_SIZE
+        assert len(sock.writes()) >= 2
+        assert all(len(w) < READ_SIZE + len(frame) for w in sock.writes())
+        stream.close()
+        assert b"".join(sock.writes()) == frame * (sent // len(frame))
+
+    def test_lost_sync_is_not_an_unread_reply(self):
+        """After the last frame ahead of a lost-framing header is read, a
+        send goes out at once: only the error is left to read."""
+        sock = ScriptedSocket(encode(ErrorMsg(1))
+                              + struct.pack(">IB", MAX_PAYLOAD + 1, 0x01))
+        stream = FrameStream(sock)
+        assert stream.recv() == ErrorMsg(1)
+        stream.send_raw(_request(1))
+        assert sock.log == [("recv",), ("sendall", _request(1))]
+        with pytest.raises(BadLengthError):
+            stream.recv()
+
+    def test_a_held_write_past_its_deadline_times_out_the_recv(self):
+        class Stalled(ScriptedSocket):
+            def sendall(self, data):
+                super().sendall(data)
+                raise BlockingIOError(errno.EAGAIN, "send deadline expired")
+
+        sock = Stalled(encode(ErrorMsg(1)) * 2, encode(ErrorMsg(2)))
+        stream = FrameStream(sock)
+        stream.recv()
+        stream.send_raw(_request(1))
+        stream.recv()
+        with pytest.raises(TimeoutError):
+            stream.recv()
+        assert sock.log == [("recv",), ("sendall", _request(1))]
+
+    @given(ops=st.lists(st.one_of(st.none(), st.integers(0, 2**16))),
+           sizes=st.lists(st.integers(1, 120), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_interleaving_against_an_echo_peer(self, ops, sizes):
+        """Sends (an integer) and reads (``None``) in any order: every frame
+        comes back in order, and no read of the socket happens while a
+        frame is held."""
+        sock = EchoSocket(sizes)
+        stream = FrameStream(sock)
+        sent, got = [], []
+        for op in ops:
+            if op is None:
+                if len(got) < len(sent):
+                    got.append(stream.recv())
+                continue
+            msg = ErrorMsg(op) if op < 256 else AttestRequest(op, bytes(32))
+            sock.owed += len(encode(msg))
+            stream.send(msg)
+            sent.append(msg)
+        while len(got) < len(sent):
+            got.append(stream.recv())
+        assert got == sent
