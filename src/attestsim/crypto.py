@@ -1,10 +1,9 @@
-"""Token composition, constant-time comparison, keys, and channel crypto.
+"""Token composition, constant-time comparison, and keys.
 
-Primitives (SHA-256, Ed25519, X25519, HKDF, ChaCha20-Poly1305) come from
-hashlib and the pyca cryptography package; HMAC-SHA256 is built here on
-hashlib's SHA-256, from the key's pads hashed once (RFC 2104). What is
-defined here, and covered bit-for-bit by the test suite, is the
-composition:
+Primitives (SHA-256, Ed25519) come from hashlib and the pyca cryptography
+package; HMAC-SHA256 is built here on hashlib's SHA-256, from the key's
+pads hashed once (RFC 2104). What is defined here, and covered
+bit-for-bit by the test suite, is the composition:
 
 * the 96-byte token preimage ``chal(32) || pk(32) || m(32)``,
 * the token itself, ``Sign(K, SHA-256(preimage))`` in either HMAC-SHA256
@@ -12,8 +11,9 @@ composition:
   32-byte digest),
 * the constant-time equality used wherever a secret-derived value is
   compared,
-* session-key derivation for the post-attestation channel,
 * ``measure_binary``, and ``record``, the tuple-backed value type.
+
+The channel's crypto is in ``channel``, outside the RA TCB.
 """
 
 from __future__ import annotations
@@ -25,20 +25,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 DIGEST_LEN = 32
 CHAL_LEN = 32
@@ -46,16 +39,11 @@ PK_LEN = 32
 SEED_LEN = 32
 HMAC_SIG_LEN = 32
 ED25519_SIG_LEN = 64
-SESSION_KEY_LEN = 32
-NONCE_LEN = 12
 SHA256_BLOCK_LEN = 64
 
 # byte -> byte ^ pad, for bytes.translate
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
-
-CHANNEL_AD_INIT = b"attest-channel init"
-CHANNEL_AD_CONFIRM = b"attest-channel confirm"
 
 
 class CryptoError(Exception):
@@ -66,16 +54,12 @@ class LengthMismatchError(CryptoError):
     pass
 
 
-class AllZeroSharedSecretError(CryptoError):
-    """X25519 produced the all-zero point (low-order peer key)."""
-
-
 class KeystoreError(CryptoError):
     pass
 
 
 class KeyZeroizedError(CryptoError):
-    """A zeroized signing key was asked to sign."""
+    """A zeroized signing key was asked to sign or for its verify key."""
 
 
 class EmptyBinaryError(CryptoError):
@@ -168,7 +152,7 @@ class SignKey:
     ``zeroize()`` scrubs the seed in place and drops the key object and
     the HMAC states. Both live in native memory that Python cannot
     overwrite, so dropping the references is all zeroize can do for them.
-    Either way a zeroized key refuses to sign.
+    Either way a zeroized key refuses to sign or to give its verify key.
     """
 
     __slots__ = ("mode", "_secret", "_ed25519", "_hmac_pads", "_zeroized")
@@ -191,9 +175,12 @@ class SignKey:
         return bytes(self._secret)
 
     def verify_key(self) -> "VerifyKey":
+        if self._zeroized:
+            raise KeyZeroizedError("signing key was zeroized")
         if self.mode is SignMode.HMAC:
             return VerifyKey(SignMode.HMAC, bytes(self._secret))
-        return VerifyKey(SignMode.ED25519, ed25519_public_key(bytes(self._secret)))
+        return VerifyKey(SignMode.ED25519,
+                         self._ed25519.public_key().public_bytes_raw())
 
     def sign_digest(self, digest: bytes) -> bytes:
         """HMAC tag or Ed25519 signature over ``digest``."""
@@ -334,77 +321,6 @@ def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,
     except InvalidSignature:
         return False
     return True
-
-
-# --- Ed25519 / X25519 wrappers -------------------------------------------
-
-def ed25519_public_key(seed: bytes) -> bytes:
-    if len(seed) != SEED_LEN:
-        raise LengthMismatchError(f"seed must be {SEED_LEN} bytes")
-    return Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
-
-
-def ed25519_sign(seed: bytes, message: bytes) -> bytes:
-    if len(seed) != SEED_LEN:
-        raise LengthMismatchError(f"seed must be {SEED_LEN} bytes")
-    return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
-
-
-X25519Private = Union[bytes, X25519PrivateKey]
-
-
-def x25519_keypair() -> tuple[X25519PrivateKey, bytes]:
-    """A fresh X25519 private-key object and its raw public key.
-
-    Pass the object, not its bytes, to ``derive_session_key``: building a
-    key object from bytes derives the public key again, which costs about
-    as much as the exchange itself.
-    """
-    private = X25519PrivateKey.generate()
-    return private, private.public_key().public_bytes_raw()
-
-
-def x25519_public_key(private: bytes) -> bytes:
-    return X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
-
-
-def x25519_shared(private: X25519Private, peer_public: bytes) -> bytes:
-    """Raw X25519; rejects the contributory-behavior failure case.
-
-    ``private`` is the 32 raw bytes or a key object built once by the
-    caller."""
-    if not isinstance(private, X25519PrivateKey):
-        private = X25519PrivateKey.from_private_bytes(private)
-    pub = X25519PublicKey.from_public_bytes(peer_public)
-    try:
-        return private.exchange(pub)
-    except ValueError as e:
-        raise AllZeroSharedSecretError(str(e)) from e
-
-
-def derive_session_key(private: X25519Private, peer_public: bytes,
-                       transcript: bytes) -> bytes:
-    """HKDF-SHA256 over the X25519 shared secret, bound to the attestation
-    transcript (chal || pk || sigma) via the info parameter."""
-    ikm = x25519_shared(private, peer_public)
-    return HKDF(algorithm=SHA256(), length=SESSION_KEY_LEN, salt=None,
-                info=transcript).derive(ikm)
-
-
-def seal(key: bytes, nonce: bytes, plaintext: bytes, ad: bytes) -> bytes:
-    if len(nonce) != NONCE_LEN:
-        raise LengthMismatchError(f"nonce must be {NONCE_LEN} bytes")
-    return ChaCha20Poly1305(key).encrypt(nonce, plaintext, ad)
-
-
-def open_sealed(key: bytes, nonce: bytes, ciphertext: bytes, ad: bytes) -> Optional[bytes]:
-    """AEAD open; returns None on authentication failure."""
-    if len(nonce) != NONCE_LEN:
-        raise LengthMismatchError(f"nonce must be {NONCE_LEN} bytes")
-    try:
-        return ChaCha20Poly1305(key).decrypt(nonce, ciphertext, ad)
-    except InvalidTag:
-        return None
 
 
 # --- keystore file --------------------------------------------------------

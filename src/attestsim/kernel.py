@@ -106,7 +106,6 @@ class Rights:
     read: bool = False
     write: bool = False
     execute: bool = False
-    grant: bool = False
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Generator
 
-from .crypto import (
+from .channel import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
     NONCE_LEN,

@@ -28,24 +28,26 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .crypto import (
-    CHAL_LEN,
+from .channel import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
     NONCE_LEN,
+    derive_session_key,
+    open_sealed,
+    seal,
+    x25519_keypair,
+)
+from .crypto import (
+    CHAL_LEN,
     AttestToken,
     EmptyBinaryError,
     LengthMismatchError,
     SignMode,
     VerifyKey,
     ct_equal,
-    derive_session_key,
     measure_binary,
-    open_sealed,
     record,
-    seal,
     verify_token,
-    x25519_keypair,
 )
 from .wire import (
     MAX_TIMEOUT,
@@ -348,16 +350,18 @@ class Verifier:
             raise StaleChallengeError("challenge outlived its ttl")
 
     def attest(self, device_id: str, pid: int, stream: FrameStream) -> AttestResult:
-        """One full round over an open stream: challenge, send, judge."""
+        """One full round over an open stream: challenge, send, judge. A
+        pid ``encode`` refuses raises its ``WireError`` before any send."""
         chal = self.new_challenge()
         stream.settimeout(self.timeout)
         try:
             stream.send(AttestRequest(pid, chal))
-            resp = stream.recv()
+            try:
+                resp = stream.recv()
+            except WireError as e:
+                raise ProverError(255, f"protocol: {e}") from e
         except TimeoutError as e:
             raise AttestTimeoutError(f"no response within {self.timeout}s") from e
-        except WireError as e:
-            raise ProverError(255, f"protocol: {e}") from e
         if isinstance(resp, ErrorMsg):
             raise ProverError(resp.code, "daemon")
         if not isinstance(resp, AttestResponse):
@@ -452,6 +456,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not 0 < args.timeout <= MAX_TIMEOUT:
         parser.error(f"--timeout {args.timeout} is not above 0 and at most "
                      f"{MAX_TIMEOUT}")
+    if not 0 <= args.pid < 2**64:
+        parser.error(f"--pid {args.pid} is outside 0 to 2**64 - 1")
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
     try:

@@ -274,10 +274,11 @@ class FrameDecoder:
 
 
 def parse_address(text: str) -> tuple[str, int]:
-    """``"host:port"`` as ``(host, port)``; ``ValueError`` otherwise."""
+    """``"host:port"``, with a port in 0-65535, as ``(host, port)``;
+    ``ValueError`` otherwise."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"address must be host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 0xFFFF:
+        raise ValueError(f"address must be host:port, port 0-65535, got {text!r}")
     return host, int(port)
 
 

@@ -18,23 +18,20 @@ import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from scipy.stats import spearmanr
 
 from attestsim.attacks import build_env
 from attestsim.boot import ProcessSpec, bring_up, image_manifest, measure_binary
-from attestsim.crypto import (
+from attestsim.channel import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
-    SignKey,
-    SignMode,
     derive_session_key,
-    ed25519_sign,
     open_sealed,
     seal,
-    sha256,
-    x25519_public_key,
     x25519_shared,
 )
+from attestsim.crypto import SignKey, SignMode, sha256
 from attestsim.kernel import (
     AuthorityError,
     Call,
@@ -217,12 +214,12 @@ def test_04_signer_state_invariant():
     def do_channel_ok() -> None:
         pid = rng.choice(sorted(last))
         chal, pk, sigma = last[pid]
-        eph = rng.randbytes(32)
+        eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
         session = derive_session_key(eph, pk, chal + pk + sigma)
         token = rng.randbytes(32)
         nonce = rng.randbytes(12)
         out = runtime.channel_once(pid, chal, sigma, ChannelInit(
-            eph_pk=x25519_public_key(eph), nonce=nonce,
+            eph_pk=eph.public_key().public_bytes_raw(), nonce=nonce,
             ct=seal(session, nonce, token, CHANNEL_AD_INIT)))
         echoed = open_sealed(session, out.nonce, out.ct, CHANNEL_AD_CONFIRM)
         assert echoed == token
@@ -230,8 +227,9 @@ def test_04_signer_state_invariant():
     def do_channel_garbage() -> None:
         pid = rng.choice([1, 2, 3])
         chal, _, sigma = last[pid]
+        eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
         runtime.channel_once(pid, chal, sigma, ChannelInit(
-            eph_pk=x25519_public_key(rng.randbytes(32)),
+            eph_pk=eph.public_key().public_bytes_raw(),
             nonce=rng.randbytes(12), ct=rng.randbytes(48)))
 
     def do_malformed_direct() -> None:
@@ -290,14 +288,13 @@ def test_05_standards_vectors():
          "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
          "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"),
     ]:
-        secret = bytes.fromhex(seed)
-        key = SignKey(SignMode.ED25519, secret)
+        key = SignKey(SignMode.ED25519, bytes.fromhex(seed))
         assert key.verify_key().material.hex() == pk
-        assert ed25519_sign(secret, bytes.fromhex(msg)).hex() == sig
+        assert key.sign_digest(bytes.fromhex(msg)).hex() == sig
         checks += 2
     shared = x25519_shared(
-        bytes.fromhex("a546e36bf0527c9d3b16154b82465edd"
-                      "62144c0ac1fc5a18506a2244ba449ac4"),
+        X25519PrivateKey.from_private_bytes(bytes.fromhex(
+            "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4")),
         bytes.fromhex("e6db6867583030db3594c1a424b15f7c"
                       "726624ec26b3353b10a903a6d0ab1c4c"))
     assert shared.hex() == ("c3da55379de9c6908e94ea4df28d084f"

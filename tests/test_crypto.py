@@ -20,10 +20,17 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attestsim.crypto import (
+from attestsim.channel import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
     AllZeroSharedSecretError,
+    derive_session_key,
+    open_sealed,
+    seal,
+    x25519_keypair,
+    x25519_shared,
+)
+from attestsim.crypto import (
     AttestToken,
     KeystoreError,
     KeyZeroizedError,
@@ -34,20 +41,12 @@ from attestsim.crypto import (
     attest_preimage,
     attest_token,
     ct_equal,
-    derive_session_key,
-    ed25519_public_key,
-    ed25519_sign,
     hmac_pads,
     hmac_sha256,
     load_keystore,
-    open_sealed,
-    seal,
     sha256,
     verify_token,
     write_keystore,
-    x25519_keypair,
-    x25519_public_key,
-    x25519_shared,
 )
 
 SHA256_VECTORS = [
@@ -93,6 +92,10 @@ X25519_BASE_K = "09" + "00" * 31
 X25519_BASE_OUT = "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"
 
 
+def x25519_private(hex_scalar: str) -> X25519PrivateKey:
+    return X25519PrivateKey.from_private_bytes(bytes.fromhex(hex_scalar))
+
+
 class TestPrimitiveVectors:
     @pytest.mark.parametrize("msg,digest", SHA256_VECTORS)
     def test_sha256(self, msg, digest):
@@ -104,22 +107,22 @@ class TestPrimitiveVectors:
 
     @pytest.mark.parametrize("seed,pk,msg,sig", ED25519_VECTORS)
     def test_ed25519(self, seed, pk, msg, sig):
-        seed_b = bytes.fromhex(seed)
-        assert ed25519_public_key(seed_b).hex() == pk
-        assert ed25519_sign(seed_b, bytes.fromhex(msg)).hex() == sig
+        key = SignKey(SignMode.ED25519, bytes.fromhex(seed))
+        assert key.verify_key().material.hex() == pk
+        assert key.sign_digest(bytes.fromhex(msg)).hex() == sig
 
     def test_x25519_vector(self):
-        assert x25519_shared(bytes.fromhex(X25519_SCALAR),
+        assert x25519_shared(x25519_private(X25519_SCALAR),
                              bytes.fromhex(X25519_U)).hex() == X25519_OUT
 
     def test_x25519_base_point(self):
-        k = bytes.fromhex(X25519_BASE_K)
+        k = x25519_private(X25519_BASE_K)
         assert x25519_shared(k, bytes.fromhex(X25519_BASE_K)).hex() == X25519_BASE_OUT
-        assert x25519_public_key(k).hex() == X25519_BASE_OUT
+        assert k.public_key().public_bytes_raw().hex() == X25519_BASE_OUT
 
     def test_x25519_low_order_rejected(self):
         with pytest.raises(AllZeroSharedSecretError):
-            x25519_shared(bytes.fromhex(X25519_SCALAR), bytes(32))
+            x25519_shared(x25519_private(X25519_SCALAR), bytes(32))
 
 
 class TestHmacPads:
@@ -186,16 +189,13 @@ class TestToken:
         assert len(token.sig) == 32
 
     def test_eddsa_token_verifies_via_raw_library(self):
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-            Ed25519PublicKey,
-        )
         seed = bytes.fromhex("22" * 32)
         key = SignKey(SignMode.ED25519, seed)
         token = attest_token(key, self.chal, self.pk, self.m)
         assert len(token.sig) == 64
         digest = hashlib.sha256(self.chal + self.pk + self.m).digest()
-        Ed25519PublicKey.from_public_bytes(
-            ed25519_public_key(seed)).verify(token.sig, digest)
+        Ed25519PrivateKey.from_private_bytes(seed).public_key().verify(
+            token.sig, digest)
 
     def test_eddsa_is_deterministic(self):
         key = SignKey(SignMode.ED25519, bytes.fromhex("33" * 32))
@@ -303,6 +303,9 @@ class TestSignKey:
                        for ref in gc.get_referents(key))
         with pytest.raises(KeyZeroizedError):
             attest_token(key, bytes(32), bytes(32), bytes(32))
+        # nor gives a verify key: the zeroed seed's is not this key's
+        with pytest.raises(KeyZeroizedError):
+            key.verify_key()
 
     def test_secret_length_enforced(self):
         with pytest.raises(LengthMismatchError):
@@ -387,27 +390,18 @@ class TestKeystore:
 
 class TestChannelCrypto:
     def test_both_sides_derive_the_same_key(self):
-        a_priv = bytes.fromhex("10" * 32)
-        b_priv = bytes.fromhex("20" * 32)
-        transcript = b"shared transcript"
-        k1 = derive_session_key(a_priv, x25519_public_key(b_priv), transcript)
-        k2 = derive_session_key(b_priv, x25519_public_key(a_priv), transcript)
-        assert k1 == k2 and len(k1) == 32
-
-    def test_key_object_derives_what_its_bytes_derive(self):
-        a_priv = bytes.fromhex("10" * 32)
+        a_priv = x25519_private("10" * 32)
         b_priv, b_pub = x25519_keypair()
         assert b_pub == b_priv.public_key().public_bytes_raw()
-        a_obj = X25519PrivateKey.from_private_bytes(a_priv)
-        k1 = derive_session_key(a_obj, b_pub, b"t")
-        assert k1 == derive_session_key(a_priv, b_pub, b"t")
-        assert k1 == derive_session_key(b_priv, x25519_public_key(a_priv), b"t")
-        with pytest.raises(AllZeroSharedSecretError):
-            x25519_shared(a_obj, bytes(32))
+        a_pub = a_priv.public_key().public_bytes_raw()
+        transcript = b"shared transcript"
+        k1 = derive_session_key(a_priv, b_pub, transcript)
+        k2 = derive_session_key(b_priv, a_pub, transcript)
+        assert k1 == k2 and len(k1) == 32
 
     def test_transcript_binds_the_key(self):
-        a_priv = bytes.fromhex("10" * 32)
-        b_pub = x25519_public_key(bytes.fromhex("20" * 32))
+        a_priv = x25519_private("10" * 32)
+        b_pub = x25519_private("20" * 32).public_key().public_bytes_raw()
         assert derive_session_key(a_priv, b_pub, b"t1") != \
             derive_session_key(a_priv, b_pub, b"t2")
 

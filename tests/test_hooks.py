@@ -21,14 +21,14 @@ import attestsim.signing as signing
 import attestsim.userland as userland
 import attestsim.verifier as verifier
 from attestsim.boot import measure_binary
-from attestsim.crypto import (
+from attestsim.channel import (
     CHANNEL_AD_INIT,
     NONCE_LEN,
-    SignMode,
     derive_session_key,
     seal,
     x25519_keypair,
 )
+from attestsim.crypto import SignMode
 from attestsim.prover import BackgroundDaemon
 from attestsim.verifier import DevicePolicy, Policy, Verifier
 from attestsim.wire import ChannelConfirm, ChannelInit, FrameStream

@@ -21,18 +21,15 @@ import attestsim.signing as signing
 import attestsim.userland as userland
 from attestsim.attacks import build_env
 from attestsim.boot import SP_PID
-from attestsim.crypto import (
+from attestsim.channel import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
-    AttestToken,
-    SignMode,
     derive_session_key,
     open_sealed,
     seal,
-    verify_token,
     x25519_keypair,
-    x25519_public_key,
 )
+from attestsim.crypto import AttestToken, SignMode, verify_token
 import attestsim.prover as prover
 from attestsim.prover import (
     BackgroundDaemon,
@@ -166,7 +163,7 @@ class TestDaemonTcp:
         assert reply == ErrorMsg(code=ERR_UNKNOWN_PID)
 
     def test_channel_before_attest_has_no_context(self, env, daemon):
-        init = ChannelInit(eph_pk=x25519_public_key(b"\x01" * 32),
+        init = ChannelInit(eph_pk=x25519_keypair()[1],
                            nonce=bytes(12), ct=bytes(16))
         with connect(daemon) as stream:
             stream.send(init)
@@ -381,18 +378,26 @@ class TestPhaseLogs:
         assert order == sorted(order)
 
 
+# the pyca packages of the channel's X25519, HKDF and ChaCha20-Poly1305
+CHANNEL_PYCA = ["cryptography.hazmat.primitives.ciphers",
+                "cryptography.hazmat.primitives.kdf",
+                "cryptography.hazmat.primitives.asymmetric.x25519"]
+
+
 class TestCliPlumbing:
     # role: (module imported, the attestsim modules it loads, other
     # modules it must not load)
     CLOSURES = {
         "signer": ("attestsim.signing", ["crypto", "kernel", "signing"],
-                   ["socket"]),
+                   ["socket", *CHANNEL_PYCA]),
         "boot": ("attestsim.boot", ["boot", "crypto", "kernel", "signing"],
-                 ["socket"]),
-        "verifier": ("attestsim.verifier", ["crypto", "verifier", "wire"], []),
+                 ["socket", *CHANNEL_PYCA]),
+        "channel": ("attestsim.channel", ["channel", "crypto"], ["socket"]),
+        "verifier": ("attestsim.verifier",
+                     ["channel", "crypto", "verifier", "wire"], []),
         "daemon": ("attestsim.prover",
-                   ["boot", "crypto", "kernel", "prover", "signing",
-                    "userland", "wire"],
+                   ["boot", "channel", "crypto", "kernel", "prover",
+                    "signing", "userland", "wire"],
                    ["numpy", "attestsim.verifier", "attestsim.attacks",
                     "attestsim.timing",
                     "cryptography.hazmat.primitives.serialization"]),
@@ -402,7 +407,8 @@ class TestCliPlumbing:
     def test_import_closure(self, role):
         """Each role loads its own side and nothing else, in a fresh
         interpreter. The RA TCB (signer and boot) loads no network codec,
-        relay or socket; the verifier loads no device code; the daemon
+        relay, socket or channel crypto; channel crypto loads no kernel
+        and no socket; the verifier loads no device code; the daemon
         loads device code only: no numpy, no verifier, attack harness or
         timing audit, and no key serialization (which pulls in the
         ssh/ec/rsa/dsa modules)."""
@@ -417,22 +423,25 @@ class TestCliPlumbing:
         assert loaded == [f"attestsim.{name}" for name in own]
         assert found == []
 
-    @pytest.mark.parametrize("listen", ["127.0.0.1:7411", "0.0.0.0:0"])
+    @pytest.mark.parametrize("listen", ["127.0.0.1:7411", "0.0.0.0:0",
+                                        "h:65535"])
     def test_parse_listen(self, listen):
         host, port = parse_address(listen)
         assert listen == f"{host}:{port}"
 
-    @pytest.mark.parametrize("listen", ["nohost", ":7411", "h:port", ""])
+    @pytest.mark.parametrize("listen", ["nohost", ":7411", "h:port", "",
+                                        "h:65536", "h:70000", "h:99999"])
     def test_parse_listen_rejects(self, listen):
         with pytest.raises(ValueError):
             parse_address(listen)
 
     def test_policy_address_rejects(self, env):
         raw = json.loads(env.policy_path.read_text())
-        raw["devices"]["dev0"]["address"] = "h:port"
-        env.policy_path.write_text(json.dumps(raw))
-        with pytest.raises(PolicyError, match="host:port"):
-            Policy.load(str(env.policy_path))
+        for address in ("h:port", "127.0.0.1:65536", "127.0.0.1:99999"):
+            raw["devices"]["dev0"]["address"] = address
+            env.policy_path.write_text(json.dumps(raw))
+            with pytest.raises(PolicyError, match="host:port"):
+                Policy.load(str(env.policy_path))
 
     def test_help_lists_only_deployment_options(self, capsys):
         with pytest.raises(SystemExit):
@@ -450,6 +459,17 @@ class TestCliPlumbing:
                            "--manifest", str(tmp_path / "no.json")])
         assert rc == 1
         assert "proverd:" in capsys.readouterr().err
+
+    def test_main_refuses_a_port_above_65535_before_boot(self, env, caplog,
+                                                         capsys):
+        config = env.config
+        rc = proverd_main(["--listen", "127.0.0.1:70000",
+                           "--keystore", config.keystore_path,
+                           "--anchors", config.anchors_path,
+                           "--manifest", config.manifest_path])
+        assert rc == 1
+        assert "0-65535" in capsys.readouterr().err
+        assert not any("phase=boot" in r.getMessage() for r in caplog.records)
 
     def test_main_rejects_bad_listen(self, tmp_path, capsys):
         rc = proverd_main(["--listen", "bad",

@@ -10,15 +10,8 @@ import threading
 import pytest
 
 import attestsim.verifier as verifier_module
-from attestsim.crypto import (
-    CHANNEL_AD_CONFIRM,
-    CHANNEL_AD_INIT,
-    SignKey,
-    attest_token,
-    measure_binary,
-    open_sealed,
-    seal,
-)
+from attestsim.channel import CHANNEL_AD_CONFIRM, CHANNEL_AD_INIT, open_sealed, seal
+from attestsim.crypto import SignKey, attest_token, measure_binary
 from attestsim.verifier import (
     AttestFailure,
     AttestResult,
@@ -38,6 +31,7 @@ from attestsim.verifier import (
 )
 from attestsim.wire import (
     AttestResponse,
+    BadLengthError,
     ChannelConfirm,
     ErrorMsg,
     FrameStream,
@@ -487,6 +481,20 @@ class TestAttestStream:
         t.join(timeout=5)
         assert ei.value.code == 1
 
+    @pytest.mark.parametrize("pid", [-1, 2**64])
+    def test_pid_outside_u64_is_refused_before_send(self, sign_key, up_specs,
+                                                    pid):
+        """``encode``'s refusal of the verifier's own request is not a
+        prover error: its ``WireError`` comes back, and nothing is sent."""
+        verifier = Verifier(make_policy(sign_key, up_specs))
+        a, b = socket.socketpair()
+        with a, b:
+            with pytest.raises(BadLengthError, match="pid"):
+                verifier.attest("dev0", pid, FrameStream(a))
+            b.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                b.recv(1)
+
     def test_unexpected_type_rejected(self, pair, sign_key, up_specs):
         left, right = pair
         verifier = Verifier(make_policy(sign_key, up_specs))
@@ -699,9 +707,11 @@ class TestCli:
         ["--pid", "1", "--timeout", "1e30"],    # finite, beyond a time_t
         ["--pid", "1", "--timeout", "soon"],
         ["--pid", "abc"],
+        ["--pid", "-1"],
+        ["--pid", str(2**64)],
         [],                                     # --pid missing
     ], ids=["negative", "nan", "inf", "zero", "huge", "not-a-number",
-            "pid-not-int", "pid-missing"])
+            "pid-not-int", "pid-negative", "pid-beyond-u64", "pid-missing"])
     def test_usage_error_exit_four(self, env, tmp_path, capsys, args):
         """A usage error exits 4 with one line, before any connection:
         2 is reserved for a rejected attestation, 3 for transport."""
