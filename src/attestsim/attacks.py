@@ -32,7 +32,7 @@ from .boot import (
 from .crypto import SignKey, SignMode, load_keystore, write_keystore
 from .kernel import Call, NetRecv
 from .prover import BackgroundDaemon, ProverConfig, ProverRuntime
-from .signing import STATUS_MALFORMED, bytes_from_words_be, words_from_bytes_be
+from .signing import STATUS_MALFORMED, WORDS
 from .timing import audit_comparator, audit_ct_equal
 from .userland import make_relay_program
 from .verifier import (
@@ -286,12 +286,12 @@ def scenario_malformed_ipc(work: Path, t: list[str]) -> Outcome:
                 while True:
                     event = yield NetRecv()
                     for i, word in enumerate(
-                            words_from_bytes_be(event.chal + bytes(32))[:5]):
+                            WORDS[5].unpack(event.chal + bytes(8))):
                         ctx.set_mr(i, word)
                     reply_len = yield Call(sp_cap, 5)   # 8 is well-formed
                     status = ctx.get_mr(0)
-                    sigma = bytes_from_words_be(
-                        [ctx.get_mr(i) for i in range(1, reply_len)])
+                    sigma = WORDS[reply_len - 1].pack(
+                        *[ctx.get_mr(i) for i in range(1, reply_len)])
                     ctx.net_send(
                         AttestResponse(status, event.pid, bytes(32), sigma))
             return rogue

@@ -41,12 +41,7 @@ from .kernel import (
     Rights,
     SELF_CODE_REGION,
 )
-from .signing import (
-    FIRST_BADGE,
-    SpState,
-    signing_program,
-    words_from_bytes_be,
-)
+from .signing import FIRST_BADGE, WORDS, SpState, signing_program
 
 log = logging.getLogger(__name__)
 
@@ -282,7 +277,7 @@ def transfer_mmap(kernel: Kernel, sp_boot_cap: int,
     """
     words = [len(entries)]
     for pid, digest in entries:
-        words += [pid, *words_from_bytes_be(digest)]
+        words += [pid, *WORDS[len(digest) // 8].unpack(digest)]
 
     def program(ctx: ProcessApi):
         for i, word in enumerate(words):

@@ -8,10 +8,10 @@ bit-for-bit by the test suite, is the composition:
 * the 96-byte token preimage ``chal(32) || pk(32) || m(32)``,
 * the token itself, ``Sign(K, SHA-256(preimage))`` in either HMAC-SHA256
   mode (32-byte tag) or Ed25519 mode (64-byte detached signature over the
-  32-byte digest),
+  32-byte digest), carried as those signature bytes alone,
 * the constant-time equality used wherever a secret-derived value is
   compared,
-* ``measure_binary``, and ``record``, the tuple-backed value type.
+* ``measure_binary``.
 
 The channel's crypto is in ``channel``, outside the RA TCB.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import os
 import stat
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -232,62 +231,6 @@ class VerifyKey:
         return cls(mode, material)
 
 
-# --- value types ----------------------------------------------------------
-
-def record(cls: type) -> type:
-    """Class decorator: an immutable value type backed by a tuple.
-
-    The fields are the class's annotations, in order. The result is a
-    ``namedtuple`` of the same name: construction, attribute access and
-    the repr are those of a frozen dataclass, while building one costs one
-    tuple. Equality and hash include the type, so a record never equals a
-    plain tuple or a record of another type with the same fields. Names
-    defined in the class body are kept; a ``__new__`` there may check the
-    fields before it calls ``tuple.__new__(cls, fields)``, and ``_make``
-    and ``_replace`` build through it too.
-    """
-    rec = namedtuple(cls.__name__, tuple(cls.__annotations__),
-                     module=cls.__module__)
-    for name, value in vars(cls).items():
-        if name not in ("__dict__", "__weakref__"):
-            setattr(rec, name, value)
-    rec.__qualname__ = cls.__qualname__
-    rec.__eq__ = _record_eq
-    rec.__ne__ = _record_ne
-    rec.__hash__ = _record_hash
-    rec._make = classmethod(_record_make)
-    return rec
-
-
-def _record_eq(self, other) -> bool:
-    return type(self) is type(other) and tuple.__eq__(self, other)
-
-
-def _record_ne(self, other) -> bool:
-    return not _record_eq(self, other)
-
-
-def _record_hash(self) -> int:
-    return hash((type(self), tuple(self)))
-
-
-def _record_make(cls, iterable):
-    return cls(*iterable)
-
-
-@record
-class AttestToken:
-    mode: SignMode
-    sig: bytes
-
-    def __new__(cls, mode: SignMode, sig: bytes):
-        want = HMAC_SIG_LEN if mode is _HMAC else ED25519_SIG_LEN
-        if len(sig) != want:
-            raise LengthMismatchError(
-                f"{mode.value} token must be {want} bytes, got {len(sig)}")
-        return tuple.__new__(cls, (mode, sig))
-
-
 # --- token composition ----------------------------------------------------
 
 def attest_preimage(chal: bytes, pk: bytes, m: bytes) -> bytes:
@@ -301,23 +244,27 @@ def attest_preimage(chal: bytes, pk: bytes, m: bytes) -> bytes:
     return chal + pk + m
 
 
-def attest_token(key: SignKey, chal: bytes, pk: bytes, m: bytes) -> AttestToken:
-    """Sign the SHA-256 digest of the preimage under the key's mode."""
+def attest_token(key: SignKey, chal: bytes, pk: bytes, m: bytes) -> bytes:
+    """Sign the SHA-256 digest of the preimage under the key's mode: a
+    32-byte HMAC tag or a 64-byte Ed25519 signature."""
     digest = hashlib.sha256(attest_preimage(chal, pk, m)).digest()
-    return AttestToken(key.mode, key.sign_digest(digest))
+    return key.sign_digest(digest)
 
 
 def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,
-                 token: AttestToken) -> bool:
+                 sig: bytes) -> bool:
     """Check a token against the expected preimage; never raises on a bad
-    signature, only on malformed inputs."""
-    if token.mode is not vk.mode:
-        return False
+    signature, only on malformed inputs. A token of the wrong length for
+    the key's mode is malformed: ``LengthMismatchError``."""
+    want = HMAC_SIG_LEN if vk.mode is _HMAC else ED25519_SIG_LEN
+    if len(sig) != want:
+        raise LengthMismatchError(
+            f"{vk.mode.value} token must be {want} bytes, got {len(sig)}")
     digest = hashlib.sha256(attest_preimage(chal, pk, m)).digest()
     if vk.mode is _HMAC:
-        return ct_equal(hmac_sha256(vk._hmac_pads, digest), token.sig)
+        return ct_equal(hmac_sha256(vk._hmac_pads, digest), sig)
     try:
-        vk._ed25519.verify(token.sig, digest)
+        vk._ed25519.verify(sig, digest)
     except InvalidSignature:
         return False
     return True

@@ -39,21 +39,11 @@ STATUS_MALFORMED = 3
 # a request or of an Ed25519 signature
 WORDS = tuple(struct.Struct(f">{n}Q") for n in range(REQUEST_LEN + 1))
 _REQUEST = WORDS[REQUEST_LEN]     # MR0..MR7 as the 64 request bytes
+_DIGEST = WORDS[ENTRY_LEN - 1]    # a map entry's four digest words
 
 
 class SigningError(Exception):
     pass
-
-
-def words_from_bytes_be(data: bytes) -> list[int]:
-    """Pack bytes (length a multiple of 8) into big-endian 64-bit words."""
-    if len(data) % 8 != 0:
-        raise SigningError(f"byte length {len(data)} not word-aligned")
-    return list(struct.unpack(f">{len(data) // 8}Q", data))
-
-
-def bytes_from_words_be(words: list[int]) -> bytes:
-    return struct.pack(f">{len(words)}Q", *words)
 
 
 class FrozenMeasurementMap:
@@ -149,9 +139,8 @@ def handle_request(state: SpState, badge: int, msg_len: int,
     if not FIRST_BADGE <= badge < FIRST_BADGE + len(entries):
         return STATUS_UNKNOWN_BADGE, [STATUS_UNKNOWN_BADGE]
     raw = _REQUEST.pack(*regs)
-    token = attest_token(state.sign_key, raw[:CHAL_LEN], raw[CHAL_LEN:],
-                         entries[badge - FIRST_BADGE][1])
-    sig = token.sig
+    sig = attest_token(state.sign_key, raw[:CHAL_LEN], raw[CHAL_LEN:],
+                       entries[badge - FIRST_BADGE][1])
     return STATUS_OK, [STATUS_OK, *WORDS[len(sig) // 8].unpack(sig)]
 
 
@@ -178,7 +167,7 @@ def signing_program(state: SpState, boot_cap: int, attest_cap: int):
             set_mr(0, 1)
             reply(1)
         words = [get_mr(i) for i in range(1, msg_len)]
-        state.install([(words[i], bytes_from_words_be(words[i + 1:i + ENTRY_LEN]))
+        state.install([(words[i], _DIGEST.pack(*words[i + 1:i + ENTRY_LEN]))
                        for i in range(0, len(words), ENTRY_LEN)])
         set_mr(0, 0)
         reply(1)

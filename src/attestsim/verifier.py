@@ -39,14 +39,12 @@ from .channel import (
 )
 from .crypto import (
     CHAL_LEN,
-    AttestToken,
     EmptyBinaryError,
     LengthMismatchError,
     SignMode,
     VerifyKey,
     ct_equal,
     measure_binary,
-    record,
     verify_token,
 )
 from .wire import (
@@ -59,6 +57,7 @@ from .wire import (
     FrameStream,
     WireError,
     parse_address,
+    record,
 )
 
 log = logging.getLogger(__name__)
@@ -326,12 +325,11 @@ class Verifier:
                 f"response names pid {resp_pid}, requested {pid}")
         if dev.pin_pk:
             _check_pin(dev, pid, pk)
-        vk = dev.vk
         try:
-            token = AttestToken(vk.mode, sigma)
+            good = verify_token(dev.vk, chal, pk, expected_m, sigma)
         except LengthMismatchError as e:
             raise SigInvalidError(str(e)) from e
-        if not verify_token(vk, chal, pk, expected_m, token):
+        if not good:
             raise SigInvalidError("token does not verify")
         if dev.pin_pk:
             with dev.pin_lock:
@@ -351,11 +349,16 @@ class Verifier:
 
     def attest(self, device_id: str, pid: int, stream: FrameStream) -> AttestResult:
         """One full round over an open stream: challenge, send, judge. A
-        pid ``encode`` refuses raises its ``WireError`` before any send."""
+        pid ``encode`` refuses raises its ``WireError`` before any send,
+        with the challenge withdrawn."""
         chal = self.new_challenge()
         stream.settimeout(self.timeout)
         try:
-            stream.send(AttestRequest(pid, chal))
+            try:
+                stream.send(AttestRequest(pid, chal))
+            except WireError:
+                self.ledger.consume(chal)       # withdraw: it went nowhere
+                raise
             try:
                 resp = stream.recv()
             except WireError as e:

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import socket
 import struct
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Optional, Union
-
-from .crypto import record
 
 MAX_PAYLOAD = 4096
 HEADER_LEN = 5
@@ -75,6 +73,37 @@ class UnknownTypeError(WireError):
 
 class BadLengthError(WireError):
     pass
+
+
+def record(cls: type) -> type:
+    """Class decorator: an immutable value type backed by a tuple.
+
+    The fields are the class's annotations, in order, and nothing else in
+    the class body is kept. The result is a ``namedtuple`` of the same
+    name: construction, attribute access and the repr are those of a
+    frozen dataclass, while building one costs one tuple. Equality and
+    hash include the type, so a record never equals a plain tuple or a
+    record of another type with the same fields.
+    """
+    rec = namedtuple(cls.__name__, tuple(cls.__annotations__),
+                     module=cls.__module__)
+    rec.__qualname__ = cls.__qualname__
+    rec.__eq__ = _record_eq
+    rec.__ne__ = _record_ne
+    rec.__hash__ = _record_hash
+    return rec
+
+
+def _record_eq(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return not _record_eq(self, other)
+
+
+def _record_hash(self) -> int:
+    return hash((type(self), tuple(self)))
 
 
 @record
@@ -166,8 +195,8 @@ def encode(msg: WireMessage) -> bytes:
 
 def decode_payload(mtype: int, payload: bytes) -> WireMessage:
     """Strict per-type payload parser; every byte must be accounted for."""
-    # The two attestation records have no __new__ of their own, so
-    # tuple.__new__ builds them from their fields without a Python call.
+    # No record checks its fields when built, so tuple.__new__ builds the
+    # two attestation messages without namedtuple's Python-level __new__.
     n = len(payload)
     if mtype == MSG_ATTEST_REQUEST:
         if n != 40:
@@ -274,10 +303,10 @@ class FrameDecoder:
 
 
 def parse_address(text: str) -> tuple[str, int]:
-    """``"host:port"``, with a port in 0-65535, as ``(host, port)``;
-    ``ValueError`` otherwise."""
+    """``"host:port"``, with a port of ASCII digits in 0-65535, as
+    ``(host, port)``; ``ValueError`` otherwise."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit() or int(port) > 0xFFFF:
+    if not (host and port.isascii() and port.isdigit()) or int(port) > 0xFFFF:
         raise ValueError(f"address must be host:port, port 0-65535, got {text!r}")
     return host, int(port)
 

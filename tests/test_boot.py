@@ -51,13 +51,7 @@ from attestsim.crypto import (
     SignMode,
     measure_binary,
 )
-from attestsim.signing import (
-    ENTRY_LEN,
-    SigningError,
-    SpState,
-    bytes_from_words_be,
-    words_from_bytes_be,
-)
+from attestsim.signing import ENTRY_LEN, WORDS, SigningError, SpState
 from attestsim.userland import make_relay_program
 
 
@@ -199,7 +193,8 @@ class TestTransferProtocol:
     @given(digest=st.binary(min_size=32, max_size=32))
     @settings(max_examples=100, deadline=None)
     def test_digest_word_packing_roundtrips(self, digest):
-        assert bytes_from_words_be(words_from_bytes_be(digest)) == digest
+        layout = WORDS[ENTRY_LEN - 1]
+        assert layout.pack(*layout.unpack(digest)) == digest
 
 
 class TestRunBoot:

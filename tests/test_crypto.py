@@ -31,7 +31,6 @@ from attestsim.channel import (
     x25519_shared,
 )
 from attestsim.crypto import (
-    AttestToken,
     KeystoreError,
     KeyZeroizedError,
     LengthMismatchError,
@@ -150,9 +149,9 @@ class TestHmacPads:
         pk, m = digest, bytes(32)
         sig = hmaclib.digest(secret, sha256(chal + pk + m), "sha256")
         vk = VerifyKey(SignMode.HMAC, secret)
-        assert verify_token(vk, chal, pk, m, AttestToken(SignMode.HMAC, sig))
+        assert verify_token(vk, chal, pk, m, sig)
         forged = bytes([sig[0] ^ 1]) + sig[1:]
-        assert not verify_token(vk, chal, pk, m, AttestToken(SignMode.HMAC, forged))
+        assert not verify_token(vk, chal, pk, m, forged)
 
 
 class TestPreimage:
@@ -185,23 +184,23 @@ class TestToken:
             bytes.fromhex("11" * 32),
             hashlib.sha256(self.chal + self.pk + self.m).digest(),
             hashlib.sha256).digest()
-        assert token.sig == expected
-        assert len(token.sig) == 32
+        assert token == expected
+        assert len(token) == 32
 
     def test_eddsa_token_verifies_via_raw_library(self):
         seed = bytes.fromhex("22" * 32)
         key = SignKey(SignMode.ED25519, seed)
         token = attest_token(key, self.chal, self.pk, self.m)
-        assert len(token.sig) == 64
+        assert len(token) == 64
         digest = hashlib.sha256(self.chal + self.pk + self.m).digest()
         Ed25519PrivateKey.from_private_bytes(seed).public_key().verify(
-            token.sig, digest)
+            token, digest)
 
     def test_eddsa_is_deterministic(self):
         key = SignKey(SignMode.ED25519, bytes.fromhex("33" * 32))
         t1 = attest_token(key, self.chal, self.pk, self.m)
         t2 = attest_token(key, self.chal, self.pk, self.m)
-        assert t1.sig == t2.sig
+        assert t1 == t2
 
     @pytest.mark.parametrize("mode", [SignMode.HMAC, SignMode.ED25519])
     def test_verify_accepts_genuine(self, mode):
@@ -216,8 +215,7 @@ class TestToken:
         token = attest_token(key, self.chal, self.pk, self.m)
         parts = {"chal": self.chal, "pk": self.pk, "m": self.m}
         if field == "sig":
-            mutated = bytes([token.sig[0] ^ 1]) + token.sig[1:]
-            token = AttestToken(mode, mutated)
+            token = bytes([token[0] ^ 1]) + token[1:]
         else:
             value = parts[field]
             parts[field] = bytes([value[0] ^ 1]) + value[1:]
@@ -225,17 +223,22 @@ class TestToken:
                                 parts["m"], token)
 
     def test_verify_rejects_cross_mode(self):
+        # a 32-byte HMAC tag is a malformed Ed25519 token
         key = SignKey(SignMode.HMAC, bytes.fromhex("66" * 32))
         token = attest_token(key, self.chal, self.pk, self.m)
         eddsa_vk = SignKey(SignMode.ED25519, bytes.fromhex("66" * 32)).verify_key()
-        assert not verify_token(eddsa_vk, self.chal, self.pk, self.m, token)
+        with pytest.raises(LengthMismatchError,
+                           match="eddsa token must be 64 bytes, got 32"):
+            verify_token(eddsa_vk, self.chal, self.pk, self.m, token)
 
     @pytest.mark.parametrize("mode,badlen", [
         (SignMode.HMAC, 64), (SignMode.HMAC, 31),
         (SignMode.ED25519, 32), (SignMode.ED25519, 63)])
     def test_token_length_enforced_by_type(self, mode, badlen):
-        with pytest.raises(LengthMismatchError):
-            AttestToken(mode, bytes(badlen))
+        vk = SignKey(mode, bytes.fromhex("77" * 32)).verify_key()
+        with pytest.raises(LengthMismatchError,
+                           match=f"{mode.value} token must be .* got {badlen}"):
+            verify_token(vk, self.chal, self.pk, self.m, bytes(badlen))
 
 
 class TestCtEqual:

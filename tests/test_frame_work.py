@@ -7,7 +7,8 @@ per-frame path shows here first.
 
 The bounds are the counts of an HMAC round. They include the register
 calls of ``ProcessApi``, 26 per round: 8 ``set_mr`` and 8 ``get_mr`` for
-the request, then 5 of each for the reply.
+the request, then 5 of each for the reply. The token is its signature
+bytes on both sides, so neither side builds a token object.
 
 Then the writes of a pipelining verifier: with ``PIPELINE_DEPTH`` rounds
 in flight, a ``FrameStream`` sends each window of requests in one write.
@@ -31,8 +32,8 @@ from attestsim.wire import (
     encode,
 )
 
-DAEMON_FRAME_CALLS = 54     # feed, decode, route (kernel, relay, signer), encode
-VERIFIER_ROUND_CALLS = 20   # challenge, send, recv, check_response
+DAEMON_FRAME_CALLS = 53     # feed, decode, route (kernel, relay, signer), encode
+VERIFIER_ROUND_CALLS = 19   # challenge, send, recv, check_response
 PIPELINE_DEPTH = 32         # rounds in flight, as perfbench's pipelined load
 
 

@@ -29,7 +29,7 @@ from attestsim.channel import (
     seal,
     x25519_keypair,
 )
-from attestsim.crypto import AttestToken, SignMode, verify_token
+from attestsim.crypto import SignMode, verify_token
 import attestsim.prover as prover
 from attestsim.prover import (
     BackgroundDaemon,
@@ -99,9 +99,8 @@ class TestRuntimeInjection:
         chal = b"\x21" * 32
         reply = runtime.attest_once(1, chal)
         m = booted.report.digest_of(1)
-        token = AttestToken(sign_key.mode, reply.sigma)
         assert reply.status == 0
-        assert verify_token(sign_key.verify_key(), chal, reply.pk, m, token)
+        assert verify_token(sign_key.verify_key(), chal, reply.pk, m, reply.sigma)
 
     @given(rounds=st.lists(st.tuples(st.sampled_from([1, 2, 3]),
                                      st.binary(min_size=32, max_size=32)),
@@ -226,8 +225,7 @@ class TestDaemonTcp:
                 continue
             assert isinstance(reply, AttestResponse) and reply.pid == pid
             m = daemon.runtime.report.digest_of(pid)
-            assert verify_token(vk, chal, reply.pk, m,
-                                AttestToken(vk.mode, reply.sigma))
+            assert verify_token(vk, chal, reply.pk, m, reply.sigma)
 
     def test_frames_before_oversize_header_are_answered(self, daemon):
         with connect(daemon) as stream:
@@ -393,6 +391,7 @@ class TestCliPlumbing:
         "boot": ("attestsim.boot", ["boot", "crypto", "kernel", "signing"],
                  ["socket", *CHANNEL_PYCA]),
         "channel": ("attestsim.channel", ["channel", "crypto"], ["socket"]),
+        "wire": ("attestsim.wire", ["wire"], []),
         "verifier": ("attestsim.verifier",
                      ["channel", "crypto", "verifier", "wire"], []),
         "daemon": ("attestsim.prover",
@@ -408,7 +407,8 @@ class TestCliPlumbing:
         """Each role loads its own side and nothing else, in a fresh
         interpreter. The RA TCB (signer and boot) loads no network codec,
         relay, socket or channel crypto; channel crypto loads no kernel
-        and no socket; the verifier loads no device code; the daemon
+        and no socket; the wire codec loads no other attestsim module;
+        the verifier loads no device code; the daemon
         loads device code only: no numpy, no verifier, attack harness or
         timing audit, and no key serialization (which pulls in the
         ssh/ec/rsa/dsa modules)."""
@@ -430,14 +430,16 @@ class TestCliPlumbing:
         assert listen == f"{host}:{port}"
 
     @pytest.mark.parametrize("listen", ["nohost", ":7411", "h:port", "",
-                                        "h:65536", "h:70000", "h:99999"])
+                                        "h:65536", "h:70000", "h:99999",
+                                        "h:\u0663\u0663", "h:\u00b2"])
     def test_parse_listen_rejects(self, listen):
         with pytest.raises(ValueError):
             parse_address(listen)
 
     def test_policy_address_rejects(self, env):
         raw = json.loads(env.policy_path.read_text())
-        for address in ("h:port", "127.0.0.1:65536", "127.0.0.1:99999"):
+        for address in ("h:port", "127.0.0.1:65536", "127.0.0.1:99999",
+                        "h:\u0663\u0663", "h:\u00b2"):
             raw["devices"]["dev0"]["address"] = address
             env.policy_path.write_text(json.dumps(raw))
             with pytest.raises(PolicyError, match="host:port"):

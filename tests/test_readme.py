@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from attestsim.crypto import AttestToken, sha256, verify_token
+from attestsim.crypto import sha256, verify_token
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,4 +23,4 @@ def test_in_process_quick_start_runs_as_printed(tmp_path, monkeypatch):
     reply, key = scope["reply"], scope["key"]
     assert reply.status == 0 and reply.pid == 1
     assert verify_token(key.verify_key(), scope["chal"], reply.pk,
-                        sha256(firmware), AttestToken(key.mode, reply.sigma))
+                        sha256(firmware), reply.sigma)

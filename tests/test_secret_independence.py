@@ -48,9 +48,9 @@ import attestsim.kernel as kernel
 import attestsim.signing as signing
 import attestsim.verifier as verifier
 from attestsim.boot import ProcessSpec, bring_up, image_manifest
-from attestsim.crypto import AttestToken, SignKey, SignMode, attest_token, verify_token
+from attestsim.crypto import SignKey, SignMode, attest_token, verify_token
 from attestsim.prover import ProverRuntime
-from attestsim.signing import FIRST_BADGE, REQUEST_LEN, SpState, words_from_bytes_be
+from attestsim.signing import FIRST_BADGE, REQUEST_LEN, WORDS, SpState
 from attestsim.userland import make_relay_program
 from attestsim.verifier import DevicePolicy, Policy, SigInvalidError, Verifier
 from attestsim.wire import AttestResponse
@@ -111,13 +111,13 @@ def wrong_tag_lines(mode: SignMode, secret: bytes) -> tuple[list, list]:
     wrong in its last byte."""
     key = SignKey(mode, secret)
     vk = key.verify_key()
-    sig = attest_token(key, bytes(32), PK, M).sig
-    verify_token(vk, bytes(32), PK, M, AttestToken(mode, sig))     # warm-up
+    sig = attest_token(key, bytes(32), PK, M)
+    verify_token(vk, bytes(32), PK, M, sig)                         # warm-up
     traces = []
     for pos in (0, len(sig) - 1):
         bad = bytearray(sig)
         bad[pos] ^= 1
-        token = AttestToken(mode, bytes(bad))
+        token = bytes(bad)
         lines, ok = traced(lambda: verify_token(vk, bytes(32), PK, M, token))
         assert ok is False
         traces.append(lines)
@@ -129,7 +129,7 @@ def handle_request_lines(mode: SignMode, secret: bytes) -> list:
     the key ``secret``."""
     state = SpState(SignKey(mode, secret))
     state.install([(spec.pid, bytes([spec.pid]) * 32) for spec in SPECS])
-    regs = words_from_bytes_be(M + PK)
+    regs = list(WORDS[REQUEST_LEN].unpack(M + PK))
     badge = FIRST_BADGE + 1
     signing.handle_request(state, badge, REQUEST_LEN, regs)         # warm-up
     lines, (status, _) = traced(
@@ -149,7 +149,7 @@ def check_response_run(mode: SignMode, secret: bytes, wrong_tag: bool):
                      rng=lambda n: next(chals))
     for _ in range(2):
         chal = judge.new_challenge()
-        sigma = attest_token(key, chal, PK, M).sig
+        sigma = attest_token(key, chal, PK, M)
         if wrong_tag:
             sigma = bytes([sigma[0] ^ 1]) + sigma[1:]
         resp = AttestResponse(0, 1, PK, sigma)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestsim.boot import SP_PID, bring_up, image_manifest
-from attestsim.crypto import AttestToken, SignKey, SignMode, verify_token
+from attestsim.crypto import SignKey, SignMode, verify_token
 from attestsim.kernel import Call, Kernel, KernelProcessSpec, ProcState, Rights
 from attestsim.signing import (
     ENTRY_LEN,
@@ -20,13 +20,12 @@ from attestsim.signing import (
     STATUS_MALFORMED,
     STATUS_OK,
     STATUS_UNKNOWN_BADGE,
+    WORDS,
     FrozenMeasurementMap,
     SigningError,
     SpState,
-    bytes_from_words_be,
     handle_request,
     signing_program,
-    words_from_bytes_be,
 )
 from attestsim.userland import make_relay_program
 from attestsim.wire import AttestRequest, AttestResponse
@@ -42,28 +41,32 @@ def installed_state(entries=None, key=KEY) -> SpState:
 
 
 def request_regs(chal: bytes, pk: bytes) -> list[int]:
-    return words_from_bytes_be(chal + pk)
+    return list(WORDS[REQUEST_LEN].unpack(chal + pk))
+
+
+def reply_sig(reply: list[int]) -> bytes:
+    return WORDS[len(reply) - 1].pack(*reply[1:])
 
 
 def signed_by(reply: list[int], chal: bytes, pk: bytes, m: bytes) -> bool:
-    token = AttestToken(KEY.mode, bytes_from_words_be(reply[1:]))
-    return verify_token(KEY.verify_key(), chal, pk, m, token)
+    return verify_token(KEY.verify_key(), chal, pk, m, reply_sig(reply))
 
 
 class TestWordCodec:
     def test_known_words(self):
-        assert words_from_bytes_be(b"\x00" * 7 + b"\x01") == [1]
-        assert words_from_bytes_be(b"\x01" + b"\x00" * 7) == [1 << 56]
-        assert bytes_from_words_be([0xDEADBEEF]) == b"\x00\x00\x00\x00\xde\xad\xbe\xef"
+        assert WORDS[1].unpack(b"\x00" * 7 + b"\x01") == (1,)
+        assert WORDS[1].unpack(b"\x01" + b"\x00" * 7) == (1 << 56,)
+        assert WORDS[1].pack(0xDEADBEEF) == b"\x00\x00\x00\x00\xde\xad\xbe\xef"
 
     def test_unaligned_length_rejected(self):
-        with pytest.raises(SigningError):
-            words_from_bytes_be(b"\x00" * 9)
+        with pytest.raises(struct.error):
+            WORDS[1].unpack(b"\x00" * 9)
 
-    @given(data=st.binary(min_size=0, max_size=96).filter(lambda b: len(b) % 8 == 0))
+    @given(data=st.binary(min_size=0, max_size=64).filter(lambda b: len(b) % 8 == 0))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, data):
-        assert bytes_from_words_be(words_from_bytes_be(data)) == data
+        layout = WORDS[len(data) // 8]
+        assert layout.pack(*layout.unpack(data)) == data
 
 
 class TestFrozenMap:
@@ -143,7 +146,7 @@ class TestHandleRequest:
         status, reply = handle_request(state, 1, REQUEST_LEN, request_regs(chal, pk))
         assert status == STATUS_OK
         assert reply[0] == STATUS_OK
-        sigma = bytes_from_words_be(reply[1:])
+        sigma = reply_sig(reply)
         expected = hmaclib.new(
             KEY.secret_bytes(),
             hashlib.sha256(chal + pk + bytes([1]) * 32).digest(),
@@ -158,12 +161,11 @@ class TestHandleRequest:
         regs = request_regs(chal, pk)
         _, reply1 = handle_request(state, 1, REQUEST_LEN, regs)
         _, reply2 = handle_request(state, 2, REQUEST_LEN, regs)
-        sig1 = bytes_from_words_be(reply1[1:])
-        sig2 = bytes_from_words_be(reply2[1:])
+        sig1, sig2 = reply_sig(reply1), reply_sig(reply2)
         vk = KEY.verify_key()
-        assert verify_token(vk, chal, pk, bytes([1]) * 32, AttestToken(SignMode.HMAC, sig1))
-        assert verify_token(vk, chal, pk, bytes([2]) * 32, AttestToken(SignMode.HMAC, sig2))
-        assert not verify_token(vk, chal, pk, bytes([2]) * 32, AttestToken(SignMode.HMAC, sig1))
+        assert verify_token(vk, chal, pk, bytes([1]) * 32, sig1)
+        assert verify_token(vk, chal, pk, bytes([2]) * 32, sig2)
+        assert not verify_token(vk, chal, pk, bytes([2]) * 32, sig1)
 
     def test_unknown_badge(self):
         state = installed_state()
@@ -306,9 +308,8 @@ class TestInKernel:
             assert isinstance(reply, AttestResponse)
             assert reply.pid == pid
             assert reply.status == STATUS_OK
-            token = AttestToken(sign_key.mode, reply.sigma)
             assert verify_token(vk, chal, reply.pk,
-                                system.report.digest_of(pid), token)
+                                system.report.digest_of(pid), reply.sigma)
 
     def test_sp_survives_malformed_and_keeps_serving(self, booted):
         kernel = booted.kernel

@@ -1,5 +1,5 @@
-"""Value types: the wire messages, the token and the verdict are immutable
-records backed by a tuple, with a frozen dataclass's surface."""
+"""Value types: the wire messages and the verdict are immutable records
+backed by a tuple, with a frozen dataclass's surface."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pickle
 
 import pytest
 
-from attestsim.crypto import AttestToken, LengthMismatchError, SignMode, record
 from attestsim.verifier import AttestResult
 from attestsim.wire import (
     AttestRequest,
@@ -15,6 +14,7 @@ from attestsim.wire import (
     ChannelConfirm,
     ChannelInit,
     ErrorMsg,
+    record,
 )
 
 VALUES = [
@@ -25,7 +25,6 @@ VALUES = [
                    "ct": b"\x06" * 16}),
     (ChannelConfirm, {"nonce": b"\x07" * 12, "ct": b"\x08" * 16}),
     (ErrorMsg, {"code": 3}),
-    (AttestToken, {"mode": SignMode.HMAC, "sig": b"\x09" * 32}),
     (AttestResult, {"device_id": "dev0", "pid": 4, "chal": b"\x0a" * 32,
                     "pk": b"\x0b" * 32, "sigma": b"\x0c" * 64,
                     "measurement": b"\x0d" * 32}),
@@ -68,13 +67,3 @@ def test_repr_shape():
     assert repr(AttestRequest(pid=1, chal=b"\x00\xff")) == (
         "AttestRequest(pid=1, chal=b'\\x00\\xff')")
 
-
-@pytest.mark.parametrize("build", [
-    lambda: AttestToken(SignMode.HMAC, bytes(64)),
-    lambda: AttestToken(SignMode.ED25519, bytes(32)),
-    lambda: AttestToken._make([SignMode.HMAC, bytes(31)]),
-    lambda: AttestToken(SignMode.ED25519, bytes(64))._replace(sig=bytes(32)),
-], ids=["hmac-64", "eddsa-32", "make", "replace"])
-def test_token_length_is_checked_on_every_path(build):
-    with pytest.raises(LengthMismatchError):
-        build()

@@ -11,7 +11,7 @@ import pytest
 
 import attestsim.verifier as verifier_module
 from attestsim.channel import CHANNEL_AD_CONFIRM, CHANNEL_AD_INIT, open_sealed, seal
-from attestsim.crypto import SignKey, attest_token, measure_binary
+from attestsim.crypto import SignKey, SignMode, attest_token, measure_binary
 from attestsim.verifier import (
     AttestFailure,
     AttestResult,
@@ -57,8 +57,8 @@ def make_policy(sign_key: SignKey, up_specs) -> Policy:
 
 def craft_response(key: SignKey, chal: bytes, pk: bytes, m: bytes,
                    pid: int) -> AttestResponse:
-    token = attest_token(key, chal, pk, m)
-    return AttestResponse(status=0, pid=pid, pk=pk, sigma=token.sig)
+    return AttestResponse(status=0, pid=pid, pk=pk,
+                          sigma=attest_token(key, chal, pk, m))
 
 
 # --- policy files ---------------------------------------------------------
@@ -307,12 +307,16 @@ class TestCheckResponse:
         with pytest.raises(SigInvalidError):
             verifier.check_response("dev0", 1, chal, resp)
 
-    def test_sigma_length_checked_before_verify(self, setup):
+    def test_sigma_length_checked_before_verify(self, setup, sign_key):
         _, verifier, _ = setup
         chal = verifier.new_challenge()
-        resp = AttestResponse(status=0, pid=1, pk=bytes(32), sigma=b"\x00" * 7)
-        with pytest.raises(SigInvalidError):
-            verifier.check_response("dev0", 1, chal, resp)
+        want, wrong = (32, 64) if sign_key.mode is SignMode.HMAC else (64, 32)
+        for sigma in (b"\x00" * 7, b"\x00" * wrong):
+            resp = AttestResponse(status=0, pid=1, pk=bytes(32), sigma=sigma)
+            with pytest.raises(SigInvalidError, match=(
+                    f"^{sign_key.mode.value} token must be {want} bytes, "
+                    f"got {len(sigma)}$")):
+                verifier.check_response("dev0", 1, chal, resp)
 
     def test_unknown_pid_is_policy_error(self, setup):
         _, verifier, _ = setup
@@ -485,12 +489,14 @@ class TestAttestStream:
     def test_pid_outside_u64_is_refused_before_send(self, sign_key, up_specs,
                                                     pid):
         """``encode``'s refusal of the verifier's own request is not a
-        prover error: its ``WireError`` comes back, and nothing is sent."""
+        prover error: its ``WireError`` comes back, nothing is sent, and
+        no challenge is left live."""
         verifier = Verifier(make_policy(sign_key, up_specs))
         a, b = socket.socketpair()
         with a, b:
             with pytest.raises(BadLengthError, match="pid"):
                 verifier.attest("dev0", pid, FrameStream(a))
+            assert len(verifier.ledger) == 0        # the challenge was withdrawn
             b.setblocking(False)
             with pytest.raises(BlockingIOError):
                 b.recv(1)
