@@ -88,10 +88,9 @@ class RecordingStream(FrameStream):
         self.transcript.append(f">> {data.hex()}")
         super().send_raw(data)
 
-    def recv(self, allow_eof: bool = False):
-        msg = super().recv(allow_eof)
-        self.transcript.append(
-            f"<< {encode(msg).hex()}" if msg is not None else "<< (eof)")
+    def recv(self):
+        msg = super().recv()
+        self.transcript.append(f"<< {encode(msg).hex()}")
         return msg
 
 

@@ -12,7 +12,7 @@ Security properties maintained here and relied on by everything above:
   handles and the API offers no way to read a capability's badge or rights.
 * The badge reported by ``Recv`` comes from the capability the sender
   invoked, never from message payload. Badge 0 is reserved for objects
-  minted without a badge (boot-time authority).
+  minted without a badge (boot-time authority), and no cap is minted with it.
 * A process spawned without write rights to its own code region can never
   acquire them afterwards; the spawn call rejects write+execute on
   ``self_code`` outright.
@@ -283,6 +283,7 @@ class Kernel:
         ``badge`` is attached kernel-side and stamped on every message sent
         through the resulting cap. A badge may be minted at most once per
         endpoint; ``None`` means unbadged (reported to receivers as 0).
+        Any other badge must be in 1..2**64-1, or ``KernelError`` is raised.
         """
         self._require_authority("mint_badged_cap")
         ep = self._endpoints.get(eid)
@@ -292,6 +293,8 @@ class Kernel:
         if rec is None or rec.state is ProcState.TERMINATED:
             raise UnknownPidError(f"pid {pid}")
         if badge is not None:
+            if not BOOT_BADGE < badge <= WORD_MASK:
+                raise KernelError(f"badge {badge} is reserved or not a 64-bit word")
             if badge in ep.badges:
                 raise DuplicateBadgeError(f"badge {badge} on endpoint {eid}")
             ep.badges.add(badge)

@@ -62,7 +62,6 @@ from .wire import (
     ChannelInit,
     ErrorMsg,
     FrameDecoder,
-    LostSync,
     WireError,
     WireMessage,
     decode_payload,
@@ -187,7 +186,8 @@ class ProverServer(socketserver.TCPServer):
         or loss of sync.
 
         Every complete frame of a read is answered, in order, and the
-        replies go back in one ``sendall``.
+        replies go back in one ``sendall``, ended by one error frame if
+        the read lost sync.
         """
         set_deadlines(request, IO_TIMEOUT)
         decoder = FrameDecoder()
@@ -196,11 +196,6 @@ class ProverServer(socketserver.TCPServer):
             while data := request.recv(READ_SIZE):
                 replies = bytearray()
                 for item in decoder.feed(data):
-                    if isinstance(item, LostSync):
-                        # framing can't be trusted past this point; answer and drop
-                        replies += encode(ErrorMsg(ERR_BAD_REQUEST))
-                        request.sendall(replies)
-                        return
                     try:
                         frame = decode_payload(*item)
                     except WireError:
@@ -214,6 +209,10 @@ class ProverServer(socketserver.TCPServer):
                         log.exception("handler fault on %r", type(frame).__name__)
                         reply = ErrorMsg(ERR_INTERNAL)
                     replies += encode(reply)
+                if decoder.lost is not None:
+                    # framing can't be trusted past the bad header: answer, drop
+                    request.sendall(replies + encode(ErrorMsg(ERR_BAD_REQUEST)))
+                    return
                 if replies:
                     request.sendall(replies)
         except OSError:

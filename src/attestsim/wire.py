@@ -15,8 +15,9 @@ Error              0x05  code(1)
 ``sigma_len`` is 32 (HMAC tag), 64 (Ed25519 signature), or 0 when status
 is nonzero. Parsing is strict and total: truncation, trailing bytes,
 unknown types, and out-of-range fields each raise a typed error, and no
-input crashes the decoder. Anything beyond these five layouts (TLS,
-compression, version negotiation) is deliberately absent.
+input crashes the decoder. ``FrameDecoder`` splits bytes into frames and
+keeps lost framing as its own state. Anything beyond these five layouts
+(TLS, compression, version negotiation) is deliberately absent.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import socket
 import struct
 from collections import deque, namedtuple
-from dataclasses import dataclass
 from typing import Optional, Union
 
 MAX_PAYLOAD = 4096
@@ -243,40 +243,33 @@ def decode(frame: bytes) -> WireMessage:
     return decode_payload(mtype, frame[HEADER_LEN:])
 
 
-@dataclass(frozen=True)
-class LostSync:
-    """A header declared more than ``MAX_PAYLOAD`` bytes.
-
-    Nothing after it can be framed, so it is the last item a decoder ever
-    yields; the reader should answer (or raise) and drop the stream.
-    """
-
-    length: int
-
-
 class FrameDecoder:
     """Incremental frame splitter with no I/O of its own (sans-IO).
 
     ``feed`` takes whatever bytes a read returned and gives back every
-    frame they complete, as ``(msg_type, payload)`` in arrival order,
-    ending with a ``LostSync`` if an oversize header turned up. Payloads
-    are not parsed here; the caller runs ``decode_payload`` on each. At
-    most one partial frame (at most ``HEADER_LEN + MAX_PAYLOAD`` bytes) is
-    held between calls. After a ``LostSync`` every later ``feed`` returns
-    the same ``LostSync`` and nothing else.
+    frame they complete, as ``(msg_type, payload)`` in arrival order.
+    Payloads are not parsed here; the caller runs ``decode_payload`` on
+    each. At most one partial frame (at most ``HEADER_LEN + MAX_PAYLOAD``
+    bytes) is held between calls. A header that declares more than
+    ``MAX_PAYLOAD`` bytes loses framing for good: ``feed`` returns the
+    frames ahead of it and sets ``lost`` to the declared length, and every
+    later ``feed`` returns ``[]``.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("_buf", "lost")
 
     def __init__(self):
         self._buf = bytearray()
+        self.lost: Optional[int] = None
 
     @property
     def pending(self) -> int:
         """Bytes of an incomplete frame held since the last ``feed``."""
         return len(self._buf)
 
-    def feed(self, data: bytes) -> list[Union[tuple[int, bytes], LostSync]]:
+    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
+        if self.lost is not None:
+            return []
         buf = self._buf
         if not buf and type(data) is bytes and len(data) >= HEADER_LEN:
             # the common read: nothing held, and exactly one whole frame
@@ -284,14 +277,13 @@ class FrameDecoder:
             if length <= MAX_PAYLOAD and len(data) == HEADER_LEN + length:
                 return [(mtype, data[HEADER_LEN:])]
         buf += data
-        out: list[Union[tuple[int, bytes], LostSync]] = []
+        out: list[tuple[int, bytes]] = []
         pos, end = 0, len(buf)
         while end - pos >= HEADER_LEN:
             length, mtype = _HEADER.unpack_from(buf, pos)
             if length > MAX_PAYLOAD:
-                # keep only the bad header, so the verdict sticks
-                buf[:] = buf[pos:pos + HEADER_LEN]
-                out.append(LostSync(length))
+                self.lost = length
+                buf.clear()         # nothing past the bad header is a frame
                 return out
             stop = pos + HEADER_LEN + length
             if stop > end:
@@ -361,7 +353,7 @@ class FrameStream:
     next send made with nothing unread (ahead of that send's frame), at
     ``close``, or as soon as ``READ_SIZE`` bytes are held. A caller that
     has consumed every reply, as every serial round has, writes each send
-    at once. A ``LostSync`` is not a reply.
+    at once. Lost framing (``FrameDecoder.lost``) holds no send.
 
     The timeout is a deadline per ``recv`` and per ``sendall``, enforced
     by the host kernel (``set_deadlines``). A socket that arrives with a
@@ -376,7 +368,7 @@ class FrameStream:
         if self._timeout is not None:
             set_deadlines(sock, self._timeout)
         self._decoder = FrameDecoder()
-        self._ready: deque[Union[tuple[int, bytes], LostSync]] = deque()
+        self._ready: deque[tuple[int, bytes]] = deque()
         self._held = bytearray()
 
     @classmethod
@@ -399,8 +391,8 @@ class FrameStream:
         self.send_raw(encode(msg))
 
     def send_raw(self, data: bytes) -> None:
-        ready, held = self._ready, self._held
-        if ready and type(ready[0]) is not LostSync:
+        held = self._held
+        if self._ready:
             # a reply waits unread, so a recv that reads the socket is to come
             held += data
             if len(held) >= READ_SIZE:
@@ -422,11 +414,15 @@ class FrameStream:
         except BlockingIOError as e:
             raise TimeoutError(f"send not done within {self._timeout}s") from e
 
-    def recv(self, allow_eof: bool = False) -> Optional[WireMessage]:
-        """Read one frame. Clean EOF at a frame boundary returns None when
-        ``allow_eof`` is set, otherwise raises TruncatedError; EOF inside a
-        frame, header included, always raises TruncatedError."""
-        while not self._ready:
+    def recv(self) -> WireMessage:
+        """Read one frame. End of stream raises ``TruncatedError``, at a
+        frame boundary or inside one. Lost framing raises ``BadLengthError``
+        once the frames ahead of the bad header are read, socket unread."""
+        ready, decoder = self._ready, self._decoder
+        while not ready:
+            if decoder.lost is not None:
+                raise BadLengthError(
+                    f"declared payload {decoder.lost} exceeds {MAX_PAYLOAD}")
             if self._held:
                 self._flush()       # the reply to wait for may answer one
             try:
@@ -434,18 +430,11 @@ class FrameStream:
             except BlockingIOError as e:
                 raise TimeoutError(f"no data within {self._timeout}s") from e
             if not data:
-                if self._decoder.pending:
+                if decoder.pending:
                     raise TruncatedError("connection closed mid-frame")
-                if allow_eof:
-                    return None
                 raise TruncatedError("connection closed before a frame arrived")
-            self._ready.extend(self._decoder.feed(data))
-        item = self._ready.popleft()
-        if isinstance(item, LostSync):
-            self._ready.appendleft(item)
-            raise BadLengthError(
-                f"declared payload {item.length} exceeds {MAX_PAYLOAD}")
-        return decode_payload(*item)
+            ready.extend(decoder.feed(data))
+        return decode_payload(*ready.popleft())
 
     def close(self) -> None:
         """Write any held frames, then close the socket. Neither step

@@ -16,6 +16,7 @@ in flight, a ``FrameStream`` sends each window of requests in one write.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import deque
@@ -38,7 +39,13 @@ PIPELINE_DEPTH = 32         # rounds in flight, as perfbench's pipelined load
 
 
 def calls_in(fn, *args) -> int:
-    """Python calls made while ``fn(*args)`` runs, ``fn`` itself excluded."""
+    """Python calls made while ``fn(*args)`` runs, ``fn`` itself excluded.
+
+    The collector runs first and stays off while counting. A collection
+    in the window would count calls that are no work of ``fn``: each
+    ``gc.callbacks`` entry (hypothesis installs one) at its start and end,
+    and one resume per suspended program of a dead booted kernel it frees.
+    """
     count = 0
 
     def tracer(frame, event, arg):
@@ -46,13 +53,27 @@ def calls_in(fn, *args) -> int:
         count += 1          # a global trace function sees only "call" events
         return None
 
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
         fn(*args)
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return count - 1
+
+
+def test_a_dead_kernel_adds_no_calls_to_the_window(env):
+    """A dead booted kernel is cyclic garbage, and collecting it resumes
+    the relays' and the signer's programs to close them. It is collected
+    before the window, so a collection forced inside counts no more."""
+    baseline = calls_in(lambda: gc.collect())
+    prover.build_runtime(env.config)        # dropped at once: a dead kernel
+    assert calls_in(lambda: gc.collect()) == baseline
 
 
 def test_daemon_frame_calls(env):

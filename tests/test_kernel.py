@@ -84,6 +84,21 @@ class TestObjects:
         # same badge on a different endpoint is a different identity space
         kernel.mint_badged_cap(ep2, 7, W, 2)
 
+    @pytest.mark.parametrize("badge", [BOOT_BADGE, -1, -(2**64), 2**64, 2**70])
+    def test_reserved_or_wide_badge_is_refused(self, badge):
+        """0 is what an unbadged cap reports, the trace writes -1 for no
+        badge, and a badge is one 64-bit word: a mint of any of them is
+        refused and leaves no trace, while 1 and 2**64 - 1 still mint."""
+        kernel = Kernel()
+        ep = kernel.create_endpoint()
+        spawn(kernel, 1)
+        trace = list(kernel.trace)
+        with pytest.raises(KernelError, match="reserved or not a 64-bit word"):
+            kernel.mint_badged_cap(ep, badge, W, 1)
+        assert list(kernel.trace) == trace
+        kernel.mint_badged_cap(ep, 1, W, 1)
+        kernel.mint_badged_cap(ep, 2**64 - 1, W, 1)
+
     def test_unbadged_caps_do_not_collide(self):
         kernel = Kernel()
         ep = kernel.create_endpoint()

@@ -51,6 +51,7 @@ from attestsim.wire import (
     ChannelInit,
     ErrorMsg,
     FrameStream,
+    TruncatedError,
     encode,
     parse_address,
 )
@@ -208,7 +209,8 @@ class TestDaemonTcp:
         with connect(daemon) as stream:
             stream.send_raw(struct.pack(">IB", MAX_PAYLOAD + 1, 0x01))
             assert stream.recv() == ErrorMsg(code=ERR_BAD_REQUEST)
-            assert stream.recv(allow_eof=True) is None
+            with pytest.raises(TruncatedError, match="before a frame"):
+                stream.recv()                       # the daemon hung up
 
     def test_pipelined_requests_answered_in_order(self, env, daemon):
         """32 requests in one write come back as 32 replies, in order."""
@@ -235,7 +237,8 @@ class TestDaemonTcp:
                 + struct.pack(">IB", MAX_PAYLOAD + 1, 0x01))
             first, second = stream.recv(), stream.recv()
             assert stream.recv() == ErrorMsg(code=ERR_BAD_REQUEST)
-            assert stream.recv(allow_eof=True) is None
+            with pytest.raises(TruncatedError, match="before a frame"):
+                stream.recv()                       # the daemon hung up
         assert isinstance(first, AttestResponse) and first.pid == 1
         assert isinstance(second, AttestResponse) and second.pid == 2
 

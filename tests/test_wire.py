@@ -26,7 +26,6 @@ from attestsim.wire import (
     ErrorMsg,
     FrameDecoder,
     FrameStream,
-    LostSync,
     OversizeFrameError,
     TruncatedError,
     UnknownTypeError,
@@ -243,24 +242,47 @@ def _outcome(parse, *args):
 class TestFrameDecoder:
     @given(frames=st.lists(FRAMES, max_size=12),
            sizes=st.lists(st.integers(min_value=1, max_value=200),
-                          min_size=1, max_size=20))
+                          min_size=1, max_size=20),
+           bad=st.none() | st.tuples(st.integers(0, 12),
+                                     st.integers(MAX_PAYLOAD + 1, 2**32 - 1)))
     @example(frames=[encode(AttestRequest(pid=1, chal=bytes(32))),
-                     encode(ErrorMsg(code=2))], sizes=[1])
+                     encode(ErrorMsg(code=2))], sizes=[1], bad=None)
+    @example(frames=[encode(ErrorMsg(code=1))] * 3, sizes=[1],
+             bad=(1, MAX_PAYLOAD + 1))
     @settings(max_examples=300, deadline=None)
-    def test_any_split_yields_what_decode_yields(self, frames, sizes):
+    def test_any_split_yields_what_decode_yields(self, frames, sizes, bad):
         """Fed in pieces of the given sizes, cycled (down to one byte at a
-        time), the decoder hands back exactly the frames, in order."""
-        data = b"".join(frames)
+        time), the decoder hands back exactly the frames, in order.
+
+        ``bad`` puts an oversize header in front of frame ``at``: only the
+        frames ahead of it come back, ``lost`` is set by the feed that
+        completes the header and not before, and no later feed yields a
+        frame, whatever follows."""
+        at, length = bad or (len(frames), None)
+        ahead = b"".join(frames[:at])
+        data = ahead
+        if length is not None:
+            data += struct.pack(">IB", length, MSG_ATTEST_REQUEST)
+            data += b"".join(frames[at:])
         decoder = FrameDecoder()
         items, pos, i = [], 0, 0
         while pos < len(data):
             n = sizes[i % len(sizes)]
-            items += decoder.feed(data[pos:pos + n])
+            was_lost = decoder.lost is not None
+            got = decoder.feed(data[pos:pos + n])
+            assert not (was_lost and got)
+            items += got
             assert decoder.pending <= HEADER_LEN + MAX_PAYLOAD
             pos, i = pos + n, i + 1
-        assert decoder.pending == 0
+            complete = length is not None and pos >= len(ahead) + HEADER_LEN
+            assert decoder.lost == (length if complete else None)
+        if length is None:
+            assert decoder.pending == 0
+        else:
+            assert decoder.feed(encode(ErrorMsg(code=1))) == []
+            assert decoder.lost == length
         assert [_outcome(decode_payload, *item) for item in items] == \
-            [_outcome(decode, frame) for frame in frames]
+            [_outcome(decode, frame) for frame in frames[:at]]
 
     def test_partial_frame_is_held(self):
         frame = encode(AttestRequest(pid=7, chal=bytes(range(32))))
@@ -277,11 +299,13 @@ class TestFrameDecoder:
         bad = struct.pack(">IB", MAX_PAYLOAD + 1, MSG_ATTEST_REQUEST)
         decoder = FrameDecoder()
         assert decoder.feed(ok + bad[:2]) == [(0x05, b"\x01")]
-        assert decoder.feed(bad[2:] + ok + bytes(100)) == [
-            LostSync(MAX_PAYLOAD + 1)]
-        assert decoder.pending == HEADER_LEN
-        assert decoder.feed(ok) == [LostSync(MAX_PAYLOAD + 1)]
-        assert decoder.pending == HEADER_LEN
+        assert decoder.lost is None
+        assert decoder.feed(bad[2:] + ok + bytes(100)) == []
+        assert decoder.lost == MAX_PAYLOAD + 1
+        assert decoder.pending == 0
+        assert decoder.feed(ok) == []
+        assert decoder.lost == MAX_PAYLOAD + 1
+        assert decoder.pending == 0
 
     def test_full_size_payload_is_a_frame(self):
         frame = struct.pack(">IB", MAX_PAYLOAD, 0x03) + bytes(MAX_PAYLOAD)
@@ -290,7 +314,9 @@ class TestFrameDecoder:
 
     def test_one_read_of_one_oversize_frame_loses_sync(self):
         data = struct.pack(">IB", MAX_PAYLOAD + 1, 0x03) + bytes(MAX_PAYLOAD + 1)
-        assert FrameDecoder().feed(data) == [LostSync(MAX_PAYLOAD + 1)]
+        decoder = FrameDecoder()
+        assert decoder.feed(data) == []
+        assert decoder.lost == MAX_PAYLOAD + 1
 
     def test_one_whole_frame_from_any_buffer_gives_bytes(self):
         frame = encode(AttestRequest(pid=7, chal=bytes(range(32))))
@@ -380,9 +406,9 @@ class TestFrameStream:
         left, right = self._pair()
         left.close()
         try:
-            assert right.recv(allow_eof=True) is None
-            with pytest.raises(TruncatedError):
-                right.recv()
+            for _ in range(2):
+                with pytest.raises(TruncatedError, match="before a frame"):
+                    right.recv()
         finally:
             right.close()
 
@@ -392,8 +418,8 @@ class TestFrameStream:
         left.send_raw(encode(ErrorMsg(code=1))[:cut])
         left.close()
         try:
-            with pytest.raises(TruncatedError):
-                right.recv(allow_eof=True)
+            with pytest.raises(TruncatedError, match="mid-frame"):
+                right.recv()
         finally:
             right.close()
 
@@ -404,7 +430,8 @@ class TestFrameStream:
         left.close()
         try:
             assert [right.recv() for _ in msgs] == msgs
-            assert right.recv(allow_eof=True) is None
+            with pytest.raises(TruncatedError, match="before a frame"):
+                right.recv()
         finally:
             right.close()
 
@@ -413,7 +440,7 @@ class TestFrameStream:
         left.send_raw(struct.pack(">IB", 40, 0x01) + bytes(10))
         left.close()
         try:
-            with pytest.raises(TruncatedError):
+            with pytest.raises(TruncatedError, match="mid-frame"):
                 right.recv()
         finally:
             right.close()
@@ -619,6 +646,20 @@ class TestFrameStream:
         assert sock.log == [("recv",), ("sendall", _request(1))]
         with pytest.raises(BadLengthError):
             stream.recv()
+
+    def test_lost_framing_raises_on_every_recv_without_a_read(self):
+        """The frame ahead of a header split over two reads comes out
+        first; from then on every recv raises, and none reads again."""
+        bad = struct.pack(">IB", MAX_PAYLOAD + 1, 0x01)
+        sock = ScriptedSocket(encode(ErrorMsg(1)) + bad[:3],
+                              bad[3:] + encode(ErrorMsg(2)), encode(ErrorMsg(3)))
+        stream = FrameStream(sock)
+        assert stream.recv() == ErrorMsg(1)
+        for _ in range(3):
+            with pytest.raises(BadLengthError,
+                               match=f"declared payload {MAX_PAYLOAD + 1} exceeds"):
+                stream.recv()
+        assert sock.log == [("recv",), ("recv",)]
 
     def test_a_held_write_past_its_deadline_times_out_the_recv(self):
         class Stalled(ScriptedSocket):
