@@ -28,7 +28,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .crypto import SignKey, measure_binary, sha256
@@ -126,7 +126,8 @@ def load_anchors(path: str) -> dict[str, str]:
     anchors = {}
     for field_name in ("kernel_sha256", "rp_sha256"):
         value = raw.get(field_name)
-        if not isinstance(value, str) or len(value) != 64:
+        # isalnum: no whitespace, which fromhex would skip
+        if not isinstance(value, str) or len(value) != 64 or not value.isalnum():
             raise ManifestError(f"{path}: {field_name} must be 64 hex chars")
         try:
             bytes.fromhex(value)
@@ -223,25 +224,10 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
 # --- pipeline -------------------------------------------------------------
 
 @dataclass
-class BootReport:
-    mode: str
-    spawned: list[tuple[int, int, bytes]] = field(default_factory=list)
-    terminated: list[int] = field(default_factory=list)
-
-    def digest_of(self, pid: int) -> Optional[bytes]:
-        for spawned_pid, _, digest in self.spawned:
-            if spawned_pid == pid:
-                return digest
-        return None
-
-    def up_pids(self) -> list[int]:
-        return [pid for pid, _, _ in self.spawned]
-
-
-@dataclass
 class BootedSystem:
+    """A finalized device; the signer's state owns key and measurements."""
+
     kernel: Kernel
-    report: BootReport
     sp_state: SpState
 
 
@@ -291,15 +277,15 @@ def transfer_mmap(kernel: Kernel, sp_boot_cap: int,
 
 
 def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
-             up_program_factory: ProgramFactory) -> tuple[BootReport, SpState]:
+             up_program_factory: ProgramFactory) -> SpState:
     """Spawn, measure, and wire up everything on a kernel from secure_boot.
 
     On return the signing process is live and serving, every user process
     is live and holds exactly one badged send capability to the signing
     endpoint, and the measurement map has been transferred and installed.
-    Boot authority is still held; call ``finalize_boot`` next.
+    Boot authority is still held; call ``finalize_boot`` next. Returns the
+    signer's state, whose ``mmap`` is the one measurement table.
     """
-    report = BootReport(mode=sign_key.mode.value)
     sp_state = SpState(sign_key)
     try:
         if len(specs) > CAPACITY:
@@ -325,6 +311,7 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
         kernel.start_process(SP_PID, signing_program(sp_state, sp_boot_recv, sp_attest_recv))
         kernel.run()            # SP parks on the boot endpoint
 
+        entries = []
         for badge, spec in enumerate(specs, start=FIRST_BADGE):
             log.info("phase=process-spawn pid=%d size=%d", spec.pid, len(spec.binary))
             digest = measure_binary(spec.binary)
@@ -332,11 +319,10 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
             log.info("phase=measurement pid=%d sha256=%s", spec.pid, digest.hex())
             sp_cap = kernel.mint_badged_cap(ep_attest, badge, Rights(write=True), spec.pid)
             kernel.start_process(spec.pid, up_program_factory(spec, sp_cap))
-            report.spawned.append((spec.pid, badge, digest))
+            entries.append((spec.pid, digest))
         kernel.run()            # user processes park on their net queues
 
-        transfer_mmap(kernel, pst_send,
-                      [(pid, digest) for pid, _, digest in report.spawned])
+        transfer_mmap(kernel, pst_send, entries)
         if not sp_state.installed:
             raise NackFromSpError("signer never installed its state")
     except BaseException:
@@ -344,13 +330,12 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
         # SigningError from install), nothing half-booted is left behind
         _teardown(kernel)
         raise
-    return report, sp_state
+    return sp_state
 
 
-def finalize_boot(kernel: Kernel, report: BootReport) -> None:
+def finalize_boot(kernel: Kernel) -> None:
     """Terminate the transfer process and drop all kernel authority."""
     kernel.terminate_process(PST_PID)
-    report.terminated.append(PST_PID)
     kernel.finalize()
     log.info("phase=boot-finalized live=%d", len(kernel.live_pids()))
 
@@ -366,6 +351,6 @@ def bring_up(images: ImageManifest, specs: list[ProcessSpec], sign_key: SignKey,
              up_program_factory: ProgramFactory) -> BootedSystem:
     """Full pipeline: verify images, boot, transfer, finalize."""
     kernel = secure_boot(images)
-    report, sp_state = run_boot(kernel, specs, sign_key, up_program_factory)
-    finalize_boot(kernel, report)
-    return BootedSystem(kernel=kernel, report=report, sp_state=sp_state)
+    sp_state = run_boot(kernel, specs, sign_key, up_program_factory)
+    finalize_boot(kernel)
+    return BootedSystem(kernel=kernel, sp_state=sp_state)

@@ -287,7 +287,8 @@ def load_keystore(path: str) -> SignKey:
     if len(lines) != 2:
         raise KeystoreError(f"{path}: expected secret line and mode line")
     secret_hex, mode_tag = lines
-    if len(secret_hex) != 2 * SEED_LEN:
+    # isalnum: no whitespace, which fromhex would skip
+    if len(secret_hex) != 2 * SEED_LEN or not secret_hex.isalnum():
         raise KeystoreError(f"{path}: secret must be {2 * SEED_LEN} hex chars")
     try:
         secret = bytes.fromhex(secret_hex)

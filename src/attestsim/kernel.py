@@ -194,13 +194,12 @@ class _Endpoint:
 
 class _Process:
     __slots__ = (
-        "pid", "code", "ipc", "cspace", "next_handle", "state",
+        "pid", "ipc", "cspace", "next_handle", "state",
         "gen", "resume_value", "reply_to", "net_inbox",
     )
 
-    def __init__(self, pid: int, code: bytes):
+    def __init__(self, pid: int):
         self.pid = pid
-        self.code = bytes(code)
         self.ipc: list[int] = [0] * MSG_MAX_LENGTH
         self.cspace: dict[int, Capability] = {}
         self.next_handle = 1
@@ -317,7 +316,7 @@ class Kernel:
             if req.region == SELF_CODE_REGION and req.rights.write and req.rights.execute:
                 raise WxViolationError(
                     f"pid {spec.pid}: write+execute requested over own code")
-        rec = _Process(spec.pid, spec.code)
+        rec = _Process(spec.pid)
         for req in spec.regions:
             handle = rec.next_handle
             rec.next_handle += 1

@@ -19,12 +19,12 @@ an Error frame back; a stream whose framing can no longer be trusted
 crashes on input.
 
 A fault in the device is contained where it happens. A relay process that
-faults is retired by the kernel and its pid leaves ``up_pids``, so that pid
-answers ``ERR_UNKNOWN_PID`` from then on. A signer that faults leaves every
-relay that called it blocked for good (the kernel's rendezvous rule), so
-the runtime fails stop: every later request, on any pid, is answered
-``ERR_INTERNAL`` without reaching the kernel. Either fault is logged once,
-as a ``phase=fault`` line.
+faults is retired by the kernel, so its pid answers ``ERR_UNKNOWN_PID``
+from then on. A signer that faults leaves every relay that called it
+blocked for good (the kernel's rendezvous rule), so the runtime fails
+stop: every later request, on any pid, is answered ``ERR_INTERNAL``
+without reaching the kernel. Either fault is logged once, as a
+``phase=fault`` line.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .boot import (
+    RESERVED_PID_BASE,
     SP_PID,
     BootedSystem,
     bring_up,
@@ -47,7 +48,7 @@ from .boot import (
     load_user_manifest,
 )
 from .crypto import CHAL_LEN, load_keystore
-from .kernel import ProcState
+from .kernel import ProcState, UnknownPidError
 from .userland import BoundChannelInit, NetChannelFail, make_relay_program
 from .wire import (
     ERR_BAD_REQUEST,
@@ -103,16 +104,20 @@ class ProverRuntime:
     single event the target process emitted. ``channel_once`` is given the
     ``chal`` and ``sigma`` of the accepted attestation its channel binds to.
 
-    Both raise ``NotAttestableError`` (a ``KeyError``) for a pid outside
-    ``up_pids``, and ``DeviceFaultError`` once ``fault`` holds the
-    exception a signer fault raised.
+    Both raise ``NotAttestableError`` (a ``KeyError``) for a reserved pid or
+    one the kernel does not hold live, and ``DeviceFaultError`` once
+    ``fault`` holds the exception a signer fault raised.
     """
 
     def __init__(self, system: BootedSystem):
         self.kernel = system.kernel
-        self.report = system.report
-        self.up_pids = set(system.report.up_pids())
+        self.sp_state = system.sp_state
         self.fault: Optional[Exception] = None
+
+    @property
+    def up_pids(self) -> set[int]:
+        """The pids that answer: the kernel's live user processes."""
+        return {pid for pid in self.kernel.live_pids() if pid < RESERVED_PID_BASE}
 
     def attest_once(self, pid: int, chal: bytes) -> AttestResponse:
         if len(chal) != CHAL_LEN:
@@ -128,10 +133,14 @@ class ProverRuntime:
                   expected: type | tuple[type, ...]):
         if self.fault is not None:
             raise DeviceFaultError(f"the signer faulted: {self.fault!r}")
-        if pid not in self.up_pids:
-            raise NotAttestableError(f"pid {pid} is not an attestable process")
+        # the signer is live too: an event injected there would never be read
+        if pid >= RESERVED_PID_BASE:
+            raise NotAttestableError(f"pid {pid} is reserved")
         kernel = self.kernel
-        kernel.inject_net(pid, event)
+        try:
+            kernel.inject_net(pid, event)
+        except UnknownPidError:
+            raise NotAttestableError(f"pid {pid} is not live") from None
         try:
             kernel.run()
         except Exception as e:
@@ -144,18 +153,15 @@ class ProverRuntime:
         return events[0]
 
     def _contain(self, target: int, error: Exception) -> None:
-        """Take the process ``Kernel.run`` retired for ``error`` out of
-        service: a relay loses its pid, a signer stops the device."""
+        """Log the process ``Kernel.run`` retired for ``error``: a retired
+        relay's pid already answers no more, and a signer stops the device."""
         state = self.kernel.process_state
         if state(SP_PID) is ProcState.TERMINATED:
             self.fault = error
-            pid = SP_PID
-        elif state(target) is ProcState.TERMINATED:
-            self.up_pids.discard(target)
-            pid = target
-        else:
+            target = SP_PID
+        elif state(target) is not ProcState.TERMINATED:
             return
-        log.error("phase=fault pid=%d error=%r", pid, error)
+        log.error("phase=fault pid=%d error=%r", target, error)
 
 
 def build_runtime(config: ProverConfig) -> ProverRuntime:
@@ -179,7 +185,7 @@ class ProverServer(socketserver.TCPServer):
         super().__init__((config.host, config.port), None)
         log.info("phase=listen host=%s port=%d pids=%s mode=%s",
                  *self.server_address[:2], sorted(self.runtime.up_pids),
-                 self.runtime.report.mode)
+                 self.runtime.sp_state.sign_key.mode.value)
 
     def finish_request(self, request: socket.socket, client_address) -> None:
         """One connection: a loop of reads until EOF, an expired deadline,

@@ -25,7 +25,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .channel import (
@@ -79,10 +79,6 @@ class SigInvalidError(AttestFailure):
     pass
 
 
-class PinMismatchError(SigInvalidError):
-    """Response pk differs from the pinned first-seen pk."""
-
-
 class ReplayDetectedError(AttestFailure):
     pass
 
@@ -117,23 +113,12 @@ class PolicyError(Exception):
 
 @dataclass
 class DevicePolicy:
-    """One device's verify key and golden measurements.
-
-    With ``pin_pk`` the first pk accepted for a pid is pinned in
-    ``pinned``, and a later pk for that pid is refused. Pins live in this
-    object only: they are not written to the policy file, so each
-    ``verifier`` CLI run starts with none. ``pin_lock`` makes the pin
-    check, the challenge consume and the pin set one step.
-    """
+    """One device's verify key and golden measurements."""
 
     device_id: str
     vk: VerifyKey
     golden: dict[int, bytes]            # pid -> expected measurement
     address: Optional[tuple[str, int]] = None
-    pin_pk: bool = False
-    pinned: dict[int, bytes] = field(default_factory=dict)
-    pin_lock: threading.Lock = field(default_factory=threading.Lock,
-                                     repr=False, compare=False)
 
 
 @dataclass
@@ -169,7 +154,11 @@ class Policy:
             golden: dict[int, bytes] = {}
             for pid_str, binary_path in golden_raw.items():
                 try:
-                    pid = int(pid_str)
+                    # ASCII digits only, as in a port: int() alone would
+                    # also take "+1", " 1 ", "1_0" and non-ASCII digits
+                    pid = int(pid_str) if pid_str.isascii() and pid_str.isdigit() else -1
+                    if not 0 <= pid < 2**64 or pid in golden:
+                        raise ValueError("not a decimal pid below 2**64, or listed twice")
                     with open(os.path.join(base, binary_path), "rb") as bf:
                         golden[pid] = measure_binary(bf.read())
                 except (ValueError, TypeError, EmptyBinaryError) as e:
@@ -181,13 +170,12 @@ class Policy:
                     address = parse_address(str(entry["address"]))
                 except ValueError as e:
                     raise PolicyError(f"{path}: device {device_id}: {e}") from e
-            pin_pk = entry.get("pin_pk", False)
-            if not isinstance(pin_pk, bool):
+            # no pk pinning here: refuse the ask rather than drop it silently
+            if entry.get("pin_pk", False) is not False:
                 raise PolicyError(
-                    f"{path}: device {device_id}: pin_pk must be true or false")
+                    f"{path}: device {device_id}: pin_pk is not supported")
             devices[device_id] = DevicePolicy(
-                device_id=device_id, vk=vk, golden=golden, address=address,
-                pin_pk=pin_pk)
+                device_id=device_id, vk=vk, golden=golden, address=address)
         return cls(devices=devices)
 
     def device(self, device_id: str) -> DevicePolicy:
@@ -262,12 +250,6 @@ class AttestResult:
     measurement: bytes
 
 
-def _check_pin(dev: DevicePolicy, pid: int, pk: bytes) -> None:
-    pinned = dev.pinned.get(pid)
-    if pinned is not None and pk != pinned:
-        raise PinMismatchError(f"pk changed for device {dev.device_id!r} pid {pid}")
-
-
 class SessionKey:
     """Established channel key; repr never shows the key bytes."""
 
@@ -304,14 +286,10 @@ class Verifier:
         """Judge a captured response. Raises an AttestFailure subclass on
         any rejection; returns the accepted result otherwise.
 
-        Order: prover status, response/request consistency, pin,
-        signature, then challenge freshness. The challenge is consumed
-        only when the signature is good, so a bad response does not burn
-        it, while re-presenting an accepted response is replay. Under
-        ``pin_pk`` the pin is checked again, under the device's
-        ``pin_lock``, together with the consume and the pin set: of two
-        first rounds for a pid racing with different pks, one is accepted
-        and the other refused with its challenge still outstanding.
+        Order: prover status, response/request consistency, signature,
+        then challenge freshness. The challenge is consumed only when the
+        signature is good, so a bad response does not burn it, while
+        re-presenting an accepted response is replay.
         """
         dev = self.policy.device(device_id)
         expected_m = dev.golden.get(pid)
@@ -323,29 +301,18 @@ class Verifier:
         if resp_pid != pid:
             raise SigInvalidError(
                 f"response names pid {resp_pid}, requested {pid}")
-        if dev.pin_pk:
-            _check_pin(dev, pid, pk)
         try:
             good = verify_token(dev.vk, chal, pk, expected_m, sigma)
         except LengthMismatchError as e:
             raise SigInvalidError(str(e)) from e
         if not good:
             raise SigInvalidError("token does not verify")
-        if dev.pin_pk:
-            with dev.pin_lock:
-                _check_pin(dev, pid, pk)
-                self._consume(chal)
-                dev.pinned.setdefault(pid, pk)
-        else:
-            self._consume(chal)
-        return AttestResult(device_id, pid, chal, pk, sigma, expected_m)
-
-    def _consume(self, chal: bytes) -> None:
         freshness = self.ledger.consume(chal)
         if freshness == "unknown":
             raise ReplayDetectedError("challenge was never issued or already used")
         if freshness == "expired":
             raise StaleChallengeError("challenge outlived its ttl")
+        return AttestResult(device_id, pid, chal, pk, sigma, expected_m)
 
     def attest(self, device_id: str, pid: int, stream: FrameStream) -> AttestResult:
         """One full round over an open stream: challenge, send, judge. A

@@ -483,7 +483,7 @@ def test_10_structural_guarantees():
 
     secret = key.secret_bytes()
     assert secret.hex() not in repr(key)
-    assert secret.hex() not in repr(booted.report)
+    assert secret.hex() not in repr(booted)
     assert booted.sp_state.sign_key.secret_bytes() == secret
     words = {struct.unpack(">Q", secret[i:i + 8])[0] for i in range(0, 32, 8)}
     for pid in booted.kernel.live_pids():

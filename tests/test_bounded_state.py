@@ -36,7 +36,7 @@ def test_state_stays_bounded_over_many_rounds():
     runtime = ProverRuntime(bring_up(image_manifest(), specs, key,
                                      make_relay_program))
     kernel = runtime.kernel
-    golden = {pid: runtime.report.digest_of(pid) for pid in (1, 2)}
+    golden = {pid: runtime.sp_state.mmap.lookup(pid) for pid in (1, 2)}
     now = [0.0]
     verifier = Verifier(Policy({"d": DevicePolicy("d", key.verify_key(), golden)}),
                         ttl=float(TTL_ROUNDS), clock=lambda: now[0])

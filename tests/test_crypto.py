@@ -375,12 +375,16 @@ class TestKeystore:
         "ab" * 32 + "\nrot13\n",               # unknown mode
         "ab" * 32 + "\n",                      # missing mode line
         "ab" * 32 + "\nhmac\nextra\n",         # trailing junk
+        # 64 characters that fromhex reads as 31 bytes, as it skips whitespace
+        "ab" * 15 + "  " + "ab" * 16 + "\nhmac\n",
+        "ab" * 15 + "\t\t" + "ab" * 16 + "\nhmac\n",
+        "ab" * 15 + " \t" + "ab" * 16 + "\nhmac\n",
     ])
     def test_malformed_rejected(self, tmp_path, content):
         path = tmp_path / "ks.hex"
         path.write_text(content)
         os.chmod(path, 0o600)
-        with pytest.raises(KeystoreError):
+        with pytest.raises(KeystoreError, match="ks.hex"):
             load_keystore(str(path))
 
     def test_non_ascii_rejected(self, tmp_path):

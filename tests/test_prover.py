@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import attestsim.signing as signing
 import attestsim.userland as userland
 from attestsim.attacks import build_env
-from attestsim.boot import SP_PID
+from attestsim.boot import PST_PID, RESERVED_PID_BASE, SP_PID
 from attestsim.channel import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
@@ -33,6 +33,7 @@ from attestsim.crypto import SignMode, verify_token
 import attestsim.prover as prover
 from attestsim.prover import (
     BackgroundDaemon,
+    NotAttestableError,
     ProverConfig,
     build_runtime,
     main as proverd_main,
@@ -56,12 +57,17 @@ from attestsim.wire import (
     parse_address,
 )
 
+# the band boot keeps for its own processes: the live signer, the retired
+# transfer process, and two pids no process holds
+RESERVED_PIDS = [SP_PID, PST_PID, RESERVED_PID_BASE, 2**64 - 1]
+RESERVED_IDS = ["sp", "pst", "band-base", "u64-max"]
+
 
 class TestBuildRuntime:
     def test_boots_from_files(self, env):
         runtime = build_runtime(env.config)
         assert runtime.up_pids == {1, 2}
-        assert runtime.report.mode == SignMode.HMAC.value
+        assert runtime.sp_state.sign_key.mode is SignMode.HMAC
 
     def test_missing_keystore(self, env):
         config = ProverConfig(**{**env.config.__dict__,
@@ -92,6 +98,20 @@ class TestRuntimeInjection:
                 ("net_out", pid, "AttestResponse"),
             ]
 
+    @pytest.mark.parametrize("pid", RESERVED_PIDS, ids=RESERVED_IDS)
+    def test_reserved_pids_never_reach_the_kernel(self, runtime, pid):
+        """Refused before any event is injected: one injected at the live
+        signer would sit in its inbox for good."""
+        kernel = runtime.kernel
+        trace = list(kernel.trace)
+        init = ChannelInit(eph_pk=bytes(32), nonce=bytes(12), ct=bytes(48))
+        with pytest.raises(NotAttestableError):
+            runtime.attest_once(pid, bytes(32))
+        with pytest.raises(NotAttestableError):
+            runtime.channel_once(pid, bytes(32), bytes(32), init)
+        assert list(kernel.trace) == trace
+        assert not kernel._procs[SP_PID].net_inbox
+
     def test_bad_chal_length(self, runtime):
         with pytest.raises(ValueError):
             runtime.attest_once(1, b"short")
@@ -99,7 +119,7 @@ class TestRuntimeInjection:
     def test_reply_verifies(self, runtime, sign_key, booted):
         chal = b"\x21" * 32
         reply = runtime.attest_once(1, chal)
-        m = booted.report.digest_of(1)
+        m = booted.sp_state.mmap.lookup(1)
         assert reply.status == 0
         assert verify_token(sign_key.verify_key(), chal, reply.pk, m, reply.sigma)
 
@@ -212,6 +232,16 @@ class TestDaemonTcp:
             with pytest.raises(TruncatedError, match="before a frame"):
                 stream.recv()                       # the daemon hung up
 
+    def test_reserved_pids_are_unknown(self, daemon):
+        kernel = daemon.runtime.kernel
+        trace = list(kernel.trace)
+        with connect(daemon) as stream:
+            for pid in RESERVED_PIDS:
+                stream.send(AttestRequest(pid, bytes(32)))
+                assert stream.recv() == ErrorMsg(ERR_UNKNOWN_PID)
+        assert list(kernel.trace) == trace
+        assert not kernel._procs[SP_PID].net_inbox
+
     def test_pipelined_requests_answered_in_order(self, env, daemon):
         """32 requests in one write come back as 32 replies, in order."""
         pids = [(1, 2, 9)[i % 3] for i in range(32)]
@@ -226,7 +256,7 @@ class TestDaemonTcp:
                 assert reply == ErrorMsg(code=ERR_UNKNOWN_PID)
                 continue
             assert isinstance(reply, AttestResponse) and reply.pid == pid
-            m = daemon.runtime.report.digest_of(pid)
+            m = daemon.runtime.sp_state.mmap.lookup(pid)
             assert verify_token(vk, chal, reply.pk, m, reply.sigma)
 
     def test_frames_before_oversize_header_are_answered(self, daemon):

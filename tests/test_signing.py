@@ -309,7 +309,7 @@ class TestInKernel:
             assert reply.pid == pid
             assert reply.status == STATUS_OK
             assert verify_token(vk, chal, reply.pk,
-                                system.report.digest_of(pid), reply.sigma)
+                                system.sp_state.mmap.lookup(pid), reply.sigma)
 
     def test_sp_survives_malformed_and_keeps_serving(self, booted):
         kernel = booted.kernel

@@ -383,13 +383,23 @@ class EchoSocket:
         pass
 
 
+def _socketpair() -> tuple[socket.socket, socket.socket]:
+    """A connected pair whose reads and writes give up after 5 s, so a
+    stream that waits when it should not fails its test instead of
+    hanging the suite."""
+    a, b = socket.socketpair()
+    a.settimeout(5)
+    b.settimeout(5)
+    return a, b
+
+
 def _request(i: int) -> bytes:
     return encode(AttestRequest(pid=i, chal=bytes([i % 256]) * 32))
 
 
 class TestFrameStream:
     def _pair(self):
-        a, b = socket.socketpair()
+        a, b = _socketpair()
         return FrameStream(a), FrameStream(b)
 
     def test_send_recv_roundtrip(self):
@@ -467,7 +477,7 @@ class TestFrameStream:
         return tuple(out)
 
     def test_python_timeout_becomes_a_kernel_deadline(self):
-        a, b = socket.socketpair()
+        a, b = _socketpair()
         a.settimeout(2.5)
         stream = FrameStream(a)
         try:
@@ -492,7 +502,7 @@ class TestFrameStream:
     def test_zero_timeout_does_not_wait(self):
         """0 keeps Python's meaning (do not wait); a zero SO_RCVTIMEO
         would mean no deadline at all."""
-        a, b = socket.socketpair()
+        a, b = _socketpair()
         stream = FrameStream(a)
         stream.settimeout(0)
         outcome: list = []
@@ -518,7 +528,7 @@ class TestFrameStream:
                                          float("-inf"), 1e30])
     @pytest.mark.parametrize("before", [None, 0.0, 2.5])
     def test_refused_deadline_leaves_the_socket_as_it_was(self, seconds, before):
-        a, b = socket.socketpair()
+        a, b = _socketpair()
         try:
             a.settimeout(before)
             if before:
