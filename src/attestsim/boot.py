@@ -53,6 +53,9 @@ RESERVED_PID_BASE = 2**64 - 256
 PST_PID = RESERVED_PID_BASE + 1
 SP_PID = RESERVED_PID_BASE + 3
 
+# a process's own code, readable and executable, and no other region
+DEFAULT_REGIONS = (RegionRequest(SELF_CODE_REGION, Rights(read=True, execute=True)),)
+
 
 class BootError(Exception):
     pass
@@ -161,9 +164,7 @@ def image_manifest(anchors: Optional[dict[str, str]] = None,
 class ProcessSpec:
     pid: int
     binary: bytes
-    regions: tuple[RegionRequest, ...] = (
-        RegionRequest(SELF_CODE_REGION, Rights(read=True, execute=True)),
-    )
+    regions: tuple[RegionRequest, ...] = DEFAULT_REGIONS
 
 
 def _region_from_entry(entry: object) -> RegionRequest:
@@ -212,7 +213,7 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
             binary = bf.read()
         caps = entry.get("caps")
         if caps is None:
-            regions = ProcessSpec.__dataclass_fields__["regions"].default
+            regions = DEFAULT_REGIONS
         elif isinstance(caps, list):
             regions = tuple(_region_from_entry(c) for c in caps)
         else:
@@ -300,9 +301,7 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
             seen.add(spec.pid)
 
         log.info("phase=process-spawn pid=%#x role=signing-process", SP_PID)
-        kernel.spawn_process(KernelProcessSpec(
-            SP_PID, SP_IMAGE,
-            (RegionRequest(SELF_CODE_REGION, Rights(read=True, execute=True)),)))
+        kernel.spawn_process(KernelProcessSpec(SP_PID, SP_IMAGE, DEFAULT_REGIONS))
         ep_boot = kernel.create_endpoint()
         ep_attest = kernel.create_endpoint()
         sp_boot_recv = kernel.mint_badged_cap(ep_boot, None, Rights(read=True), SP_PID)

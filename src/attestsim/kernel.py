@@ -356,11 +356,12 @@ class Kernel:
 
     # --- host-side interface ---------------------------------------------
 
-    def inject_net(self, pid: int, event: Any) -> None:
-        """Deliver a network event to ``pid`` (queued if it is not waiting)."""
+    def inject_net(self, pid: int, event: Any) -> bool:
+        """Deliver a network event to ``pid`` (queued if it is not waiting);
+        ``False``, with nothing delivered or traced, if ``pid`` is not live."""
         rec = self._procs.get(pid)
         if rec is None or rec.state is _TERMINATED:
-            raise UnknownPidError(f"pid {pid}")
+            return False
         self.trace.append(("net_in", pid, type(event).__name__))
         if rec.state is _BLOCKED_NET:
             rec.resume_value = event
@@ -368,6 +369,7 @@ class Kernel:
             self._ready.append(pid)
         else:
             rec.net_inbox.append(event)
+        return True
 
     def drain_net(self, pid: int) -> list[Any]:
         """Collect events the process emitted via ``net_send``."""

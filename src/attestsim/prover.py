@@ -6,12 +6,15 @@ threaded on purpose: the simulated device has one core and the kernel
 object is not shared between threads. Connections are serviced one at a
 time and may carry any number of frames.
 
-Each connection's socket stays blocking, and the host kernel enforces the
-``IO_TIMEOUT`` deadline on every read and write (``SO_RCVTIMEO`` and
-``SO_SNDTIMEO``, set by ``wire.set_deadlines``), so no call waits longer
-than that. Python's own socket timeout would add a ``poll()`` before every
-``recv`` and ``send``. A deadline that expires raises ``OSError``, and the
-connection is dropped.
+Two owners split each connection. ``Connection`` owns the protocol:
+framing, routing, the channel binding and the error policy, as bytes in
+and bytes out. ``ProverServer.finish_request`` owns the socket and only
+moves bytes between the two. The socket stays blocking, and the host
+kernel enforces the ``IO_TIMEOUT`` deadline on every read and write
+(``SO_RCVTIMEO`` and ``SO_SNDTIMEO``, set by ``wire.set_deadlines``), so
+no call waits longer than that. Python's own socket timeout would add a
+``poll()`` before every ``recv`` and ``send``. A deadline that expires
+raises ``OSError``, and the connection is dropped.
 
 Frame handling is total. A frame that parses but cannot be honored gets
 an Error frame back; a stream whose framing can no longer be trusted
@@ -48,7 +51,7 @@ from .boot import (
     load_user_manifest,
 )
 from .crypto import CHAL_LEN, load_keystore
-from .kernel import ProcState, UnknownPidError
+from .kernel import ProcState
 from .userland import BoundChannelInit, NetChannelFail, make_relay_program
 from .wire import (
     ERR_BAD_REQUEST,
@@ -75,8 +78,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LISTEN = "0.0.0.0:7411"
 IO_TIMEOUT = 10.0
-
-Binding = tuple[int, bytes, bytes]  # (pid, chal, sigma) last accepted
 
 
 class NotAttestableError(KeyError):
@@ -137,10 +138,8 @@ class ProverRuntime:
         if pid >= RESERVED_PID_BASE:
             raise NotAttestableError(f"pid {pid} is reserved")
         kernel = self.kernel
-        try:
-            kernel.inject_net(pid, event)
-        except UnknownPidError:
-            raise NotAttestableError(f"pid {pid} is not live") from None
+        if not kernel.inject_net(pid, event):
+            raise NotAttestableError(f"pid {pid} is not live")
         try:
             kernel.run()
         except Exception as e:
@@ -172,6 +171,68 @@ def build_runtime(config: ProverConfig) -> ProverRuntime:
     return ProverRuntime(bring_up(image_manifest(anchors), specs, key, make_relay_program))
 
 
+class Connection:
+    """One connection's protocol, with no socket and no clock (sans-IO).
+    ``bound`` is the ``(pid, chal, sigma)`` of its last accepted attestation."""
+
+    def __init__(self, runtime: ProverRuntime):
+        self.runtime = runtime
+        self.decoder = FrameDecoder()
+        self.bound: Optional[tuple[int, bytes, bytes]] = None
+        self.closed = False
+
+    def receive(self, data: bytes) -> bytes:
+        """The replies to every frame ``data`` completes, in order. Lost
+        framing ends them with one error frame and sets ``closed``, after
+        which every call returns ``b""``."""
+        if self.closed:
+            return b""
+        replies = []
+        for item in self.decoder.feed(data):
+            try:
+                frame = decode_payload(*item)
+            except WireError:
+                # the declared length was consumed, so the stream is still in sync
+                replies.append(encode(ErrorMsg(ERR_BAD_REQUEST)))
+                continue
+            try:
+                reply = self._route(frame)
+            except Exception:
+                log.exception("handler fault on %r", type(frame).__name__)
+                reply = ErrorMsg(ERR_INTERNAL)
+            replies.append(encode(reply))
+        if self.decoder.lost is not None:
+            # framing can't be trusted past the bad header: answer, then close
+            replies.append(encode(ErrorMsg(ERR_BAD_REQUEST)))
+            self.closed = True
+        return b"".join(replies)
+
+    def _route(self, msg: WireMessage) -> WireMessage:
+        try:
+            if isinstance(msg, AttestRequest):
+                pid, chal = msg
+                reply = self.runtime.attest_once(pid, chal)
+                if reply.status == 0:
+                    self.bound = (pid, chal, reply.sigma)
+                return reply
+            if isinstance(msg, ChannelInit):
+                # no pid on the wire for channel frames: route to the pid of
+                # the connection's last accepted attestation
+                if self.bound is None:
+                    return ErrorMsg(ERR_NO_CONTEXT)
+                outcome = self.runtime.channel_once(*self.bound, msg)
+                if isinstance(outcome, NetChannelFail):
+                    log.info("channel refused for pid=%d: %s", self.bound[0], outcome.reason)
+                    return ErrorMsg(ERR_CHANNEL)
+                return outcome
+        except NotAttestableError:
+            return ErrorMsg(ERR_UNKNOWN_PID)
+        except DeviceFaultError:
+            return ErrorMsg(ERR_INTERNAL)       # logged when it faulted
+        # clients have no business sending responses, confirms, or errors
+        return ErrorMsg(ERR_BAD_REQUEST)
+
+
 class ProverServer(socketserver.TCPServer):
     """The daemon: boots the device from ``config``, then binds and logs
     the ``phase=listen`` line. ``proverd`` and ``BackgroundDaemon`` both
@@ -188,66 +249,17 @@ class ProverServer(socketserver.TCPServer):
                  self.runtime.sp_state.sign_key.mode.value)
 
     def finish_request(self, request: socket.socket, client_address) -> None:
-        """One connection: a loop of reads until EOF, an expired deadline,
-        or loss of sync.
-
-        Every complete frame of a read is answered, in order, and the
-        replies go back in one ``sendall``, ended by one error frame if
-        the read lost sync.
-        """
+        """One connection: each read goes to a ``Connection``, and its
+        replies go back in one ``sendall``, until EOF, an expired deadline,
+        or loss of sync."""
         set_deadlines(request, IO_TIMEOUT)
-        decoder = FrameDecoder()
-        bound: Optional[Binding] = None
+        conn = Connection(self.runtime)
         try:
-            while data := request.recv(READ_SIZE):
-                replies = bytearray()
-                for item in decoder.feed(data):
-                    try:
-                        frame = decode_payload(*item)
-                    except WireError:
-                        # the declared length was consumed, so the stream is
-                        # still in sync
-                        replies += encode(ErrorMsg(ERR_BAD_REQUEST))
-                        continue
-                    try:
-                        reply, bound = self._route(frame, bound)
-                    except Exception:
-                        log.exception("handler fault on %r", type(frame).__name__)
-                        reply = ErrorMsg(ERR_INTERNAL)
-                    replies += encode(reply)
-                if decoder.lost is not None:
-                    # framing can't be trusted past the bad header: answer, drop
-                    request.sendall(replies + encode(ErrorMsg(ERR_BAD_REQUEST)))
-                    return
-                if replies:
+            while not conn.closed and (data := request.recv(READ_SIZE)):
+                if replies := conn.receive(data):
                     request.sendall(replies)
         except OSError:
             pass            # an expired deadline or a reset: drop the connection
-
-    def _route(self, msg: WireMessage, bound: Optional[Binding]
-               ) -> tuple[WireMessage, Optional[Binding]]:
-        runtime = self.runtime
-        try:
-            if isinstance(msg, AttestRequest):
-                pid, chal = msg
-                reply = runtime.attest_once(pid, chal)
-                return reply, (pid, chal, reply.sigma) if reply.status == 0 else bound
-            if isinstance(msg, ChannelInit):
-                # no pid on the wire for channel frames: route to the pid of
-                # the connection's last accepted attestation
-                if bound is None:
-                    return ErrorMsg(ERR_NO_CONTEXT), bound
-                outcome = runtime.channel_once(*bound, msg)
-                if isinstance(outcome, NetChannelFail):
-                    log.info("channel refused for pid=%d: %s", bound[0], outcome.reason)
-                    return ErrorMsg(ERR_CHANNEL), bound
-                return outcome, bound
-        except NotAttestableError:
-            return ErrorMsg(ERR_UNKNOWN_PID), bound
-        except DeviceFaultError:
-            return ErrorMsg(ERR_INTERNAL), bound    # logged when it faulted
-        # clients have no business sending responses, confirms, or errors
-        return ErrorMsg(ERR_BAD_REQUEST), bound
 
 
 class BackgroundDaemon:

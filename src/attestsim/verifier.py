@@ -111,6 +111,14 @@ class PolicyError(Exception):
 
 # --- policy ---------------------------------------------------------------
 
+def decimal_pid(text: str) -> int:
+    """A pid in ASCII decimal digits, 0 to 2**64 - 1, or ``ValueError``:
+    ``int`` alone would also take "+1", " 1 ", "1_0" and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) >= 2**64:
+        raise ValueError(f"not a decimal pid below 2**64: {text!r}")
+    return int(text)
+
+
 @dataclass
 class DevicePolicy:
     """One device's verify key and golden measurements."""
@@ -154,11 +162,9 @@ class Policy:
             golden: dict[int, bytes] = {}
             for pid_str, binary_path in golden_raw.items():
                 try:
-                    # ASCII digits only, as in a port: int() alone would
-                    # also take "+1", " 1 ", "1_0" and non-ASCII digits
-                    pid = int(pid_str) if pid_str.isascii() and pid_str.isdigit() else -1
-                    if not 0 <= pid < 2**64 or pid in golden:
-                        raise ValueError("not a decimal pid below 2**64, or listed twice")
+                    pid = decimal_pid(pid_str)
+                    if pid in golden:
+                        raise ValueError("listed twice")
                     with open(os.path.join(base, binary_path), "rb") as bf:
                         golden[pid] = measure_binary(bf.read())
                 except (ValueError, TypeError, EmptyBinaryError) as e:
@@ -415,7 +421,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         p = sub.add_parser(name, help="run one attestation round"
                            + (" and establish a channel" if with_channel else ""))
         p.add_argument("--device", required=True, help="device id in the policy")
-        p.add_argument("--pid", required=True, type=int,
+        p.add_argument("--pid", required=True, type=decimal_pid,
                        help="user process id to attest")
         p.add_argument("--policy", required=True, help="policy JSON path")
         p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
@@ -426,8 +432,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not 0 < args.timeout <= MAX_TIMEOUT:
         parser.error(f"--timeout {args.timeout} is not above 0 and at most "
                      f"{MAX_TIMEOUT}")
-    if not 0 <= args.pid < 2**64:
-        parser.error(f"--pid {args.pid} is outside 0 to 2**64 - 1")
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
     try:

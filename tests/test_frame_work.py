@@ -1,9 +1,10 @@
 """Work per frame, as counts that repeat exactly. First the calls the
 interpreter makes (``sys.settrace`` "call" events, which include every
-resume of a generator) for one daemon-side AttestRequest frame and for one
-verifier round. Timings on a shared machine swing by tens of percent; this
-count does not, so a change that adds a layer or a re-check to the
-per-frame path shows here first.
+resume of a generator) for one verifier round and for one daemon-side
+AttestRequest frame, to a live pid and to an absent one, fed to
+``prover.Connection.receive`` with no socket. Timings on a shared machine
+swing by tens of percent; this count does not, so a change that adds a
+layer or a re-check to the per-frame path shows here first.
 
 The bounds are the counts of an HMAC round. They include the register
 calls of ``ProcessApi``, 26 per round: 8 ``set_mr`` and 8 ``get_mr`` for
@@ -22,11 +23,12 @@ import sys
 from collections import deque
 
 import attestsim.prover as prover
-from attestsim.prover import ProverServer
 from attestsim.verifier import Policy, Verifier
 from attestsim.wire import (
+    ERR_UNKNOWN_PID,
     AttestRequest,
     AttestResponse,
+    ErrorMsg,
     FrameDecoder,
     FrameStream,
     decode_payload,
@@ -34,6 +36,7 @@ from attestsim.wire import (
 )
 
 DAEMON_FRAME_CALLS = 53     # feed, decode, route (kernel, relay, signer), encode
+ABSENT_PID_FRAME_CALLS = 9  # feed, decode, route, refusal, encode
 VERIFIER_ROUND_CALLS = 19   # challenge, send, recv, check_response
 PIPELINE_DEPTH = 32         # rounds in flight, as perfbench's pipelined load
 
@@ -77,25 +80,22 @@ def test_a_dead_kernel_adds_no_calls_to_the_window(env):
 
 
 def test_daemon_frame_calls(env):
-    server = ProverServer(env.config)
-    try:
-        decoder = FrameDecoder()
-        replies = []
-
-        def frame(data: bytes) -> None:
-            # what ProverServer.finish_request does with one frame of a read
-            for item in decoder.feed(data):
-                reply, _ = server._route(prover.decode_payload(*item), None)
-                replies.append(prover.encode(reply))
-
-        for pid in (1, 2, 1):
-            frame(encode(AttestRequest(pid, os.urandom(32))))
-        counts = [calls_in(frame, encode(AttestRequest(pid, os.urandom(32))))
-                  for pid in (1, 2)]
-    finally:
-        server.server_close()
+    conn = prover.Connection(prover.build_runtime(env.config))
+    replies = [conn.receive(encode(AttestRequest(pid, os.urandom(32))))
+               for pid in (1, 2, 1)]
+    counts = [calls_in(conn.receive, encode(AttestRequest(pid, os.urandom(32))))
+              for pid in (1, 2)]
     assert all(r[4] == 0x02 for r in replies)       # every frame was attested
     assert counts[0] == counts[1] <= DAEMON_FRAME_CALLS
+
+
+def test_absent_pid_frame_calls(env):
+    """A frame for a pid the device does not hold: refused before the
+    kernel runs, so it costs a fraction of an attested frame."""
+    conn = prover.Connection(prover.build_runtime(env.config))
+    frame = encode(AttestRequest(9, bytes(32)))
+    assert conn.receive(frame) == encode(ErrorMsg(ERR_UNKNOWN_PID))
+    assert calls_in(conn.receive, frame) <= ABSENT_PID_FRAME_CALLS
 
 
 def test_verifier_round_calls(env, daemon):

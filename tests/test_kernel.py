@@ -555,8 +555,9 @@ class TestLifecycle:
     def _assert_retired_as_fault(kernel, pid):
         assert kernel.process_state(pid) is ProcState.TERMINATED
         assert kernel.trace[-1] == ("fault", pid)
-        with pytest.raises(UnknownPidError):
-            kernel.inject_net(pid, "late")
+        trace = list(kernel.trace)
+        assert kernel.inject_net(pid, "late") is False
+        assert list(kernel.trace) == trace
 
     def test_authority_gone_after_finalize(self):
         kernel = Kernel()
@@ -592,7 +593,7 @@ class TestNet:
         kernel.start_process(1, program)
         kernel.run()
         assert kernel.process_state(1) is ProcState.BLOCKED_NET
-        kernel.inject_net(1, "hello")
+        assert kernel.inject_net(1, "hello") is True
         kernel.run()
         assert seen == ["hello"]
         assert kernel.drain_net(1) == [("echo", "hello")]
@@ -617,8 +618,10 @@ class TestNet:
         kernel = Kernel()
         spawn(kernel, 1)
         kernel.terminate_process(1)
-        with pytest.raises(UnknownPidError):
-            kernel.inject_net(1, "x")
+        trace = list(kernel.trace)
+        assert kernel.inject_net(1, "x") is False
+        assert kernel.inject_net(2, "x") is False       # never spawned
+        assert list(kernel.trace) == trace
 
 
 class TestDeterminism:

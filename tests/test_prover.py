@@ -156,6 +156,49 @@ class TestRuntimeInjection:
                     pid, other_chal, other_sigma, init) == refused
 
 
+SERVER_ONLY = [
+    AttestResponse(status=0, pid=1, pk=bytes(32), sigma=b"\x00" * 32),
+    ChannelConfirm(nonce=bytes(12), ct=bytes(16)),
+    ErrorMsg(code=1),
+]
+# what a client may write: attests for live and absent pids, channel inits
+# (bound or not), any type with any payload, and the types only a server sends
+CLIENT_FRAMES = st.one_of(
+    st.builds(lambda pid, chal: encode(AttestRequest(pid, chal)),
+              st.sampled_from([1, 2, 3, 9, PST_PID]),
+              st.binary(min_size=32, max_size=32)),
+    st.builds(lambda eph_pk, ct: encode(ChannelInit(eph_pk, bytes(12), ct)),
+              st.binary(min_size=32, max_size=32), st.binary(min_size=16, max_size=48)),
+    st.builds(lambda mtype, payload: struct.pack(">IB", len(payload), mtype) + payload,
+              st.integers(0, 255), st.binary(max_size=80)),
+    st.sampled_from([encode(msg) for msg in SERVER_ONLY]),
+)
+OVERSIZE_HEADER = struct.pack(">IB", MAX_PAYLOAD + 1, 0x01)
+
+
+class TestConnection:
+    @pytest.mark.parametrize("sign_mode", [SignMode.HMAC], ids=["hmac"])
+    @given(frames=st.lists(CLIENT_FRAMES, max_size=10), data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_replies_do_not_depend_on_the_reads(self, runtime, frames, data):
+        """A stream cut into reads anywhere gets the same replies and the
+        same ``closed`` as one read of all of it, whether framing is lost
+        at some frame boundary or nowhere."""
+        lost_at = data.draw(st.none() | st.integers(0, len(frames)))
+        if lost_at is not None:
+            frames.insert(lost_at, OVERSIZE_HEADER)
+        stream = b"".join(frames)
+        cuts = data.draw(st.sets(st.integers(0, len(stream))))
+        bounds = sorted({0, len(stream), *cuts})
+        whole = prover.Connection(runtime)
+        expected = whole.receive(stream)
+        split = prover.Connection(runtime)
+        replies = [split.receive(stream[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert b"".join(replies) == expected
+        assert split.closed == whole.closed == (lost_at is not None)
+
+
 def connect(daemon: BackgroundDaemon) -> FrameStream:
     return FrameStream.connect(*daemon.address, timeout=5.0)
 
@@ -202,11 +245,7 @@ class TestDaemonTcp:
             assert stream.recv() == ErrorMsg(code=ERR_UNKNOWN_PID)
             assert verifier.establish_channel(result, stream).pid == 1
 
-    @pytest.mark.parametrize("msg", [
-        AttestResponse(status=0, pid=1, pk=bytes(32), sigma=b"\x00" * 32),
-        ChannelConfirm(nonce=bytes(12), ct=bytes(16)),
-        ErrorMsg(code=1),
-    ], ids=["response", "confirm", "error"])
+    @pytest.mark.parametrize("msg", SERVER_ONLY, ids=["response", "confirm", "error"])
     def test_server_only_types_bounce(self, daemon, msg):
         with connect(daemon) as stream:
             stream.send(msg)

@@ -674,9 +674,14 @@ class TestCli:
         ["--pid", "abc"],
         ["--pid", "-1"],
         ["--pid", str(2**64)],
+        ["--pid", "1_0"],                       # int() reads these four as 10,
+        ["--pid", "+1"],                        # 1, 1 and 1
+        ["--pid", " 1 "],
+        ["--pid", "\u0661"],                    # ARABIC-INDIC DIGIT ONE
         [],                                     # --pid missing
     ], ids=["negative", "nan", "inf", "zero", "huge", "not-a-number",
-            "pid-not-int", "pid-negative", "pid-beyond-u64", "pid-missing"])
+            "pid-not-int", "pid-negative", "pid-beyond-u64", "pid-underscore",
+            "pid-plus", "pid-spaces", "pid-non-ascii", "pid-missing"])
     def test_usage_error_exit_four(self, env, tmp_path, capsys, args):
         """A usage error exits 4 with one line, before any connection:
         2 is reserved for a rejected attestation, 3 for transport."""
