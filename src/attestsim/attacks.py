@@ -256,10 +256,9 @@ def scenario_badge_forge(work: Path, t: list[str]) -> Outcome:
     the rogue gets a signature over its OWN measurement, which the
     verifier refuses to accept for the target pid.
     """
-    if "badge" in [f.name for f in Call.__dataclass_fields__.values()]:
+    if "badge" in Call.__slots__ or hasattr(Call(0, 0), "__dict__"):
         return False, "no badge field on Call", "Call exposes a badge field"
-    t.append("send syscall surface: fields "
-             f"{[f for f in Call.__dataclass_fields__]} (no badge)")
+    t.append(f"send syscall surface: fields {list(Call.__slots__)} (no badge)")
     env = build_env(work)
     verifier = Verifier(Policy.load(str(env.policy_path)))
     target_digest_pid = 2

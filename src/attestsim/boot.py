@@ -28,12 +28,12 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .crypto import SignKey, measure_binary, sha256
 from .kernel import (
     Call,
+    Frozen,
     Kernel,
     KernelProcessSpec,
     ProcessApi,
@@ -98,12 +98,16 @@ RP_IMAGE = b"\x7fRTP" + _keystream_blob("root-process-image-v1", 8188)
 SP_IMAGE = b"\x7fSGN" + _keystream_blob("signing-process-image-v1", 4092)
 
 
-@dataclass(frozen=True)
-class ImageManifest:
-    kernel_image: bytes
-    rp_image: bytes
-    expected_kernel_sha256: bytes
-    expected_rp_sha256: bytes
+class ImageManifest(Frozen):
+    __slots__ = ("kernel_image", "rp_image", "expected_kernel_sha256",
+                 "expected_rp_sha256")
+
+    def __init__(self, kernel_image: bytes, rp_image: bytes,
+                 expected_kernel_sha256: bytes, expected_rp_sha256: bytes):
+        object.__setattr__(self, "kernel_image", kernel_image)
+        object.__setattr__(self, "rp_image", rp_image)
+        object.__setattr__(self, "expected_kernel_sha256", expected_kernel_sha256)
+        object.__setattr__(self, "expected_rp_sha256", expected_rp_sha256)
 
 
 def default_anchors() -> dict[str, str]:
@@ -160,11 +164,14 @@ def image_manifest(anchors: Optional[dict[str, str]] = None,
 
 # --- user-process manifest ------------------------------------------------
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    pid: int
-    binary: bytes
-    regions: tuple[RegionRequest, ...] = DEFAULT_REGIONS
+class ProcessSpec(Frozen):
+    __slots__ = ("pid", "binary", "regions")
+
+    def __init__(self, pid: int, binary: bytes,
+                 regions: tuple[RegionRequest, ...] = DEFAULT_REGIONS):
+        object.__setattr__(self, "pid", pid)
+        object.__setattr__(self, "binary", binary)
+        object.__setattr__(self, "regions", regions)
 
 
 def _region_from_entry(entry: object) -> RegionRequest:
@@ -224,12 +231,12 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
 
 # --- pipeline -------------------------------------------------------------
 
-@dataclass
 class BootedSystem:
     """A finalized device; the signer's state owns key and measurements."""
 
-    kernel: Kernel
-    sp_state: SpState
+    def __init__(self, kernel: Kernel, sp_state: SpState):
+        self.kernel = kernel
+        self.sp_state = sp_state
 
 
 # ``factory(spec, sp_cap)`` returns a user process's program. The caller passes

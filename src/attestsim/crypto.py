@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import os
 import stat
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Union
@@ -200,18 +199,40 @@ class SignKey:
         return f"SignKey(mode={self.mode.value}, secret=<redacted>)"
 
 
-@dataclass(frozen=True)
 class VerifyKey:
     """What the verifier stores per device: mode plus key material.
 
     What checking a token needs is built on first use and kept: the pyca
     public-key object in Ed25519 mode, the HMAC states (``hmac_pads``) in
     HMAC mode. Neither is a field: equality, hashing and the repr see only
-    mode and material.
+    mode and material. The key is immutable like ``kernel.Frozen``'s
+    records, and written out here because the channel and the verifier
+    load this module without the kernel; its ``__dict__`` holds only the
+    two cached values.
     """
 
-    mode: SignMode
-    material: bytes
+    __slots__ = ("mode", "material", "__dict__")
+
+    def __init__(self, mode: SignMode, material: bytes):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "material", material)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.mode, self.material) == (other.mode, other.material)
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.material))
+
+    def __repr__(self) -> str:
+        return f"VerifyKey(mode={self.mode!r}, material={self.material!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"VerifyKey is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"VerifyKey is immutable: cannot delete {name!r}")
 
     @cached_property
     def _ed25519(self) -> Ed25519PublicKey:

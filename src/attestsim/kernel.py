@@ -34,13 +34,9 @@ keeps a bounded amount of it.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Generator, Optional
-
-log = logging.getLogger(__name__)
 
 MSG_MAX_LENGTH = 120          # IPC buffer size in 64-bit registers
 WORD_MASK = (1 << 64) - 1
@@ -101,35 +97,83 @@ class IndexOutOfRangeError(KernelError):
     pass
 
 
-@dataclass(frozen=True)
-class Rights:
-    read: bool = False
-    write: bool = False
-    execute: bool = False
+class Frozen:
+    """Base of the device's immutable records, written out in source.
+
+    A subclass names its fields once, in ``__slots__``, and its ``__init__``
+    writes each with ``object.__setattr__``, as a frozen dataclass's does;
+    no code is built at run time. A record equals only a record of the same
+    type with equal fields, hashes over its fields, and refuses assignment
+    and deletion.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(object.__getattribute__(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
-@dataclass(frozen=True)
-class Capability:
-    """Kernel-side capability record. Processes see only the handle."""
+class Rights(Frozen):
+    __slots__ = ("read", "write", "execute")
 
-    handle: int
-    kind: str                     # "endpoint" or "region"
-    obj: Any                      # endpoint id, or region name
-    rights: Rights
-    badge: Optional[int] = None
+    def __init__(self, read: bool = False, write: bool = False, execute: bool = False):
+        object.__setattr__(self, "read", read)
+        object.__setattr__(self, "write", write)
+        object.__setattr__(self, "execute", execute)
 
 
-@dataclass(frozen=True)
-class RegionRequest:
-    region: str
-    rights: Rights
+class Capability(Frozen):
+    """Kernel-side capability record. Processes see only the handle.
+
+    ``kind`` is "endpoint" or "region"; ``obj`` is the endpoint id or the
+    region name.
+    """
+
+    __slots__ = ("handle", "kind", "obj", "rights", "badge")
+
+    def __init__(self, handle: int, kind: str, obj: Any, rights: Rights,
+                 badge: Optional[int] = None):
+        object.__setattr__(self, "handle", handle)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "rights", rights)
+        object.__setattr__(self, "badge", badge)
 
 
-@dataclass(frozen=True)
-class KernelProcessSpec:
-    pid: int
-    code: bytes
-    regions: tuple[RegionRequest, ...] = ()
+class RegionRequest(Frozen):
+    __slots__ = ("region", "rights")
+
+    def __init__(self, region: str, rights: Rights):
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "rights", rights)
+
+
+class KernelProcessSpec(Frozen):
+    __slots__ = ("pid", "code", "regions")
+
+    def __init__(self, pid: int, code: bytes, regions: tuple[RegionRequest, ...] = ()):
+        object.__setattr__(self, "pid", pid)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "regions", regions)
 
 
 class ProcState(Enum):
@@ -151,29 +195,34 @@ _TERMINATED = ProcState.TERMINATED
 
 # --- syscall descriptors (yielded by programs) ---------------------------
 
-@dataclass(frozen=True)
-class Call:
+class Call(Frozen):
     """Rendezvous call: send ``msg_len`` registers, block until replied.
 
     Resumes with the reply's register count; reply payload is in the IPC
-    buffer. There is deliberately no badge field here: the sender cannot
-    choose how it appears to the receiver.
+    buffer. There is deliberately no badge field here, and no ``__dict__``
+    to attach one: the sender cannot choose how it appears to the receiver.
     """
 
-    cap: int
-    msg_len: int
+    __slots__ = ("cap", "msg_len")
+
+    def __init__(self, cap: int, msg_len: int):
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "msg_len", msg_len)
 
 
-@dataclass(frozen=True)
-class Recv:
+class Recv(Frozen):
     """Block until a sender rendezvouses; resumes with (badge, msg_len)."""
 
-    cap: int
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int):
+        object.__setattr__(self, "cap", cap)
 
 
-@dataclass(frozen=True)
-class NetRecv:
+class NetRecv(Frozen):
     """Block until the host injects a network event for this process."""
+
+    __slots__ = ()
 
 
 Syscall = Call | Recv | NetRecv

@@ -38,7 +38,6 @@ import socket
 import socketserver
 import sys
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 from .boot import (
@@ -88,13 +87,16 @@ class DeviceFaultError(RuntimeError):
     """The signer faulted earlier; the device serves no request any more."""
 
 
-@dataclass
 class ProverConfig:
-    host: str = "0.0.0.0"
-    port: int = 7411
-    keystore_path: str = "keystore.hex"
-    anchors_path: str = "anchors.json"
-    manifest_path: str = "manifest.json"
+    def __init__(self, host: str = "0.0.0.0", port: int = 7411,
+                 keystore_path: str = "keystore.hex",
+                 anchors_path: str = "anchors.json",
+                 manifest_path: str = "manifest.json"):
+        self.host = host
+        self.port = port
+        self.keystore_path = keystore_path
+        self.anchors_path = anchors_path
+        self.manifest_path = manifest_path
 
 
 class ProverRuntime:

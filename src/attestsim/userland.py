@@ -14,7 +14,6 @@ programs themselves never see sockets.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Generator
 
 from .channel import (
@@ -27,22 +26,27 @@ from .channel import (
     seal,
     x25519_keypair,
 )
-from .kernel import Call, NetRecv, ProcessApi
+from .kernel import Call, Frozen, NetRecv, ProcessApi
 from .signing import REQUEST_LEN, WORDS
 from .wire import AttestRequest, AttestResponse, ChannelConfirm, ChannelInit
 
 
-@dataclass(frozen=True)
-class NetChannelFail:
-    reason: str
+class NetChannelFail(Frozen):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class BoundChannelInit:
+class BoundChannelInit(Frozen):
     """A ``ChannelInit`` and the accepted attestation its channel binds to."""
-    init: ChannelInit
-    chal: bytes
-    sigma: bytes
+
+    __slots__ = ("init", "chal", "sigma")
+
+    def __init__(self, init: ChannelInit, chal: bytes, sigma: bytes):
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "chal", chal)
+        object.__setattr__(self, "sigma", sigma)
 
 
 def make_relay_program(spec, sp_cap: int):

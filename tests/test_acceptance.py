@@ -455,7 +455,8 @@ def test_10_structural_guarantees():
         cap.badge = 9  # type: ignore[misc]
     notes.append("capability frozen")
 
-    assert set(Call.__dataclass_fields__) == {"cap", "msg_len"}
+    assert set(Call.__slots__) == {"cap", "msg_len"}
+    assert not hasattr(Call(1, 0), "__dict__")
     notes.append("no badge in send syscall")
 
     mmap = FrozenMeasurementMap([(1, b"\x00" * 32)])

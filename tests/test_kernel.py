@@ -681,4 +681,8 @@ class TestOpacity:
             cap.rights = Rights()    # type: ignore[misc]
 
     def test_call_descriptor_has_no_badge_field(self):
-        assert set(Call.__dataclass_fields__) == {"cap", "msg_len"}
+        assert set(Call.__slots__) == {"cap", "msg_len"}
+        # no __dict__ either, so no badge can be attached to a descriptor
+        assert not hasattr(Call(1, 0), "__dict__")
+        with pytest.raises(AttributeError):
+            Call(1, 0).badge = 9     # type: ignore[attr-defined]

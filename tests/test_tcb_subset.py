@@ -12,7 +12,11 @@ syntax trees:
   (``setattr``, ``getattr``, ``delattr``, ``vars``, ``globals``) or that
   builds code (``eval``, ``exec``, ``compile``, ``__import__``);
 * no ``global`` statement;
-* no ``namedtuple``, whose classes are made from a string at run time.
+* no ``namedtuple`` and no ``dataclass`` (nor the ``dataclasses`` module),
+  which make a class's methods from strings of source at run time: a
+  dataclass ``exec``s the ``__init__``, ``__eq__`` and ``__hash__`` it
+  generates. The TCB's records are written out in source instead
+  (``kernel.Frozen`` and ``crypto.VerifyKey``).
 
 Each rule is also shown to catch a line that breaks it, so the walk is
 not vacuous.
@@ -30,6 +34,8 @@ import attestsim
 TCB = ("kernel", "crypto", "signing", "boot")
 BANNED_CALLS = {"setattr", "getattr", "delattr", "vars", "globals",
                 "eval", "exec", "compile", "__import__"}
+# class builders that generate source, and the module one comes from
+CLASS_BUILDERS = {"namedtuple", "dataclass", "dataclasses"}
 
 
 def violations(source: str) -> list[str]:
@@ -41,10 +47,15 @@ def violations(source: str) -> list[str]:
             found.append(f"{node.lineno}: call to {node.func.id}")
         elif isinstance(node, ast.Global):
             found.append(f"{node.lineno}: global {', '.join(node.names)}")
-        elif ((isinstance(node, ast.Name) and node.id == "namedtuple")
-              or (isinstance(node, ast.Attribute) and node.attr == "namedtuple")
-              or (isinstance(node, ast.alias) and node.name == "namedtuple")):
-            found.append(f"{node.lineno}: namedtuple")
+        else:
+            # a name, an attribute, an imported name or the module imported from
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.module if isinstance(node, ast.ImportFrom)
+                    else None)
+            if name in CLASS_BUILDERS:
+                found.append(f"{node.lineno}: {name}")
     return found
 
 
@@ -72,3 +83,17 @@ def test_tcb_module_stays_in_subset(module):
         "namedtuple-attribute"])
 def test_walk_catches(source):
     assert violations(source)
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from dataclasses import dataclass\n\n"
+     "@dataclass(frozen=True)\nclass C:\n    x: int",
+     ["1: dataclasses", "1: dataclass", "3: dataclass"]),
+    ("import dataclasses\n\n"
+     "@dataclasses.dataclass(frozen=True)\nclass C:\n    x: int",
+     ["1: dataclasses", "3: dataclass", "3: dataclasses"]),
+], ids=["from-import-and-decorator", "module-attribute"])
+def test_walk_catches_each_dataclass_spelling(source, found):
+    """The import, the decorator and ``dataclasses.dataclass`` are each
+    caught, in both spellings."""
+    assert sorted(violations(source)) == sorted(found)
