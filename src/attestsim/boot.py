@@ -30,7 +30,7 @@ import logging
 import os
 from typing import Callable, Optional
 
-from .crypto import SignKey, measure_binary, sha256
+from .crypto import SignKey, measure_binary, parse_hex32, sha256
 from .kernel import (
     Call,
     Frozen,
@@ -132,15 +132,10 @@ def load_anchors(path: str) -> dict[str, str]:
         raise ManifestError(f"{path}: top level must be a JSON object")
     anchors = {}
     for field_name in ("kernel_sha256", "rp_sha256"):
-        value = raw.get(field_name)
-        # isalnum: no whitespace, which fromhex would skip
-        if not isinstance(value, str) or len(value) != 64 or not value.isalnum():
-            raise ManifestError(f"{path}: {field_name} must be 64 hex chars")
         try:
-            bytes.fromhex(value)
+            anchors[field_name] = parse_hex32(raw.get(field_name)).hex()
         except ValueError as e:
-            raise ManifestError(f"{path}: {field_name} is not hex") from e
-        anchors[field_name] = value.lower()
+            raise ManifestError(f"{path}: {field_name} must be 64 hex chars") from e
     return anchors
 
 

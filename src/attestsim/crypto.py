@@ -75,6 +75,14 @@ def measure_binary(binary: bytes) -> bytes:
     return sha256(binary)
 
 
+def parse_hex32(text: object) -> bytes:
+    """The 32 bytes that exactly 64 hex digits spell, else ``ValueError``:
+    isalnum refuses the whitespace that ``bytes.fromhex`` would skip."""
+    if not isinstance(text, str) or len(text) != 64 or not text.isalnum():
+        raise ValueError("not 64 hex digits")
+    return bytes.fromhex(text)
+
+
 def hmac_pads(key: bytes) -> tuple:
     """The SHA-256 states after absorbing ``K ^ ipad`` and ``K ^ opad``, as
     an (inner, outer) pair.
@@ -246,9 +254,10 @@ class VerifyKey:
     def from_hex(cls, mode: Union[SignMode, str], hex_material: str) -> "VerifyKey":
         if isinstance(mode, str):
             mode = SignMode(mode)
-        material = bytes.fromhex(hex_material)
-        if len(material) != 32:
-            raise LengthMismatchError("verify key material must be 32 bytes")
+        try:
+            material = parse_hex32(hex_material)
+        except ValueError as e:
+            raise LengthMismatchError("verify key must be 64 hex digits") from e
         return cls(mode, material)
 
 
@@ -308,13 +317,10 @@ def load_keystore(path: str) -> SignKey:
     if len(lines) != 2:
         raise KeystoreError(f"{path}: expected secret line and mode line")
     secret_hex, mode_tag = lines
-    # isalnum: no whitespace, which fromhex would skip
-    if len(secret_hex) != 2 * SEED_LEN or not secret_hex.isalnum():
-        raise KeystoreError(f"{path}: secret must be {2 * SEED_LEN} hex chars")
     try:
-        secret = bytes.fromhex(secret_hex)
+        secret = parse_hex32(secret_hex)
     except ValueError as e:
-        raise KeystoreError(f"{path}: invalid hex in secret line") from e
+        raise KeystoreError(f"{path}: secret must be 64 hex chars") from e
     try:
         mode = SignMode(mode_tag)
     except ValueError as e:

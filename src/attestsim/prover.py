@@ -3,8 +3,13 @@
 Boot happens before the listening socket is opened, so a connectable
 daemon implies a fully measured, finalized device. The server is single
 threaded on purpose: the simulated device has one core and the kernel
-object is not shared between threads. Connections are serviced one at a
-time and may carry any number of frames.
+object is not shared between threads. ``ProverServer.serve_forever`` is
+the daemon's one loop, run by ``proverd`` and by ``BackgroundDaemon``'s
+thread alike: it accepts a connection, serves it to the end, ends its
+side of the stream (FIN) and closes it, then accepts the next, in accept
+order. A connection may carry any number of frames. The loop has no
+timer: it blocks in ``accept`` until ``ProverServer.shutdown`` wakes it,
+then closes the listener and returns.
 
 Two owners split each connection. ``Connection`` owns the protocol:
 framing, routing, the channel binding and the error policy, as bytes in
@@ -17,7 +22,8 @@ no call waits longer than that. Python's own socket timeout would add a
 raises ``OSError``, and the connection is dropped.
 
 Frame handling is total. A frame that parses but cannot be honored gets
-an Error frame back; a stream whose framing can no longer be trusted
+an Error frame back, and so does a reply that a user process built but
+the codec refuses; a stream whose framing can no longer be trusted
 (oversize declared length, torn frame) is closed. The daemon never
 crashes on input.
 
@@ -35,7 +41,6 @@ from __future__ import annotations
 import argparse
 import logging
 import socket
-import socketserver
 import sys
 import threading
 from typing import Optional
@@ -198,11 +203,12 @@ class Connection:
                 replies.append(encode(ErrorMsg(ERR_BAD_REQUEST)))
                 continue
             try:
-                reply = self._route(frame)
+                # a user process may emit a reply that encode refuses
+                reply = encode(self._route(frame))
             except Exception:
                 log.exception("handler fault on %r", type(frame).__name__)
-                reply = ErrorMsg(ERR_INTERNAL)
-            replies.append(encode(reply))
+                reply = encode(ErrorMsg(ERR_INTERNAL))
+            replies.append(reply)
         if self.decoder.lost is not None:
             # framing can't be trusted past the bad header: answer, then close
             replies.append(encode(ErrorMsg(ERR_BAD_REQUEST)))
@@ -235,20 +241,47 @@ class Connection:
         return ErrorMsg(ERR_BAD_REQUEST)
 
 
-class ProverServer(socketserver.TCPServer):
+class ProverServer:
     """The daemon: boots the device from ``config``, then binds and logs
     the ``phase=listen`` line. ``proverd`` and ``BackgroundDaemon`` both
-    start through here."""
-
-    allow_reuse_address = True
+    start through here and run ``serve_forever``."""
 
     def __init__(self, config: ProverConfig):
         self.runtime = build_runtime(config)
-        # no handler class: finish_request serves each connection itself
-        super().__init__((config.host, config.port), None)
+        self.socket = socket.create_server((config.host, config.port))
+        self.server_address = self.socket.getsockname()
+        self.stopping = False
         log.info("phase=listen host=%s port=%d pids=%s mode=%s",
-                 *self.server_address[:2], sorted(self.runtime.up_pids),
+                 *self.server_address, sorted(self.runtime.up_pids),
                  self.runtime.sp_state.sign_key.mode.value)
+
+    def serve_forever(self) -> None:
+        """Serve one connection at a time, in accept order, until
+        ``shutdown``; then close the listener."""
+        try:
+            while True:
+                try:
+                    request, client_address = self.socket.accept()
+                except OSError:
+                    if self.stopping:
+                        return
+                    continue        # a peer gone before accept, say: skip it
+                with request:
+                    self.finish_request(request, client_address)
+                    try:
+                        # FIN first: close resets a stream with input left
+                        # unread, and the peer then reads end of stream first
+                        request.shutdown(socket.SHUT_WR)
+                    except OSError:
+                        pass        # the peer is gone already
+        finally:
+            self.socket.close()
+
+    def shutdown(self) -> None:
+        """Make ``serve_forever`` return, from any thread, once the
+        connection it serves ends: a listener shut down fails ``accept``."""
+        self.stopping = True
+        self.socket.shutdown(socket.SHUT_RDWR)
 
     def finish_request(self, request: socket.socket, client_address) -> None:
         """One connection: each read goes to a ``Connection``, and its
@@ -270,13 +303,12 @@ class BackgroundDaemon:
     def __init__(self, config: ProverConfig):
         self.server = ProverServer(config)
         self.runtime = self.server.runtime
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True)
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       daemon=True)
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self.server.server_address[:2]
+        host, port = self.server.server_address
         return ("127.0.0.1" if host == "0.0.0.0" else host, port)
 
     def __enter__(self) -> "BackgroundDaemon":
@@ -285,8 +317,7 @@ class BackgroundDaemon:
 
     def __exit__(self, *exc) -> None:
         self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5)
+        self.thread.join()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -310,8 +341,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = ProverConfig(
             host=host, port=port, keystore_path=args.keystore,
             anchors_path=args.anchors, manifest_path=args.manifest)
-        with ProverServer(config) as server:
-            server.serve_forever()
+        ProverServer(config).serve_forever()
     except KeyboardInterrupt:
         return 0
     except Exception as e:

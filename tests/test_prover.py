@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 import attestsim.signing as signing
 import attestsim.userland as userland
 from attestsim.attacks import build_env
-from attestsim.boot import PST_PID, RESERVED_PID_BASE, SP_PID
+from attestsim.boot import (
+    PST_PID,
+    RESERVED_PID_BASE,
+    SP_PID,
+    bring_up,
+    image_manifest,
+)
 from attestsim.channel import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
@@ -29,15 +35,17 @@ from attestsim.channel import (
     x25519_keypair,
 )
 from attestsim.crypto import SignMode, verify_token
+from attestsim.kernel import NetRecv
 import attestsim.prover as prover
 from attestsim.prover import (
     BackgroundDaemon,
     NotAttestableError,
     ProverConfig,
+    ProverRuntime,
     build_runtime,
     main as proverd_main,
 )
-from attestsim.userland import NetChannelFail
+from attestsim.userland import NetChannelFail, make_relay_program
 from attestsim.verifier import ConfirmFailedError, Policy, PolicyError, Verifier
 from attestsim.wire import (
     ERR_BAD_REQUEST,
@@ -50,8 +58,10 @@ from attestsim.wire import (
     ChannelConfirm,
     ChannelInit,
     ErrorMsg,
+    FrameDecoder,
     FrameStream,
     TruncatedError,
+    decode_payload,
     encode,
     parse_address,
 )
@@ -197,6 +207,34 @@ class TestConnection:
         assert b"".join(replies) == expected
         assert split.closed == whole.closed == (lost_at is not None)
 
+    def test_a_reply_encode_refuses_costs_only_its_frame(self, up_specs,
+                                                         sign_key, caplog):
+        """A user process is untrusted: a reply it emits that the codec
+        refuses is answered ``ERR_INTERNAL`` and logged, as a handler fault
+        is, and the other frames of the same read still get theirs."""
+        def factory(spec, sp_cap):
+            if spec.pid == 1:
+                def rogue(ctx):
+                    while True:
+                        event = yield NetRecv()
+                        # status does not fit the frame's one byte
+                        ctx.net_send(AttestResponse(300, event.pid, bytes(32), b""))
+                return rogue
+            return make_relay_program(spec, sp_cap)
+
+        runtime = ProverRuntime(
+            bring_up(image_manifest(), up_specs, sign_key, factory))
+        conn = prover.Connection(runtime)
+        replies = conn.receive(b"".join(
+            encode(AttestRequest(pid, bytes(32))) for pid in (2, 1, 2)))
+        first, refused, last = [decode_payload(*item)
+                                for item in FrameDecoder().feed(replies)]
+        assert isinstance(first, AttestResponse) and first.pid == 2
+        assert refused == ErrorMsg(ERR_INTERNAL)
+        assert isinstance(last, AttestResponse) and last.pid == 2
+        assert not conn.closed
+        assert "handler fault on 'AttestRequest'" in caplog.text
+
 
 def connect(daemon: BackgroundDaemon) -> FrameStream:
     return FrameStream.connect(*daemon.address, timeout=5.0)
@@ -269,6 +307,24 @@ class TestDaemonTcp:
             assert stream.recv() == ErrorMsg(code=ERR_BAD_REQUEST)
             with pytest.raises(TruncatedError, match="before a frame"):
                 stream.recv()                       # the daemon hung up
+
+    def test_unread_input_does_not_reset_the_last_reply(self, daemon):
+        """The daemon ends its side of the stream before it closes, so the
+        client reads the error frame and then end of stream, although the
+        daemon left most of its input unread."""
+        with connect(daemon) as stream:
+            stream.send_raw(OVERSIZE_HEADER + bytes(100_000))
+            assert stream.recv() == ErrorMsg(code=ERR_BAD_REQUEST)
+            with pytest.raises(TruncatedError, match="before a frame"):
+                stream.recv()
+
+    def test_exit_stops_the_thread_and_the_listener(self, env):
+        with BackgroundDaemon(env.config) as d:
+            address = d.address
+        assert not d.thread.is_alive()
+        assert d.server.socket.fileno() == -1         # the listener is closed
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5)
 
     def test_reserved_pids_are_unknown(self, daemon):
         kernel = daemon.runtime.kernel
@@ -472,7 +528,7 @@ class TestCliPlumbing:
                    ["boot", "channel", "crypto", "kernel", "prover",
                     "signing", "userland", "wire"],
                    ["numpy", "attestsim.verifier", "attestsim.attacks",
-                    "attestsim.timing",
+                    "attestsim.timing", "socketserver",
                     "cryptography.hazmat.primitives.serialization",
                     *CODEGEN]),
     }

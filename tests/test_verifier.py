@@ -116,6 +116,9 @@ class TestPolicyLoad:
         {"verify_key": "aa" * 32, "golden": {"1": "bin/one.bin"}},
         {"mode": "rot13", "verify_key": "aa" * 32, "golden": {"1": "bin/one.bin"}},
         {"mode": "hmac", "verify_key": "xx", "golden": {"1": "bin/one.bin"}},
+        # 32 bytes once fromhex skips the spaces, but not 64 hex digits
+        {"mode": "hmac", "verify_key": " ".join(["ab"] * 32),
+         "golden": {"1": "bin/one.bin"}},
         {"mode": "hmac", "verify_key": "aa" * 32},
         {"mode": "hmac", "verify_key": "aa" * 32, "golden": {}},
         {"mode": "hmac", "verify_key": "aa" * 32, "golden": {"one": "bin/one.bin"}},
@@ -130,8 +133,9 @@ class TestPolicyLoad:
           for key in GOLDEN_PIDS_REFUSED),
         {"mode": "hmac", "verify_key": "aa" * 32,
          "golden": {"1": "bin/one.bin", "01": "bin/one.bin"}},
-    ], ids=["no-mode", "bad-mode", "bad-vk-hex", "no-golden", "empty-golden",
-            "non-int-pid", "bad-address", "pin-pk-not-a-bool", "pin-pk-true",
+    ], ids=["no-mode", "bad-mode", "bad-vk-hex", "vk-spaced", "no-golden",
+            "empty-golden", "non-int-pid", "bad-address", "pin-pk-not-a-bool",
+            "pin-pk-true",
             *(f"golden-pid-{key!r}" for key in GOLDEN_PIDS_REFUSED),
             "golden-pid-twice"])
     def test_malformed_entries(self, tmp_path, entry):
