@@ -35,7 +35,6 @@ from .kernel import (
     Call,
     Frozen,
     Kernel,
-    KernelProcessSpec,
     ProcessApi,
     RegionRequest,
     Rights,
@@ -251,7 +250,7 @@ def secure_boot(manifest: ImageManifest) -> Kernel:
              manifest.expected_kernel_sha256.hex(),
              manifest.expected_rp_sha256.hex())
     kernel = Kernel()
-    kernel.spawn_process(KernelProcessSpec(PST_PID, manifest.rp_image))
+    kernel.spawn_process(PST_PID, manifest.rp_image)
     return kernel
 
 
@@ -303,7 +302,7 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
             seen.add(spec.pid)
 
         log.info("phase=process-spawn pid=%#x role=signing-process", SP_PID)
-        kernel.spawn_process(KernelProcessSpec(SP_PID, SP_IMAGE, DEFAULT_REGIONS))
+        kernel.spawn_process(SP_PID, SP_IMAGE, DEFAULT_REGIONS)
         ep_boot = kernel.create_endpoint()
         ep_attest = kernel.create_endpoint()
         sp_boot_recv = kernel.mint_badged_cap(ep_boot, None, Rights(read=True), SP_PID)
@@ -316,7 +315,7 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
         for badge, spec in enumerate(specs, start=FIRST_BADGE):
             log.info("phase=process-spawn pid=%d size=%d", spec.pid, len(spec.binary))
             digest = measure_binary(spec.binary)
-            kernel.spawn_process(KernelProcessSpec(spec.pid, spec.binary, spec.regions))
+            kernel.spawn_process(spec.pid, spec.binary, spec.regions)
             log.info("phase=measurement pid=%d sha256=%s", spec.pid, digest.hex())
             sp_cap = kernel.mint_badged_cap(ep_attest, badge, Rights(write=True), spec.pid)
             kernel.start_process(spec.pid, up_program_factory(spec, sp_cap))

@@ -22,7 +22,6 @@ import hashlib
 import os
 import stat
 from enum import Enum
-from functools import cached_property
 from typing import Union
 
 from cryptography.exceptions import InvalidSignature
@@ -210,20 +209,25 @@ class SignKey:
 class VerifyKey:
     """What the verifier stores per device: mode plus key material.
 
-    What checking a token needs is built on first use and kept: the pyca
-    public-key object in Ed25519 mode, the HMAC states (``hmac_pads``) in
-    HMAC mode. Neither is a field: equality, hashing and the repr see only
-    mode and material. The key is immutable like ``kernel.Frozen``'s
-    records, and written out here because the channel and the verifier
-    load this module without the kernel; its ``__dict__`` holds only the
-    two cached values.
+    What checking a token needs is built once, here, as ``SignKey`` does:
+    the pyca public-key object in Ed25519 mode, the HMAC states
+    (``hmac_pads``) in HMAC mode, and ``None`` for the other mode's. Neither
+    is a field: equality, hashing and the repr see only mode and material.
+    The key is immutable like ``kernel.Frozen``'s records, and written out
+    here because the channel and the verifier load this module without
+    the kernel.
     """
 
-    __slots__ = ("mode", "material", "__dict__")
+    __slots__ = ("mode", "material", "_ed25519", "_hmac_pads")
 
     def __init__(self, mode: SignMode, material: bytes):
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "material", material)
+        object.__setattr__(self, "_ed25519",
+                           Ed25519PublicKey.from_public_bytes(material)
+                           if mode is SignMode.ED25519 else None)
+        object.__setattr__(self, "_hmac_pads",
+                           hmac_pads(material) if mode is SignMode.HMAC else None)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -241,14 +245,6 @@ class VerifyKey:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"VerifyKey is immutable: cannot delete {name!r}")
-
-    @cached_property
-    def _ed25519(self) -> Ed25519PublicKey:
-        return Ed25519PublicKey.from_public_bytes(self.material)
-
-    @cached_property
-    def _hmac_pads(self) -> tuple:
-        return hmac_pads(self.material)
 
     @classmethod
     def from_hex(cls, mode: Union[SignMode, str], hex_material: str) -> "VerifyKey":
@@ -331,6 +327,7 @@ def load_keystore(path: str) -> SignKey:
 def write_keystore(path: str, key: SignKey) -> None:
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     try:
+        os.fchmod(fd, 0o600)        # the open's mode only applies to a new file
         os.write(fd, f"{key.secret_bytes().hex()}\n{key.mode.value}\n".encode("ascii"))
     finally:
         os.close(fd)

@@ -142,17 +142,17 @@ class Rights(Frozen):
 
 
 class Capability(Frozen):
-    """Kernel-side capability record. Processes see only the handle.
+    """Kernel-side capability record. Processes see only the handle, which
+    is the record's key in their cspace.
 
     ``kind`` is "endpoint" or "region"; ``obj`` is the endpoint id or the
     region name.
     """
 
-    __slots__ = ("handle", "kind", "obj", "rights", "badge")
+    __slots__ = ("kind", "obj", "rights", "badge")
 
-    def __init__(self, handle: int, kind: str, obj: Any, rights: Rights,
+    def __init__(self, kind: str, obj: Any, rights: Rights,
                  badge: Optional[int] = None):
-        object.__setattr__(self, "handle", handle)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "obj", obj)
         object.__setattr__(self, "rights", rights)
@@ -165,15 +165,6 @@ class RegionRequest(Frozen):
     def __init__(self, region: str, rights: Rights):
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "rights", rights)
-
-
-class KernelProcessSpec(Frozen):
-    __slots__ = ("pid", "code", "regions")
-
-    def __init__(self, pid: int, code: bytes, regions: tuple[RegionRequest, ...] = ()):
-        object.__setattr__(self, "pid", pid)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "regions", regions)
 
 
 class ProcState(Enum):
@@ -244,7 +235,7 @@ class _Endpoint:
 class _Process:
     __slots__ = (
         "pid", "ipc", "cspace", "next_handle", "state",
-        "gen", "resume_value", "reply_to", "net_inbox",
+        "gen", "resume_value", "reply_to", "net_inbox", "outbox",
     )
 
     def __init__(self, pid: int):
@@ -256,7 +247,8 @@ class _Process:
         self.gen: Optional[Generator] = None
         self.resume_value: Any = None
         self.reply_to: Optional[int] = None
-        self.net_inbox: deque[Any] = deque()
+        self.net_inbox: deque[Any] = deque()     # events injected by the host
+        self.outbox: deque[Any] = deque()        # events emitted by net_send
 
 
 class ProcessApi:
@@ -276,7 +268,7 @@ class ProcessApi:
         self._kernel = kernel
         self._pid = pid
         self._ipc = kernel._procs[pid].ipc
-        self._outbox = kernel._outbox[pid]
+        self._outbox = kernel._procs[pid].outbox
         self._trace = kernel.trace
 
     def get_mr(self, index: int) -> int:
@@ -306,7 +298,6 @@ class Kernel:
         self._next_eid = 1
         self._procs: dict[int, _Process] = {}
         self._ready: deque[int] = deque()
-        self._outbox: dict[int, deque[Any]] = {}
         self._finalized = False
         self.trace: deque[tuple] = deque(maxlen=TRACE_LEN)
 
@@ -348,38 +339,39 @@ class Kernel:
             ep.badges.add(badge)
         handle = rec.next_handle
         rec.next_handle += 1
-        rec.cspace[handle] = Capability(handle, "endpoint", eid, rights, badge)
+        rec.cspace[handle] = Capability("endpoint", eid, rights, badge)
         self.trace.append(("mint", eid, -1 if badge is None else badge, pid, handle))
         return handle
 
-    def spawn_process(self, spec: KernelProcessSpec) -> int:
-        """Create a process record and install its requested region caps.
+    def spawn_process(self, pid: int, code: bytes,
+                      regions: tuple[RegionRequest, ...] = ()) -> int:
+        """Create process ``pid`` from the image ``code`` (the trace keeps
+        its length), with a region cap for each of ``regions``.
 
         Write-and-execute over the process's own code region is refused
         here, at creation time; nothing later can add rights.
         """
         self._require_authority("spawn_process")
-        if spec.pid in self._procs:
-            raise DuplicatePidError(f"pid {spec.pid}")
-        for req in spec.regions:
+        if pid in self._procs:
+            raise DuplicatePidError(f"pid {pid}")
+        for req in regions:
             if req.region == SELF_CODE_REGION and req.rights.write and req.rights.execute:
                 raise WxViolationError(
-                    f"pid {spec.pid}: write+execute requested over own code")
-        rec = _Process(spec.pid)
-        for req in spec.regions:
+                    f"pid {pid}: write+execute requested over own code")
+        rec = _Process(pid)
+        for req in regions:
             handle = rec.next_handle
             rec.next_handle += 1
-            rec.cspace[handle] = Capability(handle, "region", req.region, req.rights)
-        self._procs[spec.pid] = rec
-        self._outbox[spec.pid] = deque()
-        self.trace.append(("spawn", spec.pid, len(spec.code)))
-        return spec.pid
+            rec.cspace[handle] = Capability("region", req.region, req.rights)
+        self._procs[pid] = rec
+        self.trace.append(("spawn", pid, len(code)))
+        return pid
 
     def start_process(self, pid: int, program: Program) -> None:
-        """Bind a program to a spawned process and make it runnable."""
+        """Bind a program to a spawned, live process and make it runnable."""
         self._require_authority("start_process")
         rec = self._procs.get(pid)
-        if rec is None:
+        if rec is None or rec.state is ProcState.TERMINATED:
             raise UnknownPidError(f"pid {pid}")
         if rec.gen is not None:
             raise KernelError(f"pid {pid} already started")
@@ -422,11 +414,11 @@ class Kernel:
 
     def drain_net(self, pid: int) -> list[Any]:
         """Collect events the process emitted via ``net_send``."""
-        box = self._outbox.get(pid)
-        if box is None:
+        rec = self._procs.get(pid)
+        if rec is None:
             raise UnknownPidError(f"pid {pid}")
-        out = list(box)
-        box.clear()
+        out = list(rec.outbox)
+        rec.outbox.clear()
         return out
 
     def live_pids(self) -> set[int]:

@@ -37,7 +37,6 @@ from attestsim.kernel import (
     Call,
     Capability,
     Kernel,
-    KernelProcessSpec,
     ProcessApi,
     RegionRequest,
     Rights,
@@ -450,7 +449,7 @@ def test_10_structural_guarantees():
     assert api_surface == {"get_mr", "set_mr", "reply", "net_send"}
     notes.append("process API minimal")
 
-    cap = Capability(handle=1, kind="endpoint", obj=0, rights=Rights(), badge=0)
+    cap = Capability(kind="endpoint", obj=0, rights=Rights(), badge=0)
     with pytest.raises(Exception):
         cap.badge = 9  # type: ignore[misc]
     notes.append("capability frozen")
@@ -468,10 +467,9 @@ def test_10_structural_guarantees():
 
     kernel = Kernel()
     with pytest.raises(WxViolationError):
-        kernel.spawn_process(KernelProcessSpec(
-            pid=1, code=b"\x90", regions=(
-                RegionRequest("self_code",
-                              Rights(read=True, write=True, execute=True)),)))
+        kernel.spawn_process(1, b"\x90", (
+            RegionRequest("self_code",
+                          Rights(read=True, write=True, execute=True)),))
     notes.append("W^X at spawn")
 
     rng = random.Random(0xA10)
@@ -479,7 +477,7 @@ def test_10_structural_guarantees():
     key = SignKey(SignMode.HMAC, rng.randbytes(32))
     booted = bring_up(image_manifest(), specs, key, make_relay_program)
     with pytest.raises(AuthorityError):
-        booted.kernel.spawn_process(KernelProcessSpec(pid=9, code=b"\x00"))
+        booted.kernel.spawn_process(9, b"\x00")
     notes.append("authority dropped")
 
     secret = key.secret_bytes()

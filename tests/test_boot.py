@@ -36,7 +36,6 @@ from attestsim.boot import (
 from attestsim.kernel import (
     AuthorityError,
     Kernel,
-    KernelProcessSpec,
     MSG_MAX_LENGTH,
     ProcState,
     Recv,
@@ -153,8 +152,8 @@ class TestTransferProtocol:
         big-endian u64 words; ack 0."""
         kernel = Kernel()
         ep = kernel.create_endpoint()
-        kernel.spawn_process(KernelProcessSpec(PST_PID, b"pst"))
-        kernel.spawn_process(KernelProcessSpec(50, b"fake-sp"))
+        kernel.spawn_process(PST_PID, b"pst")
+        kernel.spawn_process(50, b"fake-sp")
         recv = kernel.mint_badged_cap(ep, None, Rights(read=True), 50)
         send = kernel.mint_badged_cap(ep, None, Rights(write=True), PST_PID)
         raw_messages = []
@@ -182,8 +181,8 @@ class TestTransferProtocol:
     def test_nack_aborts(self):
         kernel = Kernel()
         ep = kernel.create_endpoint()
-        kernel.spawn_process(KernelProcessSpec(PST_PID, b"pst"))
-        kernel.spawn_process(KernelProcessSpec(50, b"refuser"))
+        kernel.spawn_process(PST_PID, b"pst")
+        kernel.spawn_process(50, b"refuser")
         recv = kernel.mint_badged_cap(ep, None, Rights(read=True), 50)
         send = kernel.mint_badged_cap(ep, None, Rights(write=True), PST_PID)
 
@@ -232,7 +231,7 @@ class TestRunBoot:
     def test_boot_processes_cannot_come_back(self, up_specs):
         kernel, _ = self._boot(up_specs)
         with pytest.raises(AuthorityError):
-            kernel.spawn_process(KernelProcessSpec(99, b"late"))
+            kernel.spawn_process(99, b"late")
         with pytest.raises(AuthorityError):
             kernel.terminate_process(SP_PID)
 

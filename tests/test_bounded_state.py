@@ -26,7 +26,7 @@ def _queues(kernel):
     return ({eid: (tuple(ep.send_queue), tuple(ep.recv_queue))
              for eid, ep in kernel._endpoints.items()},
             sum(len(rec.net_inbox) for rec in kernel._procs.values()),
-            sum(len(box) for box in kernel._outbox.values()),
+            sum(len(rec.outbox) for rec in kernel._procs.values()),
             len(kernel._ready))
 
 

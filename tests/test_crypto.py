@@ -362,6 +362,17 @@ class TestKeystore:
         assert loaded.secret_bytes() == key.secret_bytes()
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
 
+    def test_overwrite_makes_a_world_readable_file_private(self, tmp_path):
+        """The open's mode applies only to a new file, so an existing one is
+        narrowed to 0600 before the secret goes in."""
+        path = tmp_path / "ks.hex"
+        path.write_text("old\n")
+        os.chmod(path, 0o644)
+        key = SignKey(SignMode.HMAC, bytes.fromhex("cd" * 32))
+        write_keystore(str(path), key)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        assert load_keystore(str(path)).secret_bytes() == key.secret_bytes()
+
     def test_world_readable_refused(self, tmp_path):
         path = tmp_path / "ks.hex"
         write_keystore(str(path), SignKey.generate(SignMode.HMAC))

@@ -19,7 +19,6 @@ from attestsim.kernel import (
     IndexOutOfRangeError,
     Kernel,
     KernelError,
-    KernelProcessSpec,
     LengthOverflowError,
     NetRecv,
     NoPendingCallerError,
@@ -43,7 +42,7 @@ RW = Rights(read=True, write=True)
 
 def spawn(kernel: Kernel, pid: int, code: bytes = b"\x90" * 64,
           regions=()) -> int:
-    return kernel.spawn_process(KernelProcessSpec(pid, code, tuple(regions)))
+    return kernel.spawn_process(pid, code, tuple(regions))
 
 
 def idle_recv(cap):
@@ -509,6 +508,17 @@ class TestLifecycle:
         kernel.run()
         assert kernel.process_state(2) is ProcState.BLOCKED_CALL
 
+    def test_retired_pid_cannot_be_started(self):
+        kernel = Kernel()
+        spawn(kernel, 5)
+        kernel.terminate_process(5)
+        trace = list(kernel.trace)
+        with pytest.raises(UnknownPidError):
+            kernel.start_process(5, idle_recv(0))
+        assert 5 not in kernel.live_pids()
+        assert kernel.inject_net(5, "x") is False
+        assert list(kernel.trace) == trace      # no "start" entry
+
     def test_terminate_unknown_pid(self):
         kernel = Kernel()
         with pytest.raises(UnknownPidError):
@@ -674,7 +684,7 @@ class TestOpacity:
         assert surface == {"get_mr", "set_mr", "reply", "net_send"}
 
     def test_capability_records_immutable(self):
-        cap = Capability(1, "endpoint", 2, Rights(write=True), badge=9)
+        cap = Capability("endpoint", 2, Rights(write=True), badge=9)
         with pytest.raises(AttributeError):
             cap.badge = 1            # type: ignore[misc]
         with pytest.raises(AttributeError):

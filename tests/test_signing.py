@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from attestsim.boot import SP_PID, bring_up, image_manifest
 from attestsim.crypto import SignKey, SignMode, verify_token
-from attestsim.kernel import Call, Kernel, KernelProcessSpec, ProcState, Rights
+from attestsim.kernel import Call, Kernel, ProcState, Rights
 from attestsim.signing import (
     ENTRY_LEN,
     FIRST_BADGE,
@@ -236,7 +236,7 @@ def signer_on_boot_endpoint():
     new process and returns the reply as ``(reply_len, MR0)``."""
     kernel = Kernel()
     state = SpState(KEY)
-    kernel.spawn_process(KernelProcessSpec(SP_PID, b"sp"))
+    kernel.spawn_process(SP_PID, b"sp")
     ep_boot = kernel.create_endpoint()
     ep_attest = kernel.create_endpoint()
     boot_recv = kernel.mint_badged_cap(ep_boot, None, Rights(read=True), SP_PID)
@@ -245,7 +245,7 @@ def signer_on_boot_endpoint():
     kernel.run()
 
     def send(pid, badge, words, msg_len=None):
-        kernel.spawn_process(KernelProcessSpec(pid, b"sender"))
+        kernel.spawn_process(pid, b"sender")
         cap = kernel.mint_badged_cap(ep_boot, badge, Rights(write=True), pid)
         replies = []
 

@@ -16,7 +16,11 @@ syntax trees:
   which make a class's methods from strings of source at run time: a
   dataclass ``exec``s the ``__init__``, ``__eq__`` and ``__hash__`` it
   generates. The TCB's records are written out in source instead
-  (``kernel.Frozen`` and ``crypto.VerifyKey``).
+  (``kernel.Frozen`` and ``crypto.VerifyKey``);
+* no ``cached_property``: a TCB record is complete when it is built, as a
+  Low* value is, so none grows an attribute on first use.
+  ``crypto.SignKey`` and ``crypto.VerifyKey`` build their mode's state in
+  ``__init__``.
 
 Each rule is also shown to catch a line that breaks it, so the walk is
 not vacuous.
@@ -34,8 +38,9 @@ import attestsim
 TCB = ("kernel", "crypto", "signing", "boot")
 BANNED_CALLS = {"setattr", "getattr", "delattr", "vars", "globals",
                 "eval", "exec", "compile", "__import__"}
-# class builders that generate source, and the module one comes from
-CLASS_BUILDERS = {"namedtuple", "dataclass", "dataclasses"}
+# class builders that generate source, the module one comes from, and the
+# decorator that builds an attribute on first use
+BANNED_NAMES = {"namedtuple", "dataclass", "dataclasses", "cached_property"}
 
 
 def violations(source: str) -> list[str]:
@@ -54,7 +59,7 @@ def violations(source: str) -> list[str]:
                     else node.name if isinstance(node, ast.alias)
                     else node.module if isinstance(node, ast.ImportFrom)
                     else None)
-            if name in CLASS_BUILDERS:
+            if name in BANNED_NAMES:
                 found.append(f"{node.lineno}: {name}")
     return found
 
@@ -78,9 +83,10 @@ def test_tcb_module_stays_in_subset(module):
     "def f():\n    global x\n    x = 1",
     "from collections import namedtuple",
     "import collections\nT = collections.namedtuple('T', 'a')",
+    "from functools import cached_property",
 ], ids=["setattr", "getattr", "delattr", "vars", "eval", "exec", "compile",
         "import", "globals", "global", "namedtuple-import",
-        "namedtuple-attribute"])
+        "namedtuple-attribute", "cached_property"])
 def test_walk_catches(source):
     assert violations(source)
 
