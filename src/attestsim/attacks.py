@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from . import boot as bootmod
 from .boot import (
     bring_up,
-    image_manifest,
+    default_anchors,
     load_user_manifest,
     secure_boot,
     write_anchor_file,
@@ -224,14 +224,13 @@ def scenario_tamper_binary(work: Path, t: list[str]) -> Outcome:
 
 
 def scenario_tamper_boot_image(work: Path, t: list[str]) -> Outcome:
-    images = image_manifest()
-    bad_kernel = bytearray(images.kernel_image)
+    bad_kernel = bytearray(bootmod.KERNEL_IMAGE)
     bad_kernel[0] ^= 0xFF
-    corrupted = image_manifest(kernel_image=bytes(bad_kernel))
     t.append("corrupted first byte of the kernel image")
     # any other exception is reported by name, whatever surfaced
     return expect_refusal(
-        t, bootmod.KernelHashMismatchError, lambda: secure_boot(corrupted),
+        t, bootmod.KernelHashMismatchError,
+        lambda: secure_boot(default_anchors(), kernel_image=bytes(bad_kernel)),
         "corrupted image booted", label="boot refused", other=Exception)
 
 
@@ -297,7 +296,7 @@ def scenario_malformed_ipc(work: Path, t: list[str]) -> Outcome:
 
     key = load_keystore(env.config.keystore_path)
     specs = load_user_manifest(env.config.manifest_path)
-    system = bring_up(image_manifest(), specs, key, up_program_factory=factory)
+    system = bring_up(default_anchors(), specs, key, up_program_factory=factory)
     runtime = ProverRuntime(system)
     reply = runtime.attest_once(1, bytes(32))
     t.append(f"5-register request answered with status={reply.status}")

@@ -8,7 +8,8 @@ spawn/terminate authority.
 Stages, in order:
 
 1. ``secure_boot`` checks the kernel and root-process images against the
-   trust anchors and hands back a fresh kernel holding one process, the
+   trust anchors, the two SHA-256 digests ``load_anchors`` parses once
+   into bytes, and hands back a fresh kernel holding one process, the
    spawn-and-transfer root process, spawned from the checked image.
 2. ``run_boot`` spawns the signing process with its two endpoints, then
    each user process from the manifest (write-xor-execute checked by the
@@ -28,7 +29,7 @@ import hashlib
 import json
 import logging
 import os
-from typing import Callable, Optional
+from typing import Callable
 
 from .crypto import SignKey, measure_binary, parse_hex32, sha256
 from .kernel import (
@@ -97,24 +98,9 @@ RP_IMAGE = b"\x7fRTP" + _keystream_blob("root-process-image-v1", 8188)
 SP_IMAGE = b"\x7fSGN" + _keystream_blob("signing-process-image-v1", 4092)
 
 
-class ImageManifest(Frozen):
-    __slots__ = ("kernel_image", "rp_image", "expected_kernel_sha256",
-                 "expected_rp_sha256")
-
-    def __init__(self, kernel_image: bytes, rp_image: bytes,
-                 expected_kernel_sha256: bytes, expected_rp_sha256: bytes):
-        object.__setattr__(self, "kernel_image", kernel_image)
-        object.__setattr__(self, "rp_image", rp_image)
-        object.__setattr__(self, "expected_kernel_sha256", expected_kernel_sha256)
-        object.__setattr__(self, "expected_rp_sha256", expected_rp_sha256)
-
-
-def default_anchors() -> dict[str, str]:
-    """Hex digests of the built-in images, as they appear in anchor files."""
-    return {
-        "kernel_sha256": sha256(KERNEL_IMAGE).hex(),
-        "rp_sha256": sha256(RP_IMAGE).hex(),
-    }
+def default_anchors() -> dict[str, bytes]:
+    """The digests of the built-in images, keyed as in anchor files."""
+    return {"kernel_sha256": sha256(KERNEL_IMAGE), "rp_sha256": sha256(RP_IMAGE)}
 
 
 def _load_json(path: str) -> object:
@@ -125,14 +111,15 @@ def _load_json(path: str) -> object:
         raise ManifestError(f"{path}: not a JSON file: {e}") from e
 
 
-def load_anchors(path: str) -> dict[str, str]:
+def load_anchors(path: str) -> dict[str, bytes]:
+    """The anchor file's two digests, each parsed once into its 32 bytes."""
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: top level must be a JSON object")
     anchors = {}
     for field_name in ("kernel_sha256", "rp_sha256"):
         try:
-            anchors[field_name] = parse_hex32(raw.get(field_name)).hex()
+            anchors[field_name] = parse_hex32(raw.get(field_name))
         except ValueError as e:
             raise ManifestError(f"{path}: {field_name} must be 64 hex chars") from e
     return anchors
@@ -140,20 +127,8 @@ def load_anchors(path: str) -> dict[str, str]:
 
 def write_anchor_file(path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(default_anchors(), f, indent=2)
+        json.dump({k: v.hex() for k, v in default_anchors().items()}, f, indent=2)
         f.write("\n")
-
-
-def image_manifest(anchors: Optional[dict[str, str]] = None,
-                   kernel_image: bytes = KERNEL_IMAGE,
-                   rp_image: bytes = RP_IMAGE) -> ImageManifest:
-    anchors = anchors or default_anchors()
-    return ImageManifest(
-        kernel_image=kernel_image,
-        rp_image=rp_image,
-        expected_kernel_sha256=bytes.fromhex(anchors["kernel_sha256"]),
-        expected_rp_sha256=bytes.fromhex(anchors["rp_sha256"]),
-    )
 
 
 # --- user-process manifest ------------------------------------------------
@@ -238,19 +213,20 @@ class BootedSystem:
 ProgramFactory = Callable[[ProcessSpec, int], Callable]
 
 
-def secure_boot(manifest: ImageManifest) -> Kernel:
-    """Verify images against anchors; only if both match, return a fresh
-    kernel holding ``PST_PID``, the boot-time spawn-and-transfer process,
-    spawned from the root-process image just checked."""
-    if sha256(manifest.kernel_image) != manifest.expected_kernel_sha256:
+def secure_boot(anchors: dict[str, bytes], kernel_image: bytes = KERNEL_IMAGE,
+                rp_image: bytes = RP_IMAGE) -> Kernel:
+    """Check both images against their anchor digests (``load_anchors``);
+    only if both match, return a fresh kernel holding ``PST_PID``, the
+    boot-time spawn-and-transfer process, spawned from the root-process
+    image just checked."""
+    if sha256(kernel_image) != anchors["kernel_sha256"]:
         raise KernelHashMismatchError("kernel image does not match anchor")
-    if sha256(manifest.rp_image) != manifest.expected_rp_sha256:
+    if sha256(rp_image) != anchors["rp_sha256"]:
         raise TcbHashMismatchError("root-process image does not match anchor")
     log.info("phase=boot kernel_sha256=%s rp_sha256=%s",
-             manifest.expected_kernel_sha256.hex(),
-             manifest.expected_rp_sha256.hex())
+             anchors["kernel_sha256"].hex(), anchors["rp_sha256"].hex())
     kernel = Kernel()
-    kernel.spawn_process(PST_PID, manifest.rp_image)
+    kernel.spawn_process(PST_PID, rp_image)
     return kernel
 
 
@@ -347,10 +323,11 @@ def _teardown(kernel: Kernel) -> None:
     kernel.finalize()
 
 
-def bring_up(images: ImageManifest, specs: list[ProcessSpec], sign_key: SignKey,
-             up_program_factory: ProgramFactory) -> BootedSystem:
-    """Full pipeline: verify images, boot, transfer, finalize."""
-    kernel = secure_boot(images)
+def bring_up(anchors: dict[str, bytes], specs: list[ProcessSpec],
+             sign_key: SignKey, up_program_factory: ProgramFactory) -> BootedSystem:
+    """Full pipeline: check the built-in images against ``anchors``, boot,
+    transfer, finalize."""
+    kernel = secure_boot(anchors)
     sp_state = run_boot(kernel, specs, sign_key, up_program_factory)
     finalize_boot(kernel)
     return BootedSystem(kernel=kernel, sp_state=sp_state)

@@ -22,7 +22,6 @@ import hashlib
 import os
 import stat
 from enum import Enum
-from typing import Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -163,6 +162,8 @@ class SignKey:
     __slots__ = ("mode", "_secret", "_ed25519", "_hmac_pads", "_zeroized")
 
     def __init__(self, mode: SignMode, secret: bytes):
+        if not isinstance(mode, SignMode):
+            raise TypeError(f"mode must be a SignMode, not {mode!r}")
         if len(secret) != SEED_LEN:
             raise LengthMismatchError(f"signing secret must be {SEED_LEN} bytes")
         self.mode = mode
@@ -212,15 +213,17 @@ class VerifyKey:
     What checking a token needs is built once, here, as ``SignKey`` does:
     the pyca public-key object in Ed25519 mode, the HMAC states
     (``hmac_pads``) in HMAC mode, and ``None`` for the other mode's. Neither
-    is a field: equality, hashing and the repr see only mode and material.
-    The key is immutable like ``kernel.Frozen``'s records, and written out
-    here because the channel and the verifier load this module without
-    the kernel.
+    is a field: equality, hashing, the repr, copies and pickles see only
+    mode and material. The key is immutable like ``kernel.Frozen``'s
+    records, and written out here because the channel and the verifier
+    load this module without the kernel.
     """
 
     __slots__ = ("mode", "material", "_ed25519", "_hmac_pads")
 
     def __init__(self, mode: SignMode, material: bytes):
+        if not isinstance(mode, SignMode):
+            raise TypeError(f"mode must be a SignMode, not {mode!r}")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "material", material)
         object.__setattr__(self, "_ed25519",
@@ -246,15 +249,8 @@ class VerifyKey:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"VerifyKey is immutable: cannot delete {name!r}")
 
-    @classmethod
-    def from_hex(cls, mode: Union[SignMode, str], hex_material: str) -> "VerifyKey":
-        if isinstance(mode, str):
-            mode = SignMode(mode)
-        try:
-            material = parse_hex32(hex_material)
-        except ValueError as e:
-            raise LengthMismatchError("verify key must be 64 hex digits") from e
-        return cls(mode, material)
+    def __reduce__(self) -> tuple:
+        return (VerifyKey, (self.mode, self.material))
 
 
 # --- token composition ----------------------------------------------------

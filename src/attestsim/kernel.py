@@ -117,6 +117,11 @@ class Frozen:
             return NotImplemented
         return self._values() == other._values()
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, whose parameters are
+        # the slots in order
+        return (type(self), self._values())
+
     def __hash__(self) -> int:
         return hash(self._values())
 

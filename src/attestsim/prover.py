@@ -50,7 +50,6 @@ from .boot import (
     SP_PID,
     BootedSystem,
     bring_up,
-    image_manifest,
     load_anchors,
     load_user_manifest,
 )
@@ -93,10 +92,8 @@ class DeviceFaultError(RuntimeError):
 
 
 class ProverConfig:
-    def __init__(self, host: str = "0.0.0.0", port: int = 7411,
-                 keystore_path: str = "keystore.hex",
-                 anchors_path: str = "anchors.json",
-                 manifest_path: str = "manifest.json"):
+    def __init__(self, host: str, port: int, keystore_path: str,
+                 anchors_path: str, manifest_path: str):
         self.host = host
         self.port = port
         self.keystore_path = keystore_path
@@ -175,7 +172,7 @@ def build_runtime(config: ProverConfig) -> ProverRuntime:
     key = load_keystore(config.keystore_path)
     anchors = load_anchors(config.anchors_path)
     specs = load_user_manifest(config.manifest_path)
-    return ProverRuntime(bring_up(image_manifest(anchors), specs, key, make_relay_program))
+    return ProverRuntime(bring_up(anchors, specs, key, make_relay_program))
 
 
 class Connection:

@@ -45,6 +45,7 @@ from .crypto import (
     VerifyKey,
     ct_equal,
     measure_binary,
+    parse_hex32,
     verify_token,
 )
 from .wire import (
@@ -151,8 +152,8 @@ class Policy:
                 raise PolicyError(f"{path}: device {device_id} must be an object")
             try:
                 mode = SignMode(entry["mode"])
-                vk = VerifyKey.from_hex(mode, entry["verify_key"])
-            except (KeyError, ValueError, TypeError, LengthMismatchError) as e:
+                vk = VerifyKey(mode, parse_hex32(entry["verify_key"]))
+            except (KeyError, ValueError, TypeError) as e:
                 raise PolicyError(
                     f"{path}: device {device_id}: bad mode/verify_key") from e
             golden_raw = entry.get("golden")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from attestsim.attacks import build_env
-from attestsim.boot import ProcessSpec, bring_up, image_manifest
+from attestsim.boot import ProcessSpec, bring_up, default_anchors
 from attestsim.crypto import SignKey, SignMode
 from attestsim.prover import BackgroundDaemon, ProverRuntime
 from attestsim.userland import make_relay_program
@@ -37,7 +37,7 @@ def sign_key(sign_mode, rng) -> SignKey:
 
 @pytest.fixture
 def booted(up_specs, sign_key):
-    return bring_up(image_manifest(), up_specs, sign_key, make_relay_program)
+    return bring_up(default_anchors(), up_specs, sign_key, make_relay_program)
 
 
 @pytest.fixture

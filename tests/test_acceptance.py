@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from scipy.stats import spearmanr
 
 from attestsim.attacks import build_env
-from attestsim.boot import ProcessSpec, bring_up, image_manifest, measure_binary
+from attestsim.boot import ProcessSpec, bring_up, default_anchors, measure_binary
 from attestsim.channel import (
     CHANNEL_AD_CONFIRM,
     CHANNEL_AD_INIT,
@@ -77,7 +77,7 @@ def fresh_system(mode: SignMode, seed: int = 11, n_up: int = 3,
     specs = [ProcessSpec(pid=i + 1, binary=rng.randbytes(size))
              for i in range(n_up)]
     key = SignKey(mode, rng.randbytes(32))
-    booted = bring_up(image_manifest(), specs, key, make_relay_program)
+    booted = bring_up(default_anchors(), specs, key, make_relay_program)
     return specs, key, booted, ProverRuntime(booted)
 
 
@@ -169,7 +169,7 @@ def test_03_single_bit_tamper_sweep():
 
     # control: the untampered binary must be accepted
     runtime = ProverRuntime(bring_up(
-        image_manifest(), [ProcessSpec(pid=1, binary=base)], key,
+        default_anchors(), [ProcessSpec(pid=1, binary=base)], key,
         make_relay_program))
     chal = verifier.new_challenge()
     reply = runtime.attest_once(1, chal)
@@ -182,7 +182,7 @@ def test_03_single_bit_tamper_sweep():
         bit = 1 << rng.randrange(8)
         tampered = base[:pos] + bytes([base[pos] ^ bit]) + base[pos + 1:]
         rt = ProverRuntime(bring_up(
-            image_manifest(), [ProcessSpec(pid=1, binary=tampered)], key,
+            default_anchors(), [ProcessSpec(pid=1, binary=tampered)], key,
             make_relay_program))
         chal = verifier.new_challenge()
         reply = rt.attest_once(1, chal)
@@ -332,11 +332,11 @@ def test_07_boot_time_scales_with_process_count():
     counts, medians = [], []
     for n in range(1, 11):
         specs = [ProcessSpec(pid=i + 1, binary=blobs[i]) for i in range(n)]
-        bring_up(image_manifest(), specs, key, make_relay_program)  # warmup, discarded
+        bring_up(default_anchors(), specs, key, make_relay_program)  # warmup, discarded
         runs = []
         for _ in range(5):
             t0 = time.perf_counter()
-            bring_up(image_manifest(), specs, key, make_relay_program)
+            bring_up(default_anchors(), specs, key, make_relay_program)
             runs.append(time.perf_counter() - t0)
         counts.append(n)
         medians.append(statistics.median(runs))
@@ -475,7 +475,7 @@ def test_10_structural_guarantees():
     rng = random.Random(0xA10)
     specs = [ProcessSpec(pid=1, binary=rng.randbytes(512))]
     key = SignKey(SignMode.HMAC, rng.randbytes(32))
-    booted = bring_up(image_manifest(), specs, key, make_relay_program)
+    booted = bring_up(default_anchors(), specs, key, make_relay_program)
     with pytest.raises(AuthorityError):
         booted.kernel.spawn_process(9, b"\x00")
     notes.append("authority dropped")

@@ -25,7 +25,6 @@ from attestsim.boot import (
     bring_up,
     default_anchors,
     finalize_boot,
-    image_manifest,
     load_anchors,
     load_user_manifest,
     run_boot,
@@ -55,18 +54,20 @@ from attestsim.userland import make_relay_program
 
 
 KEY = SignKey(SignMode.HMAC, bytes.fromhex("ab" * 32))
+# the built-in anchors as an anchor file spells them
+HEX_ANCHORS = {k: v.hex() for k, v in default_anchors().items()}
 
 
 class TestSecureBoot:
     def test_genuine_images_boot(self):
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         assert kernel.live_pids() == {PST_PID}
         kernel.create_endpoint()        # boot authority is not yet dropped
 
     def test_root_process_runs_the_anchored_image(self):
         """The image checked against ``rp_sha256`` is the code of the one
         process secure boot hands over: the spawn-and-transfer process."""
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         assert kernel.live_pids() == {PST_PID}
         assert ("spawn", PST_PID, len(RP_IMAGE)) in kernel.trace
 
@@ -74,30 +75,38 @@ class TestSecureBoot:
         bad = bytearray(KERNEL_IMAGE)
         bad[17] ^= 0x40
         with pytest.raises(KernelHashMismatchError):
-            secure_boot(image_manifest(kernel_image=bytes(bad)))
+            secure_boot(default_anchors(), kernel_image=bytes(bad))
 
     def test_rp_image_tamper_refused(self):
         bad = bytearray(RP_IMAGE)
         bad[-1] ^= 0x01
         with pytest.raises(TcbHashMismatchError):
-            secure_boot(image_manifest(rp_image=bytes(bad)))
+            secure_boot(default_anchors(), rp_image=bytes(bad))
 
     def test_wrong_anchor_refused(self):
         anchors = default_anchors()
-        anchors["kernel_sha256"] = "00" * 32
+        anchors["kernel_sha256"] = bytes(32)
         with pytest.raises(KernelHashMismatchError):
-            secure_boot(image_manifest(anchors))
+            secure_boot(anchors)
+
+    def test_hex_anchors_fail_closed(self):
+        """Anchors are the digests' bytes: the hex strings of an anchor file,
+        passed in unparsed, match no image and boot nothing."""
+        with pytest.raises(KernelHashMismatchError):
+            secure_boot(HEX_ANCHORS)
 
     def test_anchor_file_must_be_an_object(self, tmp_path):
         path = tmp_path / "anchors.json"
-        path.write_text(json.dumps([default_anchors()]))
+        path.write_text(json.dumps([HEX_ANCHORS]))
         with pytest.raises(ManifestError):
             load_anchors(str(path))
 
     def test_anchor_file_roundtrip(self, tmp_path):
         path = tmp_path / "anchors.json"
         write_anchor_file(str(path))
-        assert load_anchors(str(path)) == default_anchors()
+        assert load_anchors(str(path)) == default_anchors() == {
+            "kernel_sha256": hashlib.sha256(KERNEL_IMAGE).digest(),
+            "rp_sha256": hashlib.sha256(RP_IMAGE).digest()}
 
     @pytest.mark.parametrize("blob", [b'{"kernel_sha256": ', b"\xff\xfe{}"],
                              ids=["truncated-json", "not-utf8"])
@@ -114,7 +123,7 @@ class TestSecureBoot:
         {"kernel_sha256": "00" * 32},
         # 64 characters that bytes.fromhex reads as 31 bytes, as it skips
         # whitespace: a malformed file, not an image mismatch
-        *({**default_anchors(), field: cut(default_anchors()[field])}
+        *({**HEX_ANCHORS, field: cut(HEX_ANCHORS[field])}
           for field in ("kernel_sha256", "rp_sha256")
           for cut in (lambda d: d[:62] + "  ",
                       lambda d: d[:30] + "  " + d[32:],
@@ -140,7 +149,7 @@ class TestMeasurement:
     def test_map_keeps_insertion_order(self):
         specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 64)
                  for pid in (5, 2, 9)]
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         sp_state = run_boot(kernel, specs, KEY, make_relay_program)
         assert [pid for pid, _ in sp_state.mmap.entries()] == [5, 2, 9]
 
@@ -205,7 +214,7 @@ class TestTransferProtocol:
 
 class TestRunBoot:
     def _boot(self, specs, key=KEY):
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         sp_state = run_boot(kernel, specs, key, make_relay_program)
         finalize_boot(kernel)
         return kernel, sp_state
@@ -249,7 +258,7 @@ class TestRunBoot:
     def test_full_map_crosses_in_one_rendezvous(self):
         specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 8)
                  for pid in range(1, CAPACITY + 1)]
-        system = bring_up(image_manifest(), specs, KEY, make_relay_program)
+        system = bring_up(default_anchors(), specs, KEY, make_relay_program)
         transfers = [e for e in system.kernel.trace
                      if e[0] == "deliver" and e[1] == PST_PID]
         assert len(transfers) == 1
@@ -265,7 +274,7 @@ class TestRunBoot:
     def test_capacity_exceeded_tears_down(self):
         specs = [ProcessSpec(pid=i, binary=b"x" * 64)
                  for i in range(1, CAPACITY + 2)]
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         with pytest.raises(CapacityExceededError):
             run_boot(kernel, specs, KEY, make_relay_program)
         assert kernel.live_pids() == set()
@@ -277,13 +286,13 @@ class TestRunBoot:
             pid=1, binary=b"x" * 64,
             regions=(RegionRequest("self_code",
                                    Rights(write=True, execute=True)),))]
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         with pytest.raises(WxViolationError):
             run_boot(kernel, specs, KEY, make_relay_program)
         assert kernel.live_pids() == set()
 
     def test_empty_binary_tears_down(self):
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         with pytest.raises(EmptyBinaryError):
             run_boot(kernel, [ProcessSpec(pid=1, binary=b"")], KEY,
                      make_relay_program)
@@ -296,7 +305,7 @@ class TestRunBoot:
             raise SigningError("install refused")
 
         monkeypatch.setattr(SpState, "install", refuse)
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         with pytest.raises(SigningError):
             run_boot(kernel, [ProcessSpec(pid=1, binary=b"x" * 64)], KEY,
                      make_relay_program)
@@ -306,13 +315,13 @@ class TestRunBoot:
 
     @pytest.mark.parametrize("pid", [0, SP_PID, 2**64 - 1])
     def test_reserved_pid_rejected(self, pid):
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         with pytest.raises(ManifestError):
             run_boot(kernel, [ProcessSpec(pid=pid, binary=b"x")], KEY,
                      make_relay_program)
 
     def test_duplicate_pid_rejected(self):
-        kernel = secure_boot(image_manifest())
+        kernel = secure_boot(default_anchors())
         specs = [ProcessSpec(pid=1, binary=b"a"), ProcessSpec(pid=1, binary=b"b")]
         with pytest.raises(ManifestError):
             run_boot(kernel, specs, KEY, make_relay_program)
@@ -320,7 +329,7 @@ class TestRunBoot:
     def test_report_mode_tracks_key(self, up_specs):
         for mode in SignMode:
             key = SignKey(mode, bytes.fromhex("cd" * 32))
-            system = bring_up(image_manifest(), up_specs, key, make_relay_program)
+            system = bring_up(default_anchors(), up_specs, key, make_relay_program)
             assert system.sp_state.sign_key.mode is mode
 
 

@@ -9,7 +9,7 @@ import logging
 import pytest
 
 import attestsim.signing as signing
-from attestsim.boot import SP_PID, ProcessSpec, bring_up, image_manifest
+from attestsim.boot import SP_PID, ProcessSpec, bring_up, default_anchors
 from attestsim.crypto import SignKey, SignMode
 from attestsim.kernel import TRACE_LEN, ProcState
 from attestsim.prover import DeviceFaultError, ProverRuntime
@@ -33,7 +33,7 @@ def _queues(kernel):
 def test_state_stays_bounded_over_many_rounds():
     specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 256) for pid in (1, 2)]
     key = SignKey(SignMode.HMAC, bytes(range(32)))
-    runtime = ProverRuntime(bring_up(image_manifest(), specs, key,
+    runtime = ProverRuntime(bring_up(default_anchors(), specs, key,
                                      make_relay_program))
     kernel = runtime.kernel
     golden = {pid: runtime.sp_state.mmap.lookup(pid) for pid in (1, 2)}
@@ -65,7 +65,7 @@ def test_signer_fault_stops_the_device_and_nothing_piles_up(monkeypatch, caplog)
     request on every pid is refused before it reaches the kernel, so no
     relay's inbox grows, and the fault is logged once."""
     specs = [ProcessSpec(pid=pid, binary=bytes([pid]) * 256) for pid in (1, 2)]
-    runtime = ProverRuntime(bring_up(image_manifest(), specs,
+    runtime = ProverRuntime(bring_up(default_anchors(), specs,
                                      SignKey(SignMode.HMAC, bytes(range(32))),
                                      make_relay_program))
     kernel = runtime.kernel

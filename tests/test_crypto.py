@@ -12,6 +12,7 @@ import gc
 import hashlib
 import hmac as hmaclib
 import os
+import pickle
 import stat
 
 import pytest
@@ -347,9 +348,18 @@ class TestSignKey:
         assert vk == fresh and hash(vk) == hash(fresh)
         assert repr(vk) == repr(fresh)
 
-    def test_verify_key_from_hex_validates(self):
-        with pytest.raises(LengthMismatchError):
-            VerifyKey.from_hex("hmac", "aabb")
+    @pytest.mark.parametrize("mode", ["hmac", "eddsa", None, 0])
+    @pytest.mark.parametrize("cls", [SignKey, VerifyKey])
+    def test_mode_must_be_a_sign_mode(self, cls, mode):
+        """A mode that is not a ``SignMode`` is refused when the key is
+        built, not found out at the first sign or verify."""
+        with pytest.raises(TypeError, match="SignMode"):
+            cls(mode, bytes(32))
+
+    @pytest.mark.parametrize("mode", list(SignMode))
+    def test_secret_key_refuses_to_pickle(self, mode):
+        with pytest.raises(TypeError):
+            pickle.dumps(SignKey(mode, bytes(32)))
 
 
 class TestKeystore:

@@ -24,7 +24,7 @@ from attestsim.boot import (
     RESERVED_PID_BASE,
     SP_PID,
     bring_up,
-    image_manifest,
+    default_anchors,
 )
 from attestsim.channel import (
     CHANNEL_AD_CONFIRM,
@@ -223,7 +223,7 @@ class TestConnection:
             return make_relay_program(spec, sp_cap)
 
         runtime = ProverRuntime(
-            bring_up(image_manifest(), up_specs, sign_key, factory))
+            bring_up(default_anchors(), up_specs, sign_key, factory))
         conn = prover.Connection(runtime)
         replies = conn.receive(b"".join(
             encode(AttestRequest(pid, bytes(32))) for pid in (2, 1, 2)))
@@ -578,13 +578,13 @@ class TestCliPlumbing:
             with pytest.raises(PolicyError, match="host:port"):
                 Policy.load(str(env.policy_path))
 
-    def test_help_lists_only_deployment_options(self, capsys):
+    def test_help_lists_only_deployment_options(self, capsys, env):
         with pytest.raises(SystemExit):
             proverd_main(["--help"])
         flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
         assert flags == {"--help", "--listen", "--keystore", "--anchors",
                          "--manifest"}
-        assert list(vars(ProverConfig())) == [
+        assert list(vars(env.config)) == [
             "host", "port", "keystore_path", "anchors_path", "manifest_path"]
 
     def test_main_reports_missing_inputs(self, tmp_path, capsys):

@@ -47,7 +47,7 @@ import attestsim.crypto as crypto
 import attestsim.kernel as kernel
 import attestsim.signing as signing
 import attestsim.verifier as verifier
-from attestsim.boot import ProcessSpec, bring_up, image_manifest
+from attestsim.boot import ProcessSpec, bring_up, default_anchors
 from attestsim.crypto import SignKey, SignMode, attest_token, verify_token
 from attestsim.prover import ProverRuntime
 from attestsim.signing import FIRST_BADGE, REQUEST_LEN, WORDS, SpState
@@ -97,7 +97,7 @@ def device_run(mode: SignMode, secret: bytes, chals: list[bytes]):
     def run():
         key = SignKey(mode, secret)
         runtime = ProverRuntime(
-            bring_up(image_manifest(), SPECS, key, make_relay_program))
+            bring_up(default_anchors(), SPECS, key, make_relay_program))
         for i, chal in enumerate(chals):
             runtime.attest_once(SPECS[i % len(SPECS)].pid, chal)
         return runtime

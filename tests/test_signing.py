@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attestsim.boot import SP_PID, bring_up, image_manifest
+from attestsim.boot import SP_PID, bring_up, default_anchors
 from attestsim.crypto import SignKey, SignMode, verify_token
 from attestsim.kernel import Call, Kernel, ProcState, Rights
 from attestsim.signing import (
@@ -296,7 +296,7 @@ class TestInKernel:
         assert state.mmap.entries() == tuple(entries)
 
     def test_interleaved_callers_each_get_their_own_identity(self, up_specs, sign_key):
-        system = bring_up(image_manifest(), up_specs, sign_key, make_relay_program)
+        system = bring_up(default_anchors(), up_specs, sign_key, make_relay_program)
         kernel = system.kernel
         chal = bytes([0xEE]) * 32
         kernel.inject_net(1, AttestRequest(1, chal))

@@ -6,6 +6,7 @@ immutability."""
 
 from __future__ import annotations
 
+import copy
 import importlib
 import pickle
 import pkgutil
@@ -13,7 +14,7 @@ import pkgutil
 import pytest
 
 import attestsim
-from attestsim.boot import ImageManifest, ProcessSpec
+from attestsim.boot import ProcessSpec
 from attestsim.crypto import SignKey, SignMode, VerifyKey
 from attestsim.kernel import (
     Call,
@@ -96,9 +97,6 @@ FROZEN = [
     (Call, {"cap": 1, "msg_len": 8}),
     (Recv, {"cap": 2}),
     (NetRecv, {}),
-    (ImageManifest, {"kernel_image": b"k", "rp_image": b"r",
-                     "expected_kernel_sha256": b"\x01" * 32,
-                     "expected_rp_sha256": b"\x02" * 32}),
     (ProcessSpec, {"pid": 3, "binary": b"\x7fELF", "regions": ()}),
     (VerifyKey, {"mode": SignMode.HMAC, "material": b"\x11" * 32}),
     (NetChannelFail, {"reason": "init did not authenticate"}),
@@ -137,6 +135,17 @@ def test_frozen_record(cls, fields):
     assert len({by_keyword, by_position, twin, values}) == 3
     assert repr(by_keyword) == "{}({})".format(
         cls.__name__, ", ".join(f"{k}={v!r}" for k, v in fields.items()))
+
+
+@pytest.mark.parametrize("cls,fields", FROZEN,
+                         ids=[cls.__name__ for cls, _ in FROZEN])
+def test_frozen_record_copies_and_pickles(cls, fields):
+    """A copy, a deep copy and a pickle round trip each rebuild an equal
+    record of the same type."""
+    value = cls(**fields)
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value
 
 
 def test_every_record_is_listed():
