@@ -53,8 +53,6 @@ from .wire import (
     encode,
 )
 
-log = logging.getLogger(__name__)
-
 DEVICE = "dev0"
 FUZZ_OVERSIZE_LEN = 5000      # deliberately past the 4096 payload cap
 ENV_PIDS = (1, 2)             # user processes every harness device runs

@@ -31,10 +31,9 @@ import logging
 import os
 from typing import Callable
 
-from .crypto import SignKey, measure_binary, parse_hex32, sha256
+from .crypto import Frozen, SignKey, measure_binary, parse_hex32, sha256
 from .kernel import (
     Call,
-    Frozen,
     Kernel,
     ProcessApi,
     RegionRequest,

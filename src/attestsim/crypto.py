@@ -13,7 +13,10 @@ bit-for-bit by the test suite, is the composition:
   compared,
 * ``measure_binary``.
 
-The channel's crypto is in ``channel``, outside the RA TCB.
+The channel's crypto is in ``channel``, outside the RA TCB. ``Frozen``,
+the base of the immutable records, is here because this is the one TCB
+module that imports no other attestsim module: the verifier loads
+``VerifyKey`` without the kernel.
 """
 
 from __future__ import annotations
@@ -131,7 +134,47 @@ def ct_equal(a: bytes, b: bytes) -> bool:
     return acc == 0
 
 
-# --- signing keys ---------------------------------------------------------
+# --- records and keys -----------------------------------------------------
+
+class Frozen:
+    """Base of the immutable records, written out in source.
+
+    A subclass names its fields once, in ``__slots__``, and its ``__init__``
+    writes each with ``object.__setattr__``, as a frozen dataclass's does;
+    no code is built at run time. A record equals only a record of the same
+    type with equal fields, hashes over its fields, and refuses assignment
+    and deletion. A record with state that is not a field lists its fields
+    first in ``__slots__`` and overrides ``_values`` to return only those.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(object.__getattribute__(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, which takes the fields
+        return (type(self), self._values())
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
 
 class SignMode(Enum):
     HMAC = "hmac"
@@ -207,16 +250,14 @@ class SignKey:
         return f"SignKey(mode={self.mode.value}, secret=<redacted>)"
 
 
-class VerifyKey:
+class VerifyKey(Frozen):
     """What the verifier stores per device: mode plus key material.
 
     What checking a token needs is built once, here, as ``SignKey`` does:
     the pyca public-key object in Ed25519 mode, the HMAC states
     (``hmac_pads``) in HMAC mode, and ``None`` for the other mode's. Neither
-    is a field: equality, hashing, the repr, copies and pickles see only
-    mode and material. The key is immutable like ``kernel.Frozen``'s
-    records, and written out here because the channel and the verifier
-    load this module without the kernel.
+    is a field: ``_values`` returns mode and material, so equality,
+    hashing, the repr, copies and pickles see only those.
     """
 
     __slots__ = ("mode", "material", "_ed25519", "_hmac_pads")
@@ -232,25 +273,8 @@ class VerifyKey:
         object.__setattr__(self, "_hmac_pads",
                            hmac_pads(material) if mode is SignMode.HMAC else None)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.mode, self.material) == (other.mode, other.material)
-
-    def __hash__(self) -> int:
-        return hash((self.mode, self.material))
-
-    def __repr__(self) -> str:
-        return f"VerifyKey(mode={self.mode!r}, material={self.material!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"VerifyKey is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"VerifyKey is immutable: cannot delete {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return (VerifyKey, (self.mode, self.material))
+    def _values(self) -> tuple:
+        return (self.mode, self.material)
 
 
 # --- token composition ----------------------------------------------------

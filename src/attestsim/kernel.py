@@ -38,6 +38,8 @@ from collections import deque
 from enum import Enum
 from typing import Any, Callable, Generator, Optional
 
+from .crypto import Frozen
+
 MSG_MAX_LENGTH = 120          # IPC buffer size in 64-bit registers
 WORD_MASK = (1 << 64) - 1
 BOOT_BADGE = 0                # reported when the sender's cap carries no badge
@@ -95,46 +97,6 @@ class LengthOverflowError(KernelError):
 
 class IndexOutOfRangeError(KernelError):
     pass
-
-
-class Frozen:
-    """Base of the device's immutable records, written out in source.
-
-    A subclass names its fields once, in ``__slots__``, and its ``__init__``
-    writes each with ``object.__setattr__``, as a frozen dataclass's does;
-    no code is built at run time. A record equals only a record of the same
-    type with equal fields, hashes over its fields, and refuses assignment
-    and deletion.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(object.__getattribute__(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, whose parameters are
-        # the slots in order
-        return (type(self), self._values())
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 class Rights(Frozen):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional
 
 from .crypto import CHAL_LEN, SignKey, attest_token
 from .kernel import BOOT_BADGE, ProcessApi, Recv
@@ -50,12 +50,12 @@ class FrozenMeasurementMap:
     """The signer's post-boot view of measurements: lookup only.
 
     There is no mutation method on this type at all; the boot pipeline
-    hands over every entry at once. Entries keep transfer order.
+    hands over every entry at once, read in one pass, in transfer order.
     """
 
     __slots__ = ("_entries", "_index")
 
-    def __init__(self, entries: list[tuple[int, bytes]]):
+    def __init__(self, entries: Iterable[tuple[int, bytes]]):
         index: dict[int, bytes] = {}
         for pid, digest in entries:
             if len(digest) != 32:
@@ -63,7 +63,7 @@ class FrozenMeasurementMap:
             if pid in index:
                 raise SigningError(f"duplicate pid {pid} in transfer")
             index[pid] = bytes(digest)
-        self._entries = tuple((pid, bytes(d)) for pid, d in entries)
+        self._entries = tuple(index.items())
         self._index = index
 
     def lookup(self, pid: int) -> Optional[bytes]:

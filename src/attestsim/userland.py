@@ -26,7 +26,8 @@ from .channel import (
     seal,
     x25519_keypair,
 )
-from .kernel import Call, Frozen, NetRecv, ProcessApi
+from .crypto import Frozen
+from .kernel import Call, NetRecv, ProcessApi
 from .signing import REQUEST_LEN, WORDS
 from .wire import AttestRequest, AttestResponse, ChannelConfirm, ChannelInit
 

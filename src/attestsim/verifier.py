@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import os
 import sys
 import threading
@@ -60,8 +59,6 @@ from .wire import (
     parse_address,
     record,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_TTL = 30.0
 DEFAULT_TIMEOUT = 5.0
@@ -433,8 +430,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not 0 < args.timeout <= MAX_TIMEOUT:
         parser.error(f"--timeout {args.timeout} is not above 0 and at most "
                      f"{MAX_TIMEOUT}")
-    logging.basicConfig(level=logging.INFO,
-                        format="%(asctime)s %(name)s %(message)s")
     try:
         return _cli_attest(args)
     except (PolicyError, OSError) as e:

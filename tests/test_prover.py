@@ -523,7 +523,7 @@ class TestCliPlumbing:
         "channel": ("attestsim.channel", ["channel", "crypto"], ["socket"]),
         "wire": ("attestsim.wire", ["wire"], []),
         "verifier": ("attestsim.verifier",
-                     ["channel", "crypto", "verifier", "wire"], []),
+                     ["channel", "crypto", "verifier", "wire"], ["logging"]),
         "daemon": ("attestsim.prover",
                    ["boot", "channel", "crypto", "kernel", "prover",
                     "signing", "userland", "wire"],
@@ -539,7 +539,7 @@ class TestCliPlumbing:
         interpreter. The RA TCB (signer and boot) loads no network codec,
         relay, socket or channel crypto; channel crypto loads no kernel
         and no socket; the wire codec loads no other attestsim module;
-        the verifier loads no device code; the daemon
+        the verifier loads no device code and no ``logging``; the daemon
         loads device code only: no numpy, no verifier, attack harness or
         timing audit, and no key serialization (which pulls in the
         ssh/ec/rsa/dsa modules). Neither the RA TCB nor the daemon loads

@@ -99,6 +99,22 @@ class TestFrozenMap:
         with pytest.raises(SigningError):
             FrozenMeasurementMap([(1, bytes(31))])
 
+    def test_one_shot_iterable_fills_both_tables(self):
+        """Entries given as a generator are read once, into the entries,
+        the length and the lookups alike, so every badge gets signed."""
+        digests = {p: bytes([p]) * 32 for p in (1, 2)}
+        fmap = FrozenMeasurementMap(iter(digests.items()))
+        assert fmap.entries() == tuple(digests.items())
+        assert len(fmap) == 2
+        assert [fmap.lookup(p) for p in digests] == list(digests.values())
+        state = installed_state(iter(digests.items()))
+        chal, pk = bytes([7]) * 32, bytes([8]) * 32
+        for badge, digest in enumerate(digests.values(), start=FIRST_BADGE):
+            status, reply = handle_request(state, badge, REQUEST_LEN,
+                                           request_regs(chal, pk))
+            assert status == STATUS_OK
+            assert signed_by(reply, chal, pk, digest)
+
 
 class TestSpState:
     def test_install_exactly_once(self):

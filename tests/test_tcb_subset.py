@@ -15,8 +15,14 @@ syntax trees:
 * no ``namedtuple`` and no ``dataclass`` (nor the ``dataclasses`` module),
   which make a class's methods from strings of source at run time: a
   dataclass ``exec``s the ``__init__``, ``__eq__`` and ``__hash__`` it
-  generates. The TCB's records are written out in source instead
-  (``kernel.Frozen`` and ``crypto.VerifyKey``);
+  generates. The TCB's records are written out in source instead, on
+  ``crypto.Frozen``;
+* no class but ``Frozen`` defines a record method (``__eq__``,
+  ``__hash__``, ``__setattr__``, ``__delattr__``, ``__reduce__``), so the
+  records' equality, hashing, immutability and pickling have one copy.
+  A record with state that is not a field overrides ``_values``, as
+  ``crypto.VerifyKey`` does; ``crypto.SignKey``'s redacting ``__repr__``
+  is not one of these;
 * no ``cached_property``: a TCB record is complete when it is built, as a
   Low* value is, so none grows an attribute on first use.
   ``crypto.SignKey`` and ``crypto.VerifyKey`` build their mode's state in
@@ -41,6 +47,9 @@ BANNED_CALLS = {"setattr", "getattr", "delattr", "vars", "globals",
 # class builders that generate source, the module one comes from, and the
 # decorator that builds an attribute on first use
 BANNED_NAMES = {"namedtuple", "dataclass", "dataclasses", "cached_property"}
+# the methods only the one record base defines
+RECORD_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__",
+                  "__reduce__"}
 
 
 def violations(source: str) -> list[str]:
@@ -52,6 +61,17 @@ def violations(source: str) -> list[str]:
             found.append(f"{node.lineno}: call to {node.func.id}")
         elif isinstance(node, ast.Global):
             found.append(f"{node.lineno}: global {', '.join(node.names)}")
+        elif isinstance(node, ast.ClassDef) and node.name != "Frozen":
+            # a method defined with def, or bound by assignment
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{item.lineno}: {node.name}.{name}"
+                          for name in names if name in RECORD_METHODS]
         else:
             # a name, an attribute, an imported name or the module imported from
             name = (node.id if isinstance(node, ast.Name)
@@ -84,9 +104,12 @@ def test_tcb_module_stays_in_subset(module):
     "from collections import namedtuple",
     "import collections\nT = collections.namedtuple('T', 'a')",
     "from functools import cached_property",
+    "class Key(Frozen):\n    def __eq__(self, other):\n        return True",
+    "class Key:\n    __hash__ = None",
 ], ids=["setattr", "getattr", "delattr", "vars", "eval", "exec", "compile",
         "import", "globals", "global", "namedtuple-import",
-        "namedtuple-attribute", "cached_property"])
+        "namedtuple-attribute", "cached_property", "record-method",
+        "record-method-assigned"])
 def test_walk_catches(source):
     assert violations(source)
 

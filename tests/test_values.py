@@ -1,8 +1,8 @@
 """Value types: the wire messages and the verdict are immutable records
 backed by a tuple, with a frozen dataclass's surface. The device's frozen
-records are slotted classes written out in source (``kernel.Frozen``, and
-``crypto.VerifyKey``), with a frozen dataclass's equality, hashing and
-immutability."""
+records, ``crypto.VerifyKey`` among them, are slotted classes written out
+in source on ``crypto.Frozen``, with a frozen dataclass's equality, hashing
+and immutability."""
 
 from __future__ import annotations
 
@@ -149,7 +149,7 @@ def test_frozen_record_copies_and_pickles(cls, fields):
 
 
 def test_every_record_is_listed():
-    """Each ``kernel.Frozen`` record the package defines is pinned above,
+    """Each ``Frozen`` record the package defines is pinned above,
     so a new record cannot go untested."""
     for module in pkgutil.iter_modules(attestsim.__path__):
         importlib.import_module(f"attestsim.{module.name}")
