@@ -127,7 +127,8 @@ class ProverRuntime:
     def attest_once(self, pid: int, chal: bytes) -> AttestResponse:
         if len(chal) != CHAL_LEN:
             raise ValueError(f"chal must be {CHAL_LEN} bytes")
-        return self._exchange(pid, AttestRequest(pid, chal), AttestResponse)
+        return self._exchange(pid, tuple.__new__(AttestRequest, (pid, chal)),
+                              AttestResponse)
 
     def channel_once(self, pid: int, chal: bytes, sigma: bytes,
                      init: ChannelInit) -> ChannelConfirm | NetChannelFail:

@@ -59,7 +59,7 @@ def make_relay_program(spec, sp_cap: int):
     key binds the event's ``chal`` and ``sigma`` and the relay's own ``pk``.
     """
     private, pk = x25519_keypair()
-    pk_words = WORDS[4].unpack(pk)
+    pk0, pk1, pk2, pk3 = WORDS[4].unpack(pk)
 
     def program(ctx: ProcessApi) -> Generator:
         net_recv = NetRecv()
@@ -70,13 +70,21 @@ def make_relay_program(spec, sp_cap: int):
             event = yield net_recv
             if type(event) is AttestRequest:
                 pid, chal = event
-                for i, word in enumerate(chal_words(chal) + pk_words):
-                    set_mr(i, word)
+                # the request is the challenge's words, then the pk's
+                c0, c1, c2, c3 = chal_words(chal)
+                set_mr(0, c0)
+                set_mr(1, c1)
+                set_mr(2, c2)
+                set_mr(3, c3)
+                set_mr(4, pk0)
+                set_mr(5, pk1)
+                set_mr(6, pk2)
+                set_mr(7, pk3)
                 reply_len = yield call
                 # the reply is the status, then the token's words, if any
                 status = get_mr(0)
                 sigma = WORDS[reply_len - 1].pack(*map(get_mr, range(1, reply_len)))
-                net_send(AttestResponse(status, pid, pk, sigma))
+                net_send(tuple.__new__(AttestResponse, (status, pid, pk, sigma)))
             elif isinstance(event, BoundChannelInit):
                 init = event.init
                 transcript = event.chal + pk + event.sigma

@@ -23,6 +23,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -279,6 +280,9 @@ class Verifier:
         self.timeout = timeout
         self._rng = rng
         self.ledger = NonceLedger(ttl=ttl, clock=clock)
+        # weak references to the streams a timeout left out of step; a
+        # plain set, as a WeakSet's membership test is a Python-level call
+        self._unpaired: set[weakref.ref] = set()
 
     def new_challenge(self) -> bytes:
         chal = self._rng(CHAL_LEN)
@@ -316,31 +320,47 @@ class Verifier:
             raise ReplayDetectedError("challenge was never issued or already used")
         if freshness == "expired":
             raise StaleChallengeError("challenge outlived its ttl")
-        return AttestResult(device_id, pid, chal, pk, sigma, expected_m)
+        return tuple.__new__(AttestResult,
+                             (device_id, pid, chal, pk, sigma, expected_m))
 
     def attest(self, device_id: str, pid: int, stream: FrameStream) -> AttestResult:
-        """One full round over an open stream: challenge, send, judge. A
-        pid ``encode`` refuses raises its ``WireError`` before any send,
-        with the challenge withdrawn."""
+        """One full round over an open stream: challenge, send, judge.
+
+        A round that returns no result withdraws its challenge, since no
+        caller holds it: a pid ``encode`` refuses (its ``WireError``
+        comes back, with nothing sent), an error frame, a refused
+        response, an unexpected frame or a timeout. A timeout leaves the
+        stream out of step, as the late reply would answer the next
+        request, so every later round on it fails at once with
+        ``AttestTimeoutError`` and sends nothing.
+        """
+        if self._unpaired and weakref.ref(stream) in self._unpaired:
+            raise AttestTimeoutError("an earlier round on this stream timed out")
         chal = self.new_challenge()
-        stream.settimeout(self.timeout)
         try:
             try:
-                stream.send(AttestRequest(pid, chal))
-            except WireError:
-                self.ledger.consume(chal)       # withdraw: it went nowhere
-                raise
-            try:
-                resp = stream.recv()
-            except WireError as e:
-                raise ProverError(255, f"protocol: {e}") from e
-        except TimeoutError as e:
-            raise AttestTimeoutError(f"no response within {self.timeout}s") from e
-        if isinstance(resp, ErrorMsg):
-            raise ProverError(resp.code, "daemon")
-        if not isinstance(resp, AttestResponse):
-            raise ProverError(255, f"unexpected {type(resp).__name__}")
-        return self.check_response(device_id, pid, chal, resp)
+                stream.settimeout(self.timeout)
+                stream.send(tuple.__new__(AttestRequest, (pid, chal)))
+                try:
+                    resp = stream.recv()
+                except WireError as e:
+                    raise ProverError(255, f"protocol: {e}") from e
+            except TimeoutError as e:
+                self._out_of_step(stream)
+                raise AttestTimeoutError(f"no response within {self.timeout}s") from e
+            if isinstance(resp, ErrorMsg):
+                raise ProverError(resp.code, "daemon")
+            if not isinstance(resp, AttestResponse):
+                raise ProverError(255, f"unexpected {type(resp).__name__}")
+            return self.check_response(device_id, pid, chal, resp)
+        except BaseException:
+            self.ledger.consume(chal)       # withdraw: no caller holds it
+            raise
+
+    def _out_of_step(self, stream: FrameStream) -> None:
+        """Refuse every later round on ``stream``, whose reply is overdue.
+        The entry goes when the stream is collected."""
+        self._unpaired.add(weakref.ref(stream, self._unpaired.discard))
 
     def establish_channel(self, result: AttestResult, stream: FrameStream
                           ) -> SessionKey:
@@ -349,7 +369,10 @@ class Verifier:
         Fresh X25519 keypair per call; the session key binds the
         attestation transcript, so only the attested process (which holds
         the pk's private half) can decrypt the init and echo the token.
+        A timeout leaves the stream out of step, as in ``attest``.
         """
+        if self._unpaired and weakref.ref(stream) in self._unpaired:
+            raise AttestTimeoutError("an earlier round on this stream timed out")
         eph_private, eph_pk = x25519_keypair()
         transcript = result.chal + result.pk + result.sigma
         key = derive_session_key(eph_private, result.pk, transcript)
@@ -361,6 +384,7 @@ class Verifier:
                                     ct=seal(key, nonce, token, CHANNEL_AD_INIT)))
             resp = stream.recv()
         except TimeoutError as e:
+            self._out_of_step(stream)
             raise AttestTimeoutError(f"no confirm within {self.timeout}s") from e
         except WireError as e:
             raise ConfirmFailedError(f"protocol: {e}") from e

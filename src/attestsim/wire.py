@@ -84,6 +84,11 @@ def record(cls: type) -> type:
     frozen dataclass, while building one costs one tuple. Equality and
     hash include the type, so a record never equals a plain tuple or a
     record of another type with the same fields.
+
+    Building one through the class runs namedtuple's generated Python
+    ``__new__``. Hot paths build records with ``tuple.__new__(cls,
+    fields)`` instead, which costs half as much. Neither form checks its
+    fields; ``encode`` checks every field it writes.
     """
     rec = namedtuple(cls.__name__, tuple(cls.__annotations__),
                      module=cls.__module__)

@@ -6,10 +6,15 @@ AttestRequest frame, to a live pid and to an absent one, fed to
 swing by tens of percent; this count does not, so a change that adds a
 layer or a re-check to the per-frame path shows here first.
 
-The bounds are the counts of an HMAC round. They include the register
-calls of ``ProcessApi``, 26 per round: 8 ``set_mr`` and 8 ``get_mr`` for
-the request, then 5 of each for the reply. The token is its signature
-bytes on both sides, so neither side builds a token object.
+The bounds are the counts of an HMAC round: 51 calls for a daemon-side
+frame and 16 for a verifier round. They include the register calls of
+``ProcessApi``, 26 per round: 8 ``set_mr`` and 8 ``get_mr`` for the
+request, then 5 of each for the reply. The token is its signature bytes
+on both sides, so neither side builds a token object, and each record of
+the round is built by ``tuple.__new__``, so none pays namedtuple's
+generated Python ``__new__``. A verifier round that the daemon refuses
+with an error frame makes 13 calls, the withdraw of its challenge among
+them.
 
 Then the writes of a pipelining verifier: with ``PIPELINE_DEPTH`` rounds
 in flight, a ``FrameStream`` sends each window of requests in one write.
@@ -23,7 +28,7 @@ import sys
 from collections import deque
 
 import attestsim.prover as prover
-from attestsim.verifier import Policy, Verifier
+from attestsim.verifier import Policy, ProverError, Verifier
 from attestsim.wire import (
     ERR_UNKNOWN_PID,
     AttestRequest,
@@ -35,9 +40,10 @@ from attestsim.wire import (
     encode,
 )
 
-DAEMON_FRAME_CALLS = 53     # feed, decode, route (kernel, relay, signer), encode
+DAEMON_FRAME_CALLS = 51     # feed, decode, route (kernel, relay, signer), encode
 ABSENT_PID_FRAME_CALLS = 9  # feed, decode, route, refusal, encode
-VERIFIER_ROUND_CALLS = 19   # challenge, send, recv, check_response
+VERIFIER_ROUND_CALLS = 16   # challenge, send, recv, check_response
+REFUSED_ROUND_CALLS = 13    # attest, challenge, send, recv, refusal, withdraw
 PIPELINE_DEPTH = 32         # rounds in flight, as perfbench's pipelined load
 
 
@@ -105,6 +111,27 @@ def test_verifier_round_calls(env, daemon):
         counts = [calls_in(verifier.attest, "dev0", pid, stream)
                   for pid in (1, 2)]
     assert counts[0] == counts[1] <= VERIFIER_ROUND_CALLS
+
+
+def refused_round(verifier: Verifier, stream: FrameStream) -> None:
+    """One round that the daemon refuses with an error frame."""
+    try:
+        verifier.attest("dev0", 9, stream)      # the device holds no pid 9
+    except ProverError as e:
+        assert e.code == ERR_UNKNOWN_PID
+    else:
+        raise AssertionError("an absent pid was attested")
+
+
+def test_refused_verifier_round_calls(env, daemon):
+    """A round refused with an ``ErrorMsg`` costs the round up to the
+    reply, the ``ProverError``, and the withdraw of its challenge."""
+    verifier = Verifier(Policy.load(str(env.policy_path)))
+    with FrameStream.connect(*daemon.address, timeout=5.0) as stream:
+        refused_round(verifier, stream)
+        counts = [calls_in(refused_round, verifier, stream) for _ in range(2)]
+    assert counts[0] == counts[1] <= REFUSED_ROUND_CALLS
+    assert len(verifier.ledger) == 0
 
 
 class ScriptedDaemon:

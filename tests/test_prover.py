@@ -450,6 +450,20 @@ def _raise_once(monkeypatch, module, name: str, fault: Exception) -> None:
     monkeypatch.setattr(module, name, once)
 
 
+class _FaultOnce(tuple):
+    """A tuple whose next lookup raises ``fault``; later ones index it."""
+
+    def __new__(cls, items, fault: Exception):
+        self = super().__new__(cls, items)
+        self.pending = [fault]
+        return self
+
+    def __getitem__(self, index):
+        if self.pending:
+            raise self.pending.pop()
+        return super().__getitem__(index)
+
+
 class TestFaultContainment:
     def test_signer_fault_fails_stop(self, env, monkeypatch, caplog):
         _raise_once(monkeypatch, signing, "handle_request",
@@ -466,13 +480,14 @@ class TestFaultContainment:
             f"phase=fault pid={SP_PID} error=RuntimeError('signer fault')"]
 
     def test_relay_fault_retires_only_its_pid(self, env, monkeypatch, caplog):
-        # the relay builds its reply after the signer answered, so only the
-        # relay faults
-        _raise_once(monkeypatch, userland, "AttestResponse",
-                    RuntimeError("relay fault"))
         verifier = Verifier(Policy.load(str(env.policy_path)))
         with caplog.at_level(logging.INFO, logger="attestsim.prover"):
             with BackgroundDaemon(env.config) as d, connect(d) as stream:
+                # booted relays have bound their request layouts; a round
+                # looks up WORDS only for the reply, once the signer has
+                # answered, so only the relay faults
+                monkeypatch.setattr(userland, "WORDS", _FaultOnce(
+                    userland.WORDS, RuntimeError("relay fault")))
                 stream.send(AttestRequest(1, os.urandom(32)))
                 assert stream.recv() == ErrorMsg(ERR_INTERNAL)
                 assert d.runtime.up_pids == {2} and d.runtime.fault is None

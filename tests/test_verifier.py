@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import socket
@@ -474,6 +475,63 @@ class TestAttestStream:
             verifier.attest("dev0", 1, left)
         t.join(timeout=5)
 
+    @pytest.mark.parametrize("reply, failure", [
+        (lambda msg: ErrorMsg(code=1), ProverError),
+        (lambda msg: AttestResponse(3, msg.pid, bytes(32), b""), ProverError),
+        (lambda msg: AttestResponse(0, msg.pid, bytes(32), bytes(32)),
+         SigInvalidError),
+        (lambda msg: ChannelConfirm(nonce=bytes(12), ct=bytes(16)),
+         ProverError),
+        (lambda msg: None, AttestTimeoutError),
+    ], ids=["error-frame", "nonzero-status", "bad-token", "unexpected-frame",
+            "timeout"])
+    def test_refused_round_withdraws_its_challenge(self, pair, sign_key,
+                                                   up_specs, reply, failure):
+        left, right = pair
+        verifier = Verifier(make_policy(sign_key, up_specs), timeout=0.2)
+        t = _serve_once(right, reply)
+        with pytest.raises(failure):
+            verifier.attest("dev0", 1, left)
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert len(verifier.ledger) == 0
+
+    def test_refused_rounds_never_fill_the_ledger(self, env, daemon,
+                                                  monkeypatch):
+        """At the default ttl a refused round's challenge would stay live
+        for 30 s; withdrawn, a cap of 8 outlasts any number of them."""
+        monkeypatch.setattr(verifier_module, "MAX_OUTSTANDING", 8)
+        verifier = Verifier(Policy.load(str(env.policy_path)))
+        with FrameStream.connect(*daemon.address, timeout=5.0) as stream:
+            for _ in range(20):
+                with pytest.raises(ProverError):    # never LedgerFullError
+                    verifier.attest("dev0", 9, stream)
+        assert len(verifier.ledger) == 0
+
+    def test_timed_out_stream_sends_no_more_rounds(self, sign_key, up_specs,
+                                                   runtime):
+        """A peer that answers the first request only after the deadline.
+        Its late reply would answer the next request, and each later
+        round would read the reply to the one before it. So each later
+        round fails at once, sends nothing and leaves no challenge live."""
+        verifier = Verifier(make_policy(sign_key, up_specs), timeout=0.2)
+        left, right = stream_pair()
+        with left, right:
+            with pytest.raises(AttestTimeoutError):
+                verifier.attest("dev0", 1, left)
+            late = right.recv()
+            right.send(runtime.attest_once(late.pid, late.chal))
+            for _ in range(3):
+                with pytest.raises(AttestTimeoutError, match="earlier round"):
+                    verifier.attest("dev0", 1, left)
+            assert len(verifier.ledger) == 0
+            right.settimeout(0)
+            with pytest.raises(TimeoutError):       # nothing was sent
+                right.recv()
+        del left
+        gc.collect()
+        assert not verifier._unpaired       # the entry went with the stream
+
 
 class TestChannel:
     @pytest.fixture
@@ -505,6 +563,23 @@ class TestChannel:
         assert len(session.key) == 32
         assert "redacted" in repr(session)
         assert session.key.hex() not in repr(session)
+
+    def test_timed_out_channel_stream_sends_no_more_rounds(
+            self, pair, sign_key, up_specs, runtime):
+        left, right = pair
+        verifier = Verifier(make_policy(sign_key, up_specs), timeout=0.2)
+        result = self._attested(verifier, runtime)
+        with pytest.raises(AttestTimeoutError, match="no confirm"):
+            verifier.establish_channel(result, left)
+        right.recv()                                # the init, unanswered
+        with pytest.raises(AttestTimeoutError, match="earlier round"):
+            verifier.establish_channel(result, left)
+        with pytest.raises(AttestTimeoutError, match="earlier round"):
+            verifier.attest("dev0", 1, left)
+        assert len(verifier.ledger) == 0
+        right.settimeout(0)
+        with pytest.raises(TimeoutError):           # nothing more was sent
+            right.recv()
 
     def test_session_key_seals_traffic_both_ways(self, pair, sign_key,
                                                  up_specs, runtime):
