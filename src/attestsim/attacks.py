@@ -10,7 +10,6 @@ recorded in a transcript for offline reading.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import random
 import socket
@@ -22,16 +21,11 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import boot as bootmod
-from .boot import (
-    bring_up,
-    default_anchors,
-    load_user_manifest,
-    secure_boot,
-    write_anchor_file,
-)
-from .crypto import SignKey, SignMode, load_keystore, write_keystore
+from .boot import bring_up, default_anchors, secure_boot
+from .crypto import SignKey, SignMode
 from .kernel import Call, NetRecv
 from .prover import BackgroundDaemon, ProverConfig, ProverRuntime
+from .provision import DEVICE, load_keystore, load_user_manifest, write_device
 from .signing import STATUS_MALFORMED, WORDS
 from .timing import audit_comparator, audit_ct_equal
 from .userland import make_relay_program
@@ -53,10 +47,8 @@ from .wire import (
     encode,
 )
 
-DEVICE = "dev0"
 FUZZ_OVERSIZE_LEN = 5000      # deliberately past the 4096 payload cap
 ENV_PIDS = (1, 2)             # user processes every harness device runs
-ENV_BINARY_SIZE = 4096        # bytes of random code per user binary
 ENV_SEED = 7                  # seeds the binaries and the device key
 
 
@@ -104,38 +96,12 @@ class HarnessEnv:
 def build_env(root: Path, mode: SignMode = SignMode.HMAC,
               policy_key: Optional[SignKey] = None) -> HarnessEnv:
     """Lay out keystore, anchors, binaries, manifest, and policy on disk."""
-    rng = random.Random(ENV_SEED)
-    root.mkdir(parents=True, exist_ok=True)
-    bindir = root / "bin"
-    bindir.mkdir(exist_ok=True)
-    binaries: dict[int, Path] = {}
-    manifest = []
-    for pid in ENV_PIDS:
-        path = bindir / f"up_{pid}.bin"
-        path.write_bytes(rng.randbytes(ENV_BINARY_SIZE))
-        binaries[pid] = path
-        manifest.append({"pid": pid, "binary": f"bin/up_{pid}.bin",
-                         "caps": [{"region": "self_code",
-                                   "read": True, "execute": True}]})
-    key = SignKey(mode, rng.randbytes(32))
-    write_keystore(str(root / "keystore.hex"), key)
-    write_anchor_file(str(root / "anchors.json"))
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    vk = (policy_key or key).verify_key()
-    policy = {"devices": {DEVICE: {
-        "mode": vk.mode.value,
-        "verify_key": vk.material.hex(),
-        "golden": {str(pid): f"bin/up_{pid}.bin" for pid in ENV_PIDS},
-    }}}
-    policy_path = root / "policy.json"
-    policy_path.write_text(json.dumps(policy, indent=2))
+    files = write_device(root, ENV_PIDS, mode, random.Random(ENV_SEED), policy_key)
     config = ProverConfig(
-        host="127.0.0.1", port=0,
-        keystore_path=str(root / "keystore.hex"),
-        anchors_path=str(root / "anchors.json"),
-        manifest_path=str(root / "manifest.json"))
-    return HarnessEnv(root=root, config=config, policy_path=policy_path,
-                      key=key, binaries=binaries)
+        host="127.0.0.1", port=0, keystore_path=str(files.keystore),
+        anchors_path=str(files.anchors), manifest_path=str(files.manifest))
+    return HarnessEnv(root=root, config=config, policy_path=files.policy,
+                      key=files.key, binaries=files.binaries)
 
 
 # --- scenarios ------------------------------------------------------------

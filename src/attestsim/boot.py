@@ -7,20 +7,24 @@ spawn/terminate authority.
 
 Stages, in order:
 
-1. ``secure_boot`` checks the kernel and root-process images against the
-   trust anchors, the two SHA-256 digests ``load_anchors`` parses once
-   into bytes, and hands back a fresh kernel holding one process, the
-   spawn-and-transfer root process, spawned from the checked image.
-2. ``run_boot`` spawns the signing process with its two endpoints, then
-   each user process from the manifest (write-xor-execute checked by the
-   kernel at spawn, binary hashed for the measurement map, send
-   capability minted with the next counter badge), and has the root
-   process transfer the map into the signing process over IPC.
+1. ``secure_boot`` checks the kernel, root-process and signer images
+   against the trust anchors, three SHA-256 digests as bytes, and hands
+   back a fresh kernel holding one process, the spawn-and-transfer root
+   process, spawned from the checked image.
+2. ``run_boot`` spawns the signing process from its checked image, with
+   its two endpoints, then each user process from the manifest
+   (write-xor-execute checked by the kernel at spawn, binary hashed for
+   the measurement map, send capability minted with the next counter
+   badge), and has the root process transfer the map into the signing
+   process over IPC.
 3. ``finalize_boot`` terminates the root process and drops kernel
    authority for good.
 
 Any failure mid-pipeline tears the kernel down to an empty, finalized
 state; a partially booted device is never observable.
+
+Boot reads no file: ``attestsim.provision`` parses its anchors and
+manifest on the host. ``write_anchor_file`` stays only for the benchmark.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from typing import Callable
 
-from .crypto import Frozen, SignKey, measure_binary, parse_hex32, sha256
+from .crypto import Frozen, SignKey, measure_binary, sha256
 from .kernel import (
     Call,
     Kernel,
@@ -99,29 +102,8 @@ SP_IMAGE = b"\x7fSGN" + _keystream_blob("signing-process-image-v1", 4092)
 
 def default_anchors() -> dict[str, bytes]:
     """The digests of the built-in images, keyed as in anchor files."""
-    return {"kernel_sha256": sha256(KERNEL_IMAGE), "rp_sha256": sha256(RP_IMAGE)}
-
-
-def _load_json(path: str) -> object:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except ValueError as e:         # not UTF-8, or not JSON
-        raise ManifestError(f"{path}: not a JSON file: {e}") from e
-
-
-def load_anchors(path: str) -> dict[str, bytes]:
-    """The anchor file's two digests, each parsed once into its 32 bytes."""
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise ManifestError(f"{path}: top level must be a JSON object")
-    anchors = {}
-    for field_name in ("kernel_sha256", "rp_sha256"):
-        try:
-            anchors[field_name] = parse_hex32(raw.get(field_name))
-        except ValueError as e:
-            raise ManifestError(f"{path}: {field_name} must be 64 hex chars") from e
-    return anchors
+    return {"kernel_sha256": sha256(KERNEL_IMAGE), "rp_sha256": sha256(RP_IMAGE),
+            "sp_sha256": sha256(SP_IMAGE)}
 
 
 def write_anchor_file(path: str) -> None:
@@ -130,7 +112,7 @@ def write_anchor_file(path: str) -> None:
         f.write("\n")
 
 
-# --- user-process manifest ------------------------------------------------
+# --- user processes -------------------------------------------------------
 
 class ProcessSpec(Frozen):
     __slots__ = ("pid", "binary", "regions")
@@ -140,61 +122,6 @@ class ProcessSpec(Frozen):
         object.__setattr__(self, "pid", pid)
         object.__setattr__(self, "binary", binary)
         object.__setattr__(self, "regions", regions)
-
-
-def _region_from_entry(entry: object) -> RegionRequest:
-    if not isinstance(entry, dict):
-        raise ManifestError("cap entry must be an object")
-    region = entry.get("region")
-    if not isinstance(region, str) or not region:
-        raise ManifestError("cap entry needs a nonempty 'region'")
-    flags = {name: entry.get(name, False) for name in ("read", "write", "execute")}
-    for name, value in flags.items():
-        if not isinstance(value, bool):
-            raise ManifestError(f"cap entry '{name}' must be true or false")
-    return RegionRequest(region, Rights(**flags))
-
-
-def load_user_manifest(path: str) -> list[ProcessSpec]:
-    """Read the JSON process manifest; binaries are loaded eagerly.
-
-    Each entry: ``{"pid": n, "binary": "relative/or/abs/path",
-    "caps": [{"region": ..., "read": ..., "write": ..., "execute": ...}]}``
-    with ``caps`` defaulting to read+execute over the process's own code.
-    """
-    raw = _load_json(path)
-    if not isinstance(raw, list):
-        raise ManifestError(f"{path}: top level must be a JSON array")
-    base = os.path.dirname(os.path.abspath(path))
-    specs: list[ProcessSpec] = []
-    seen: set[int] = set()
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ManifestError(f"{path}[{i}]: entry must be an object")
-        pid = entry.get("pid")
-        if not isinstance(pid, int) or isinstance(pid, bool):
-            raise ManifestError(f"{path}[{i}]: 'pid' must be an integer")
-        if not 1 <= pid < RESERVED_PID_BASE:
-            raise ManifestError(
-                f"{path}[{i}]: pid {pid} outside [1, {RESERVED_PID_BASE})")
-        if pid in seen:
-            raise ManifestError(f"{path}[{i}]: duplicate pid {pid}")
-        seen.add(pid)
-        binary_path = entry.get("binary")
-        if not isinstance(binary_path, str):
-            raise ManifestError(f"{path}[{i}]: 'binary' must be a path")
-        binary_path = os.path.join(base, binary_path)   # keeps an absolute path
-        with open(binary_path, "rb") as bf:
-            binary = bf.read()
-        caps = entry.get("caps")
-        if caps is None:
-            regions = DEFAULT_REGIONS
-        elif isinstance(caps, list):
-            regions = tuple(_region_from_entry(c) for c in caps)
-        else:
-            raise ManifestError(f"{path}[{i}]: 'caps' must be a list")
-        specs.append(ProcessSpec(pid=pid, binary=binary, regions=regions))
-    return specs
 
 
 # --- pipeline -------------------------------------------------------------
@@ -214,16 +141,20 @@ ProgramFactory = Callable[[ProcessSpec, int], Callable]
 
 def secure_boot(anchors: dict[str, bytes], kernel_image: bytes = KERNEL_IMAGE,
                 rp_image: bytes = RP_IMAGE) -> Kernel:
-    """Check both images against their anchor digests (``load_anchors``);
-    only if both match, return a fresh kernel holding ``PST_PID``, the
-    boot-time spawn-and-transfer process, spawned from the root-process
-    image just checked."""
+    """Check the kernel, root-process and signer images against their
+    anchor digests; only if all three match, return a fresh kernel holding
+    ``PST_PID``, the boot-time spawn-and-transfer process, spawned from the
+    root-process image just checked. ``run_boot`` spawns the signer from
+    the ``SP_IMAGE`` checked here."""
     if sha256(kernel_image) != anchors["kernel_sha256"]:
         raise KernelHashMismatchError("kernel image does not match anchor")
     if sha256(rp_image) != anchors["rp_sha256"]:
         raise TcbHashMismatchError("root-process image does not match anchor")
-    log.info("phase=boot kernel_sha256=%s rp_sha256=%s",
-             anchors["kernel_sha256"].hex(), anchors["rp_sha256"].hex())
+    if sha256(SP_IMAGE) != anchors["sp_sha256"]:
+        raise TcbHashMismatchError("signing-process image does not match anchor")
+    log.info("phase=boot kernel_sha256=%s rp_sha256=%s sp_sha256=%s",
+             anchors["kernel_sha256"].hex(), anchors["rp_sha256"].hex(),
+             anchors["sp_sha256"].hex())
     kernel = Kernel()
     kernel.spawn_process(PST_PID, rp_image)
     return kernel

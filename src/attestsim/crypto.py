@@ -13,17 +13,17 @@ bit-for-bit by the test suite, is the composition:
   compared,
 * ``measure_binary``.
 
-The channel's crypto is in ``channel``, outside the RA TCB. ``Frozen``,
-the base of the immutable records, is here because this is the one TCB
-module that imports no other attestsim module: the verifier loads
-``VerifyKey`` without the kernel.
+The channel's crypto is in ``channel`` and the keystore's loader in
+``provision``, both outside the RA TCB. ``Frozen``, the base of the
+immutable records, is here because this is the one TCB module that
+imports no other attestsim module: the verifier loads ``VerifyKey``
+without the kernel.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import stat
 from enum import Enum
 
 from cryptography.exceptions import InvalidSignature
@@ -50,10 +50,6 @@ class CryptoError(Exception):
 
 
 class LengthMismatchError(CryptoError):
-    pass
-
-
-class KeystoreError(CryptoError):
     pass
 
 
@@ -318,31 +314,8 @@ def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,
 
 # --- keystore file --------------------------------------------------------
 #
-# Two lines: 64 hex chars of secret, then a mode tag ("hmac" or "eddsa").
-# World-readable keystores are refused outright.
-
-def load_keystore(path: str) -> SignKey:
-    st = os.stat(path)
-    if stat.S_ISREG(st.st_mode) and (st.st_mode & stat.S_IROTH):
-        raise KeystoreError(f"{path} is world-readable; refusing to load")
-    with open(path, "rb") as f:
-        raw = f.read()
-    if not raw.isascii():
-        raise KeystoreError(f"{path}: keystore must be ASCII")
-    lines = [ln.strip() for ln in raw.decode("ascii").splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise KeystoreError(f"{path}: expected secret line and mode line")
-    secret_hex, mode_tag = lines
-    try:
-        secret = parse_hex32(secret_hex)
-    except ValueError as e:
-        raise KeystoreError(f"{path}: secret must be 64 hex chars") from e
-    try:
-        mode = SignMode(mode_tag)
-    except ValueError as e:
-        raise KeystoreError(f"{path}: unknown mode tag {mode_tag!r}") from e
-    return SignKey(mode, secret)
-
+# ``attestsim.provision`` reads it; the writer stays here only because the
+# benchmark imports it by this name.
 
 def write_keystore(path: str, key: SignKey) -> None:
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)

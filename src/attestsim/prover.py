@@ -45,16 +45,10 @@ import sys
 import threading
 from typing import Optional
 
-from .boot import (
-    RESERVED_PID_BASE,
-    SP_PID,
-    BootedSystem,
-    bring_up,
-    load_anchors,
-    load_user_manifest,
-)
-from .crypto import CHAL_LEN, load_keystore
+from .boot import RESERVED_PID_BASE, SP_PID, BootedSystem, bring_up
+from .crypto import CHAL_LEN
 from .kernel import ProcState
+from .provision import load_anchors, load_keystore, load_user_manifest
 from .userland import BoundChannelInit, NetChannelFail, make_relay_program
 from .wire import (
     ERR_BAD_REQUEST,

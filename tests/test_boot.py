@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attestsim import boot as bootmod
 from attestsim.boot import (
     CAPACITY,
     KERNEL_IMAGE,
     PST_PID,
     RP_IMAGE,
+    SP_IMAGE,
     SP_PID,
     CapacityExceededError,
     KernelHashMismatchError,
@@ -25,8 +27,6 @@ from attestsim.boot import (
     bring_up,
     default_anchors,
     finalize_boot,
-    load_anchors,
-    load_user_manifest,
     run_boot,
     secure_boot,
     transfer_mmap,
@@ -49,6 +49,7 @@ from attestsim.crypto import (
     SignMode,
     measure_binary,
 )
+from attestsim.provision import load_anchors, load_user_manifest
 from attestsim.signing import ENTRY_LEN, WORDS, SigningError, SpState
 from attestsim.userland import make_relay_program
 
@@ -83,6 +84,25 @@ class TestSecureBoot:
         with pytest.raises(TcbHashMismatchError):
             secure_boot(default_anchors(), rp_image=bytes(bad))
 
+    def test_sp_image_swap_refused_before_any_spawn(self, monkeypatch, up_specs):
+        """The signer's image is under the ``sp_sha256`` anchor: a swapped
+        image is refused before a kernel exists, so nothing was spawned
+        and no device is left to tear down."""
+        anchors = default_anchors()
+        monkeypatch.setattr(bootmod, "SP_IMAGE", b"\x7fSGN" + bytes(4092))
+        spawned = []
+        spawn = Kernel.spawn_process
+        monkeypatch.setattr(Kernel, "spawn_process", lambda kernel, pid, *rest: (
+            spawned.append(pid), spawn(kernel, pid, *rest))[1])
+        with pytest.raises(TcbHashMismatchError, match="signing-process"):
+            bring_up(anchors, up_specs, KEY, make_relay_program)
+        assert spawned == []
+
+    def test_signer_spawned_from_the_anchored_image(self, up_specs):
+        system = bring_up(default_anchors(), up_specs, KEY, make_relay_program)
+        assert ("spawn", SP_PID, len(SP_IMAGE)) in system.kernel.trace
+        assert hashlib.sha256(SP_IMAGE).digest() == default_anchors()["sp_sha256"]
+
     def test_wrong_anchor_refused(self):
         anchors = default_anchors()
         anchors["kernel_sha256"] = bytes(32)
@@ -106,7 +126,8 @@ class TestSecureBoot:
         write_anchor_file(str(path))
         assert load_anchors(str(path)) == default_anchors() == {
             "kernel_sha256": hashlib.sha256(KERNEL_IMAGE).digest(),
-            "rp_sha256": hashlib.sha256(RP_IMAGE).digest()}
+            "rp_sha256": hashlib.sha256(RP_IMAGE).digest(),
+            "sp_sha256": hashlib.sha256(SP_IMAGE).digest()}
 
     @pytest.mark.parametrize("blob", [b'{"kernel_sha256": ', b"\xff\xfe{}"],
                              ids=["truncated-json", "not-utf8"])
@@ -124,10 +145,12 @@ class TestSecureBoot:
         # 64 characters that bytes.fromhex reads as 31 bytes, as it skips
         # whitespace: a malformed file, not an image mismatch
         *({**HEX_ANCHORS, field: cut(HEX_ANCHORS[field])}
-          for field in ("kernel_sha256", "rp_sha256")
+          for field in ("kernel_sha256", "rp_sha256", "sp_sha256")
           for cut in (lambda d: d[:62] + "  ",
                       lambda d: d[:30] + "  " + d[32:],
                       lambda d: d[:30] + "\t\n" + d[32:])),
+        # written before the signer's image had an anchor
+        {k: v for k, v in HEX_ANCHORS.items() if k != "sp_sha256"},
     ])
     def test_bad_anchor_files(self, tmp_path, payload):
         path = tmp_path / "anchors.json"

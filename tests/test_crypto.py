@@ -32,7 +32,6 @@ from attestsim.channel import (
     x25519_shared,
 )
 from attestsim.crypto import (
-    KeystoreError,
     KeyZeroizedError,
     LengthMismatchError,
     SignKey,
@@ -43,11 +42,11 @@ from attestsim.crypto import (
     ct_equal,
     hmac_pads,
     hmac_sha256,
-    load_keystore,
     sha256,
     verify_token,
     write_keystore,
 )
+from attestsim.provision import KeystoreError, load_keystore
 
 SHA256_VECTORS = [
     (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -532,16 +532,16 @@ class TestCliPlumbing:
     # modules it must not load)
     CLOSURES = {
         "signer": ("attestsim.signing", ["crypto", "kernel", "signing"],
-                   ["socket", *CHANNEL_PYCA, *CODEGEN]),
+                   ["socket", "attestsim.provision", *CHANNEL_PYCA, *CODEGEN]),
         "boot": ("attestsim.boot", ["boot", "crypto", "kernel", "signing"],
-                 ["socket", *CHANNEL_PYCA, *CODEGEN]),
+                 ["socket", "attestsim.provision", *CHANNEL_PYCA, *CODEGEN]),
         "channel": ("attestsim.channel", ["channel", "crypto"], ["socket"]),
         "wire": ("attestsim.wire", ["wire"], []),
         "verifier": ("attestsim.verifier",
                      ["channel", "crypto", "verifier", "wire"], ["logging"]),
         "daemon": ("attestsim.prover",
                    ["boot", "channel", "crypto", "kernel", "prover",
-                    "signing", "userland", "wire"],
+                    "provision", "signing", "userland", "wire"],
                    ["numpy", "attestsim.verifier", "attestsim.attacks",
                     "attestsim.timing", "socketserver",
                     "cryptography.hazmat.primitives.serialization",
@@ -552,7 +552,7 @@ class TestCliPlumbing:
     def test_import_closure(self, role):
         """Each role loads its own side and nothing else, in a fresh
         interpreter. The RA TCB (signer and boot) loads no network codec,
-        relay, socket or channel crypto; channel crypto loads no kernel
+        relay, socket, channel crypto or file loader (``provision``); channel crypto loads no kernel
         and no socket; the wire codec loads no other attestsim module;
         the verifier loads no device code and no ``logging``; the daemon
         loads device code only: no numpy, no verifier, attack harness or
