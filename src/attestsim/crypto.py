@@ -13,11 +13,11 @@ bit-for-bit by the test suite, is the composition:
   compared,
 * ``measure_binary``.
 
-The channel's crypto is in ``channel`` and the keystore's loader in
-``provision``, both outside the RA TCB. ``Frozen``, the base of the
-immutable records, is here because this is the one TCB module that
-imports no other attestsim module: the verifier loads ``VerifyKey``
-without the kernel.
+The channel's crypto is in ``channel``, the keystore's loader in
+``provision`` and its hex parser in ``wire``, all outside the RA TCB.
+``Frozen``, the base of the immutable records, is here because this is
+the one TCB module that imports no other attestsim module: the verifier
+loads ``VerifyKey`` without the kernel.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ def measure_binary(binary: bytes) -> bytes:
     if len(binary) == 0:
         raise EmptyBinaryError("refusing to measure an empty binary")
     return sha256(binary)
-
-
-def parse_hex32(text: object) -> bytes:
-    """The 32 bytes that exactly 64 hex digits spell, else ``ValueError``:
-    isalnum refuses the whitespace that ``bytes.fromhex`` would skip."""
-    if not isinstance(text, str) or len(text) != 64 or not text.isalnum():
-        raise ValueError("not 64 hex digits")
-    return bytes.fromhex(text)
 
 
 def hmac_pads(key: bytes) -> tuple:
@@ -211,10 +203,6 @@ class SignKey:
                          if mode is SignMode.ED25519 else None)
         self._hmac_pads = hmac_pads(secret) if mode is SignMode.HMAC else None
         self._zeroized = False
-
-    @classmethod
-    def generate(cls, mode: SignMode) -> "SignKey":
-        return cls(mode, os.urandom(SEED_LEN))
 
     def secret_bytes(self) -> bytes:
         return bytes(self._secret)

@@ -4,24 +4,24 @@ The prover reads a keystore, an anchor file and a process manifest
 (docs/formats.md) before it boots. Their parsers live here, outside the
 RA TCB, which takes only parsed values: the ``SignKey``, the anchor
 digests as bytes and the ``ProcessSpec`` list. Each file is read through
-``_read_regular``, which refuses anything but a regular file, so that a
-FIFO cannot block the daemon's start. ``write_device`` lays out a whole
-device directory, policy included.
+``wire.read_regular``, the verifier's reader too, which refuses anything
+but a regular file, so that a FIFO cannot block the daemon's start.
+``write_device`` lays out a whole device directory, policy included.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import stat
 from pathlib import Path
 from random import Random
 
 from .boot import (DEFAULT_REGIONS, RESERVED_PID_BASE, ManifestError, ProcessSpec,
                    write_anchor_file)
 from .crypto import (SEED_LEN, CryptoError, SignKey, SignMode, measure_binary,
-                     parse_hex32, write_keystore)
+                     write_keystore)
 from .kernel import RegionRequest, Rights
+from .wire import load_json, parse_hex32, read_regular
 
 DEVICE = "dev0"               # the device id in the policy ``write_device`` writes
 BINARY_SIZE = 4096            # bytes of random code per user binary
@@ -31,33 +31,9 @@ class KeystoreError(CryptoError):
     pass
 
 
-def _read_regular(path: str, error: type[Exception], private: bool = False) -> bytes:
-    """The bytes of ``path``, opened without waiting for a FIFO's writer and
-    refused with ``error`` unless the open fd is a regular file that, if
-    ``private``, grants no world read."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        mode = os.fstat(fd).st_mode
-        if not stat.S_ISREG(mode):
-            raise error(f"{path}: not a regular file")
-        if private and mode & stat.S_IROTH:
-            raise error(f"{path} is world-readable; refusing to load")
-        with open(fd, "rb", closefd=False) as f:
-            return f.read()
-    finally:
-        os.close(fd)
-
-
-def _load_json(path: str) -> object:
-    try:
-        return json.loads(_read_regular(path, ManifestError).decode("utf-8"))
-    except ValueError as e:         # not UTF-8, or not JSON
-        raise ManifestError(f"{path}: not a JSON file: {e}") from e
-
-
 def load_anchors(path: str) -> dict[str, bytes]:
     """The anchor file's three digests, each parsed once into its 32 bytes."""
-    raw = _load_json(path)
+    raw = load_json(path, ManifestError)
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: top level must be a JSON object")
     anchors = {}
@@ -89,7 +65,7 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
     "caps": [{"region": ..., "read": ..., "write": ..., "execute": ...}]}``
     with ``caps`` defaulting to read+execute over the process's own code.
     """
-    raw = _load_json(path)
+    raw = load_json(path, ManifestError)
     if not isinstance(raw, list):
         raise ManifestError(f"{path}: top level must be a JSON array")
     base = os.path.dirname(os.path.abspath(path))
@@ -111,7 +87,7 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
         if not isinstance(binary_path, str):
             raise ManifestError(f"{path}[{i}]: 'binary' must be a path")
         binary_path = os.path.join(base, binary_path)   # keeps an absolute path
-        binary = _read_regular(binary_path, ManifestError)
+        binary = read_regular(binary_path, ManifestError)
         caps = entry.get("caps")
         if caps is None:
             regions = DEFAULT_REGIONS
@@ -129,7 +105,7 @@ def load_user_manifest(path: str) -> list[ProcessSpec]:
 # World-readable keystores are refused outright.
 
 def load_keystore(path: str) -> SignKey:
-    raw = _read_regular(path, KeystoreError, private=True)
+    raw = read_regular(path, KeystoreError, private=True)
     if not raw.isascii():
         raise KeystoreError(f"{path}: keystore must be ASCII")
     lines = [ln.strip() for ln in raw.decode("ascii").splitlines() if ln.strip()]

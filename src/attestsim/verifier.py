@@ -3,9 +3,11 @@
 The verifier trusts only its policy file (verify keys and golden binaries
 per device) and its own clock and randomness. Golden measurements are
 recomputed locally from the referenced binaries at policy load, never
-taken from a prover. Challenges are 32 random bytes, single-use, and
-expire; acceptance consumes the challenge, so presenting the same
-response twice is detected as replay.
+taken from a prover. The policy and the binaries are read through
+``wire.read_regular``, which refuses a file that is not regular.
+Challenges are 32 random bytes, single-use, and expire; acceptance
+consumes the challenge, so presenting the same response twice is
+detected as replay.
 
 A successful attestation can be extended into an authenticated channel:
 ephemeral X25519 from the verifier, key derivation bound to the
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import threading
@@ -45,7 +46,6 @@ from .crypto import (
     VerifyKey,
     ct_equal,
     measure_binary,
-    parse_hex32,
     verify_token,
 )
 from .wire import (
@@ -57,7 +57,10 @@ from .wire import (
     ErrorMsg,
     FrameStream,
     WireError,
+    load_json,
     parse_address,
+    parse_hex32,
+    read_regular,
     record,
 )
 
@@ -136,11 +139,7 @@ class Policy:
     def load(cls, path: str) -> "Policy":
         """Read policy JSON and recompute golden digests from the trusted
         binary copies it references (paths relative to the policy file)."""
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                raw = json.load(f)
-        except ValueError as e:         # not UTF-8, or not JSON
-            raise PolicyError(f"{path}: not a JSON policy: {e}") from e
+        raw = load_json(path, PolicyError)
         if not isinstance(raw, dict) or not isinstance(raw.get("devices"), dict):
             raise PolicyError(f"{path}: expected an object with 'devices'")
         base = os.path.dirname(os.path.abspath(path))
@@ -164,8 +163,8 @@ class Policy:
                     pid = decimal_pid(pid_str)
                     if pid in golden:
                         raise ValueError("listed twice")
-                    with open(os.path.join(base, binary_path), "rb") as bf:
-                        golden[pid] = measure_binary(bf.read())
+                    golden[pid] = measure_binary(
+                        read_regular(os.path.join(base, binary_path), ValueError))
                 except (ValueError, TypeError, EmptyBinaryError) as e:
                     raise PolicyError(
                         f"{path}: device {device_id}: golden pid {pid_str}: {e}") from e

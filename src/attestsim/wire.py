@@ -18,11 +18,16 @@ unknown types, and out-of-range fields each raise a typed error, and no
 input crashes the decoder. ``FrameDecoder`` splits bytes into frames and
 keeps lost framing as its own state. Anything beyond these five layouts
 (TLS, compression, version negotiation) is deliberately absent.
+
+Both roles load this module, so it also holds their readers of outside input.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import socket
+import stat
 import struct
 from collections import deque, namedtuple
 from typing import Optional, Union
@@ -306,6 +311,38 @@ def parse_address(text: str) -> tuple[str, int]:
     if not (host and port.isascii() and port.isdigit()) or int(port) > 0xFFFF:
         raise ValueError(f"address must be host:port, port 0-65535, got {text!r}")
     return host, int(port)
+
+
+def parse_hex32(text: object) -> bytes:
+    """The 32 bytes that exactly 64 hex digits spell, else ``ValueError``:
+    isalnum refuses the whitespace that ``bytes.fromhex`` would skip."""
+    if not isinstance(text, str) or len(text) != 64 or not text.isalnum():
+        raise ValueError("not 64 hex digits")
+    return bytes.fromhex(text)
+
+
+def read_regular(path: str, error: type[Exception], private: bool = False) -> bytes:
+    """The bytes of ``path``, opened without waiting for a FIFO's writer;
+    ``error`` unless the fd is a regular file, not world-readable if ``private``."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        mode = os.fstat(fd).st_mode
+        if not stat.S_ISREG(mode):
+            raise error(f"{path}: not a regular file")
+        if private and mode & stat.S_IROTH:
+            raise error(f"{path} is world-readable; refusing to load")
+        with open(fd, "rb", closefd=False) as f:
+            return f.read()
+    finally:
+        os.close(fd)
+
+
+def load_json(path: str, error: type[Exception]) -> object:
+    """The JSON value in the regular file ``path``, or ``error``."""
+    try:
+        return json.loads(read_regular(path, error).decode("utf-8"))
+    except ValueError as e:         # not UTF-8, or not JSON
+        raise error(f"{path}: not a JSON file: {e}") from e
 
 
 def check_timeout(seconds: Optional[float]) -> None:

@@ -384,7 +384,7 @@ class TestKeystore:
 
     def test_world_readable_refused(self, tmp_path):
         path = tmp_path / "ks.hex"
-        write_keystore(str(path), SignKey.generate(SignMode.HMAC))
+        write_keystore(str(path), SignKey(SignMode.HMAC, os.urandom(32)))
         os.chmod(path, 0o644)
         with pytest.raises(KeystoreError, match="world-readable"):
             load_keystore(str(path))

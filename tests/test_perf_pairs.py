@@ -1,6 +1,7 @@
 """``tools/perf_pairs.py`` summarizes canned perfbench result lines by the
-claim rule: the win count, the medians against the base's quartiles, and
-the bound of each end-to-end metric."""
+claim rule: the win count, the medians against the base's quartiles, the
+bound of each end-to-end metric, the base's spread against that bound,
+and the share of failed operations."""
 
 from __future__ import annotations
 
@@ -68,6 +69,28 @@ def test_a_median_inside_the_base_spread_is_no_gain():
     per_s = row(perf_pairs.summarize(pairs_of(base, change), METRICS),
                 "attest_per_s")
     assert per_s["wins"] == 10 and per_s["verdict"] == "within bound"
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    base = [(10000 + 1000 * i, 70.0) for i in range(10)]    # quartiles 4500 apart
+    change = [(b + 100, 70.0) for b, _ in base]
+    per_s = row(perf_pairs.summarize(pairs_of(base, change), METRICS),
+                "attest_per_s")
+    assert per_s["wins"] == 10 and per_s["verdict"] == "unresolved"
+    # unless every change run beats every base run
+    base = [(10000, 70.0)] * 5 + [(19000, 70.0)] * 5         # 9000 apart
+    change = [(19100, 70.0)] * 10
+    per_s = row(perf_pairs.summarize(pairs_of(base, change), METRICS),
+                "attest_per_s")
+    assert per_s["verdict"] == "within bound"
+
+
+def test_more_failed_operations_is_no_gain():
+    base = [(13000 + 10 * i, 70.0 + 0.1 * i) for i in range(10)]
+    change = [(13800 + 10 * i, 67.0 + 0.1 * i, 1) for i in range(10)]
+    rows = perf_pairs.summarize(pairs_of(base, change), METRICS)
+    assert row(rows, "attest_per_s")["wins"] == 10
+    assert {r["verdict"] for r in rows} == {"within bound"}
 
 
 def test_a_loss_past_the_bound_is_reported():

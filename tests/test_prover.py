@@ -548,26 +548,48 @@ class TestCliPlumbing:
                     *CODEGEN]),
     }
 
-    @pytest.mark.parametrize("role", CLOSURES)
-    def test_import_closure(self, role):
-        """Each role loads its own side and nothing else, in a fresh
-        interpreter. The RA TCB (signer and boot) loads no network codec,
-        relay, socket, channel crypto or file loader (``provision``); channel crypto loads no kernel
-        and no socket; the wire codec loads no other attestsim module;
-        the verifier loads no device code and no ``logging``; the daemon
-        loads device code only: no numpy, no verifier, attack harness or
-        timing audit, and no key serialization (which pulls in the
-        ssh/ec/rsa/dsa modules). Neither the RA TCB nor the daemon loads
-        a code generator (``CODEGEN``): their classes are written out in
-        source."""
-        module, own, banned = self.CLOSURES[role]
-        code = (f"import json, sys, {module}; print(json.dumps(["
+    @staticmethod
+    def closure(statements: str, banned: list[str]) -> tuple[list, list]:
+        """The attestsim modules, and the ``banned`` ones, that a fresh
+        interpreter holds after running ``statements``."""
+        code = (f"{statements}\nimport json, sys; print(json.dumps(["
                 "sorted(m for m in sys.modules if m.startswith('attestsim.')), "
                 f"sorted(set({banned!r}) & set(sys.modules))]))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        loaded, found = json.loads(out.stdout)
+        return tuple(json.loads(out.stdout))
+
+    @pytest.mark.parametrize("role", CLOSURES)
+    def test_import_closure(self, role):
+        """Each role loads its own side and nothing else, in a fresh
+        interpreter. The RA TCB (signer and boot) loads no network codec,
+        relay, socket, channel crypto or file loader (``provision``);
+        channel crypto loads no kernel and no socket; the wire codec loads
+        no other attestsim module; the verifier loads no device code and
+        no ``logging``; the daemon loads device code only: no numpy, no
+        verifier, attack harness or timing audit, and no key serialization
+        module, which would load pyca's ssh and dsa modules and a code
+        generator. (Booting loads pyca's ec and rsa modules anyway: the
+        relays' X25519 keys import the openssl backend, which imports
+        them.) Neither the RA TCB nor the daemon loads a code generator
+        (``CODEGEN``): their classes are written out in source."""
+        module, own, banned = self.CLOSURES[role]
+        loaded, found = self.closure(f"import {module}", banned)
+        assert loaded == [f"attestsim.{name}" for name in own]
+        assert found == []
+
+    @pytest.mark.parametrize("mode", [SignMode.HMAC, SignMode.ED25519],
+                             ids=["hmac", "eddsa"])
+    def test_booted_daemon_closure(self, tmp_path, mode):
+        """Booting a device loads no attestsim module and no banned module
+        beyond the daemon's import closure: ``build_runtime`` runs in a
+        fresh interpreter on a device that ``build_env`` wrote."""
+        _, own, banned = self.CLOSURES["daemon"]
+        args = list(vars(build_env(tmp_path / "env", mode).config).values())
+        loaded, found = self.closure(
+            "from attestsim.prover import ProverConfig, build_runtime\n"
+            f"build_runtime(ProverConfig(*{args!r}))", banned)
         assert loaded == [f"attestsim.{name}" for name in own]
         assert found == []
 

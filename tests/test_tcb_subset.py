@@ -29,11 +29,16 @@ syntax trees:
   ``__init__``;
 * no host file I/O: no ``open``, ``os.open``, ``os.stat``, ``os.fstat``,
   ``json.load`` or ``json.loads``, and no ``stat`` module. A Low* program
-  does no host I/O; the device's files are read and parsed on the host, in
-  ``attestsim.provision``, and the TCB takes the parsed values. Only the
+  does no host I/O; the device's files are read on the host by
+  ``wire.read_regular`` and parsed in ``attestsim.provision``, hex included
+  (``wire.parse_hex32``), and the TCB takes the parsed values. Only the
   bodies of ``boot.write_anchor_file`` and ``crypto.write_keystore`` are
   exempt, because the benchmark (``perfbench/run.py``) imports those two
-  writers by these names.
+  writers by these names;
+* imports only at module level, and only the names on the module's pinned
+  list (``IMPORTS``), so that no call loads a module and a new dependency
+  shows in review. ``crypto.ct_equal``'s numpy is the one import made in a
+  function body (``LAZY_IMPORT_EXEMPT``).
 
 Each rule is also shown to catch a line that breaks it, so the walk is
 not vacuous.
@@ -62,6 +67,36 @@ FILE_IO = {"open", "stat", "os.open", "os.stat", "os.fstat", "json.load",
            "json.loads"}
 # the writers perfbench imports from the TCB modules by name
 FILE_IO_EXEMPT = {"boot": {"write_anchor_file"}, "crypto": {"write_keystore"}}
+# each TCB module's imports, as ``module.name`` (a leading dot for a
+# relative import)
+IMPORTS = {
+    "kernel": {"__future__.annotations", "collections.deque", "enum.Enum",
+               "typing.Any", "typing.Callable", "typing.Generator",
+               "typing.Optional", ".crypto.Frozen"},
+    "crypto": {"__future__.annotations", "hashlib", "os", "enum.Enum",
+               "cryptography.exceptions.InvalidSignature",
+               "cryptography.hazmat.primitives.asymmetric.ed25519.Ed25519PrivateKey",
+               "cryptography.hazmat.primitives.asymmetric.ed25519.Ed25519PublicKey"},
+    "signing": {"__future__.annotations", "hashlib", "struct",
+                "typing.Generator", "typing.Iterable", "typing.Optional",
+                ".crypto.CHAL_LEN", ".crypto.SignKey", ".crypto.attest_token",
+                ".kernel.BOOT_BADGE", ".kernel.ProcessApi", ".kernel.Recv"},
+    "boot": {"__future__.annotations", "hashlib", "json", "logging",
+             "typing.Callable", ".crypto.Frozen", ".crypto.SignKey",
+             ".crypto.measure_binary", ".crypto.sha256", ".kernel.Call",
+             ".kernel.Kernel", ".kernel.ProcessApi", ".kernel.RegionRequest",
+             ".kernel.Rights", ".kernel.SELF_CODE_REGION", ".signing.FIRST_BADGE",
+             ".signing.WORDS", ".signing.SpState", ".signing.signing_program"},
+}
+# (function, module) for an import a function body may make: ``ct_equal``
+# loads numpy when first called, so the prover daemon, which never
+# compares, does not load it; this goes when ``ct_equal`` wraps
+# ``hmac.compare_digest`` (ROADMAP item 3)
+LAZY_IMPORT_EXEMPT = {"crypto": {("ct_equal", "numpy")}}
+# the imports the other ``test_walk_catches`` snippets make, so that each
+# is caught by its own rule
+SNIPPET_IMPORTS = frozenset({"collections", "collections.namedtuple",
+                             "functools.cached_property", "stat"})
 
 
 def spellings(node: ast.AST) -> list[str]:
@@ -78,12 +113,39 @@ def spellings(node: ast.AST) -> list[str]:
     return []
 
 
-def violations(source: str, exempt: frozenset[str] = frozenset()) -> list[str]:
+def imported(node: ast.AST) -> list[str]:
+    """What an import statement binds, as ``module`` or ``module.name``."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+        return [f"{module}.{a.name}" for a in node.names]
+    return []
+
+
+def violations(source: str, exempt: frozenset[str] = frozenset(),
+               allowed: frozenset[str] | None = None,
+               lazy: frozenset[tuple[str, str]] = frozenset()) -> list[str]:
     """Each place in ``source`` that leaves the subset, as ``line: what``.
-    The bodies of the functions named in ``exempt`` may do file I/O."""
+    The bodies of the functions named in ``exempt`` may do file I/O; with
+    ``allowed``, only the imports it names may be made, and each
+    ``(function, module)`` of ``lazy`` may be imported in that body."""
     tree = ast.parse(source)
     found = [f"{node.lineno}: {name}" for node in file_io_nodes(tree, exempt)
              for name in spellings(node) if name in FILE_IO]
+    top = {id(node) for node in tree.body}
+    excused = {(id(inner), name) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               for inner in ast.walk(node) for name in imported(inner)
+               if (node.name, name) in lazy}
+    for node in ast.walk(tree):
+        for name in imported(node):
+            if (id(node), name) in excused:
+                continue
+            if id(node) not in top:
+                found.append(f"{node.lineno}: lazy import {name}")
+            elif allowed is not None and name not in allowed:
+                found.append(f"{node.lineno}: import {name} not on the list")
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in BANNED_CALLS):
@@ -125,7 +187,19 @@ def file_io_nodes(tree: ast.AST, exempt: frozenset[str]) -> list[ast.AST]:
 def test_tcb_module_stays_in_subset(module):
     path = Path(attestsim.__file__).with_name(f"{module}.py")
     exempt = frozenset(FILE_IO_EXEMPT.get(module, ()))
-    assert violations(path.read_text(encoding="utf-8"), exempt) == []
+    assert violations(path.read_text(encoding="utf-8"), exempt,
+                      frozenset(IMPORTS[module]),
+                      frozenset(LAZY_IMPORT_EXEMPT.get(module, ()))) == []
+
+
+def test_lazy_import_exemption_covers_only_its_function_and_module():
+    source = "def {}(a, b):\n    import {}\n    return a == b"
+    lazy = frozenset({("ct_equal", "numpy")})
+    assert violations(source.format("ct_equal", "numpy"), lazy=lazy) == []
+    assert violations(source.format("ct_equal", "json"), lazy=lazy) == [
+        "2: lazy import json"]
+    assert violations(source.format("handle_request", "numpy"), lazy=lazy) == [
+        "2: lazy import numpy"]
 
 
 def test_file_io_exemption_covers_only_its_function():
@@ -158,13 +232,16 @@ def test_file_io_exemption_covers_only_its_function():
     "raw = json.load(f)",
     "raw = json.loads(text)",
     "import stat",
+    "def handle_request(api):\n    import json",
+    "import socket",
 ], ids=["setattr", "getattr", "delattr", "vars", "eval", "exec", "compile",
         "import", "globals", "global", "namedtuple-import",
         "namedtuple-attribute", "cached_property", "record-method",
         "record-method-assigned", "open", "os.open", "os.stat", "os.fstat",
-        "json.load", "json.loads", "stat-module"])
+        "json.load", "json.loads", "stat-module", "lazy-import",
+        "import-not-on-the-list"])
 def test_walk_catches(source):
-    assert violations(source)
+    assert violations(source, allowed=SNIPPET_IMPORTS)
 
 
 @pytest.mark.parametrize("source,found", [

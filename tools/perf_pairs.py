@@ -11,9 +11,12 @@ metric that ``BENCHMARK.json`` declares, each tree's median and quartiles,
 the change in each pair, and the count of pairs that moved the metric the
 better way (ties count for neither). Its verdict applies the claim rule
 of ROADMAP.md: a gain holds when the change wins at least nine pairs in
-ten and the medians differ by more than the distance between BASE's
-quartiles; otherwise the change's median is either within the metric's
-bound of BASE's or worse than it. Failed operations are totalled per tree.
+ten, the medians differ by more than the distance between BASE's
+quartiles, and the change fails no larger share of its operations than
+BASE. Otherwise the change's median is worse than the metric's bound of
+BASE's; or the verdict is unresolved, when BASE's quartiles lie further
+apart than that bound and not every CHANGE run beats every BASE run; or
+it is within bound. Failed operations are totalled per tree.
 
 Standard library only; nothing under ``perfbench/`` is touched.
 """
@@ -55,9 +58,16 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def failed_share(results: list[dict]) -> float:
+    attempted = sum(r["attempted"] for r in results)
+    return sum(r["failed"] for r in results) / attempted if attempted else 0.0
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per metric of ``metrics`` (``BENCHMARK.json``'s
     ``end_to_end`` entries) over ``(base, change)`` result pairs."""
+    more_failed = (failed_share([c for _, c in pairs])
+                   > failed_share([b for b, _ in pairs]))
     rows = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -77,12 +87,16 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         diff = row["change"][0] - row["base"][0]
         gain = diff if higher else -diff
         spread = row["base"][2] - row["base"][1]
-        if row["wins"] >= WIN_SHARE * len(both) and gain > spread:
+        bound = metric["bound"] * abs(row["base"][0])
+        apart = min(change) > max(base) if higher else max(change) < min(base)
+        if row["wins"] >= WIN_SHARE * len(both) and gain > spread and not more_failed:
             row["verdict"] = "gain"
-        elif -gain <= metric["bound"] * abs(row["base"][0]):
-            row["verdict"] = "within bound"
-        else:
+        elif -gain > bound:
             row["verdict"] = "worse than bound"
+        elif spread > bound and not apart:
+            row["verdict"] = "unresolved"
+        else:
+            row["verdict"] = "within bound"
         rows.append(row)
     return rows
 
