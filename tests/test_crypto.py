@@ -48,6 +48,10 @@ from attestsim.crypto import (
 )
 from attestsim.provision import KeystoreError, load_keystore
 
+# the state type of CPython's builtin SHA-256, which the token's hashes use
+# (looked up here: in a class body the name would be mangled)
+BUILTIN_SHA256 = type(hashlib.__get_builtin_constructor("sha256")())
+
 SHA256_VECTORS = [
     (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
@@ -130,6 +134,12 @@ class TestHmacPads:
     @pytest.mark.parametrize("key,msg,tag", HMAC_VECTORS)
     def test_rfc4231_vectors(self, key, msg, tag):
         assert hmac_sha256(hmac_pads(key), msg).hex() == tag
+        # the pads, and the states both sides of a round keep, are builtin
+        # SHA-256, not OpenSSL's
+        pads = hmac_pads(key)
+        held = (SignKey(SignMode.HMAC, bytes(32))._hmac_pads
+                + VerifyKey(SignMode.HMAC, bytes(32))._hmac_pads)
+        assert all(type(state) is BUILTIN_SHA256 for state in pads + held)
 
     def test_key_longer_than_the_block_is_refused(self):
         assert hmac_sha256(hmac_pads(bytes(64)), b"m") == hmaclib.digest(
@@ -285,12 +295,11 @@ class TestSignKey:
 
     def test_zeroize(self):
         key = SignKey(SignMode.HMAC, bytes.fromhex("88" * 32))
-        sha256_state = type(hashlib.sha256())
 
         def held_states():
             refs = gc.get_referents(key)
             refs += [r for ref in refs if isinstance(ref, tuple) for r in ref]
-            return [ref for ref in refs if isinstance(ref, sha256_state)]
+            return [ref for ref in refs if isinstance(ref, BUILTIN_SHA256)]
 
         assert len(held_states()) == 2
         key.zeroize()

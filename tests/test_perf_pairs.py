@@ -1,7 +1,7 @@
 """``tools/perf_pairs.py`` summarizes canned perfbench result lines by the
 claim rule: the win count, the medians against the base's quartiles, the
 bound of each end-to-end metric, the base's spread against that bound,
-and the share of failed operations."""
+the share of failed operations and each run's own correctness check."""
 
 from __future__ import annotations
 
@@ -23,13 +23,13 @@ METRICS = [
 ]
 
 
-def output(per_s, p50, failed=0) -> str:
+def output(per_s, p50, failed=0, correct=True) -> str:
     """A run's standard output: report lines, then the one JSON line."""
     metrics = {"attest_per_s": {"value": per_s, "unit": "1/s"},
                "attest_p50_us": {"value": p50, "unit": "us"}}
     return ("perfbench attestsim workload=attest-hmac-serial seed=1\n"
             f"  attest_per_s {per_s}\n"
-            + json.dumps({"correct": failed == 0, "attempted": 1000,
+            + json.dumps({"correct": correct, "attempted": 1000,
                           "failed": failed, "metrics": metrics}) + "\n")
 
 
@@ -88,6 +88,15 @@ def test_a_base_spread_wider_than_the_bound_is_unresolved():
 def test_more_failed_operations_is_no_gain():
     base = [(13000 + 10 * i, 70.0 + 0.1 * i) for i in range(10)]
     change = [(13800 + 10 * i, 67.0 + 0.1 * i, 1) for i in range(10)]
+    rows = perf_pairs.summarize(pairs_of(base, change), METRICS)
+    assert row(rows, "attest_per_s")["wins"] == 10
+    assert {r["verdict"] for r in rows} == {"within bound"}
+
+
+def test_a_change_run_that_fails_its_check_is_no_gain():
+    # say a refusal share that is not 1/4, with no failed operation
+    base = [(13000 + 10 * i, 70.0 + 0.1 * i) for i in range(10)]
+    change = [(13800 + 10 * i, 67.0 + 0.1 * i, 0, i != 3) for i in range(10)]
     rows = perf_pairs.summarize(pairs_of(base, change), METRICS)
     assert row(rows, "attest_per_s")["wins"] == 10
     assert {r["verdict"] for r in rows} == {"within bound"}

@@ -29,9 +29,11 @@ the signer's ``handle_request``. Each is compiled under its module's own
 file name, so its lines are inside the traced set.
 
 Scope: ``sys.settrace`` sees Python lines only. The check cannot see into
-C code (hashlib, ``hmac.compare_digest``, the pyca ``cryptography``
-primitives, numpy), whose timing stays the job of the statistical audit in
-``attestsim.timing``.
+C code: CPython's builtin SHA-256 (``_sha256``, or HACL*'s ``_sha2`` from
+3.12), which hashes the token and the HMAC pads; OpenSSL's SHA-256
+through hashlib, which hashes the measurements; ``hmac.compare_digest``;
+the pyca ``cryptography`` primitives; and numpy. Their timing stays the
+job of the statistical audit in ``attestsim.timing``.
 """
 
 from __future__ import annotations

@@ -38,7 +38,11 @@ syntax trees:
 * imports only at module level, and only the names on the module's pinned
   list (``IMPORTS``), so that no call loads a module and a new dependency
   shows in review. ``crypto.ct_equal``'s numpy is the one import made in a
-  function body (``LAZY_IMPORT_EXEMPT``).
+  function body (``LAZY_IMPORT_EXEMPT``). ``crypto``'s module-level call
+  ``hashlib.__get_builtin_constructor("sha256")`` loads CPython's builtin
+  hash module (``_sha256``, or ``_sha2`` from 3.12) when ``crypto`` is
+  imported, as an import statement would. It needs no entry of its own:
+  the module belongs to ``hashlib``, which is on the list.
 
 Each rule is also shown to catch a line that breaks it, so the walk is
 not vacuous.

@@ -12,11 +12,12 @@ the change in each pair, and the count of pairs that moved the metric the
 better way (ties count for neither). Its verdict applies the claim rule
 of ROADMAP.md: a gain holds when the change wins at least nine pairs in
 ten, the medians differ by more than the distance between BASE's
-quartiles, and the change fails no larger share of its operations than
-BASE. Otherwise the change's median is worse than the metric's bound of
-BASE's; or the verdict is unresolved, when BASE's quartiles lie further
-apart than that bound and not every CHANGE run beats every BASE run; or
-it is within bound. Failed operations are totalled per tree.
+quartiles, the change fails no larger share of its operations than BASE,
+and no CHANGE run failed its own check (``"correct": false``). Otherwise
+the change's median is worse than the metric's bound of BASE's; or the
+verdict is unresolved, when BASE's quartiles lie further apart than that
+bound and not every CHANGE run beats every BASE run; or it is within
+bound. Failed operations are totalled per tree.
 
 Standard library only; nothing under ``perfbench/`` is touched.
 """
@@ -66,8 +67,9 @@ def failed_share(results: list[dict]) -> float:
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per metric of ``metrics`` (``BENCHMARK.json``'s
     ``end_to_end`` entries) over ``(base, change)`` result pairs."""
-    more_failed = (failed_share([c for _, c in pairs])
-                   > failed_share([b for b, _ in pairs]))
+    blocked = (failed_share([c for _, c in pairs])
+               > failed_share([b for b, _ in pairs])
+               or not all(c["correct"] for _, c in pairs))
     rows = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -89,7 +91,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         spread = row["base"][2] - row["base"][1]
         bound = metric["bound"] * abs(row["base"][0])
         apart = min(change) > max(base) if higher else max(change) < min(base)
-        if row["wins"] >= WIN_SHARE * len(both) and gain > spread and not more_failed:
+        if row["wins"] >= WIN_SHARE * len(both) and gain > spread and not blocked:
             row["verdict"] = "gain"
         elif -gain > bound:
             row["verdict"] = "worse than bound"
