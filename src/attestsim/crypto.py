@@ -31,6 +31,11 @@ against OpenSSL's 0.55 µs, and 18.5 against 3.7 µs on 4 KiB. The round
 still gets cheaper: OpenSSL's path allocates and frees an EVP context on
 every ``digest()``, and the signer and the verifier alternate on one CPU,
 where that path costs well over its warm time.
+
+attestsim therefore needs a CPython whose builtin hashes include SHA-256,
+as the default build's do: ``__get_builtin_constructor`` is CPython's own,
+and on a build configured without the builtin sha256 importing this
+module raises ``ValueError`` in both roles.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .crypto import SignKey, SignMode, attest_token, ct_equal, verify_token
 
 DEFAULT_SAMPLES = 100_000
 CROP_QUANTILE = 0.99
-REFRESH_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -47,33 +46,25 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def measure_classes(op: Callable[[int], None], samples: int,
-                    seed: int = 0, label: str = "op",
-                    refresh: Callable[[], None] | None = None) -> TimingReport:
+                    seed: int = 0, label: str = "op") -> TimingReport:
     """Time ``op(class_id)`` for class 0 and 1, interleaved at random.
 
     ``op`` must do the same work apart from the secret-dependent part
-    under audit; the caller prepares per-class inputs up front, or in
-    ``refresh``, which runs untimed before every block of
-    ``REFRESH_BLOCK`` samples.
+    under audit; the caller prepares per-class inputs up front.
     """
     order = [0, 1] * samples
     random.Random(seed).shuffle(order)
     timings: tuple[list[int], list[int]] = ([], [])
     clock = time.perf_counter_ns
-
-    def run(classes: list[int], out: tuple[list[int], list[int]]) -> None:
-        for i, cls in enumerate(classes):
-            if refresh is not None and i % REFRESH_BLOCK == 0:
-                refresh()
-            t0 = clock()
-            op(cls)
-            out[cls].append(clock() - t0)
-
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        run(order[:2000], ([], []))       # warmup, discarded
-        run(order, timings)
+        for cls in order[:2000]:      # warmup, discarded
+            op(cls)
+        for cls in order:
+            t0 = clock()
+            op(cls)
+            timings[cls].append(clock() - t0)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -110,31 +101,18 @@ def audit_ct_equal(samples: int = DEFAULT_SAMPLES, seed: int = 0) -> TimingRepor
 def audit_symmetric_verify(samples: int = DEFAULT_SAMPLES, seed: int = 0
                            ) -> TimingReport:
     """Audit the HMAC-mode verification path: recompute-and-compare with a
-    correct tag vs a first-byte-wrong tag.
-
-    Each block draws a fresh key and inputs, and gives every sample its own
-    copy of its token, the two classes' copies allocated in turn. With one
-    fixed token per class, where the two sat in the heap shifted their
-    verify times apart: |t| reached 50 at 100,000 samples on some layouts
-    and stayed under 3 on others. Interleaved, both classes sit alike.
-    """
+    correct tag vs a first-byte-wrong tag."""
     rng = random.Random(seed ^ 0xA0D1)
-    inputs: list = []
-
-    def refresh() -> None:
-        key = SignKey(SignMode.HMAC, rng.randbytes(32))
-        chal, pk, m = rng.randbytes(32), rng.randbytes(32), rng.randbytes(32)
-        good = attest_token(key, chal, pk, m)
-        bad = bytes([good[0] ^ 0x01]) + good[1:]
-        copies: tuple[list[bytes], list[bytes]] = ([], [])
-        for _ in range(REFRESH_BLOCK):
-            copies[0].append(bytes(bytearray(good)))
-            copies[1].append(bytes(bytearray(bad)))
-        inputs[:] = [key.verify_key(), chal, pk, m, copies]
+    key = SignKey(SignMode.HMAC, bytes(rng.randrange(256) for _ in range(32)))
+    vk = key.verify_key()
+    chal = bytes(rng.randrange(256) for _ in range(32))
+    pk = bytes(rng.randrange(256) for _ in range(32))
+    m = bytes(rng.randrange(256) for _ in range(32))
+    good = attest_token(key, chal, pk, m)
+    bad = bytes([good[0] ^ 0x01]) + good[1:]
+    tokens = (good, bad)
 
     def op(cls: int) -> None:
-        vk, chal, pk, m, copies = inputs
-        verify_token(vk, chal, pk, m, copies[cls].pop())
+        verify_token(vk, chal, pk, m, tokens[cls])
 
-    return measure_classes(op, samples, seed=seed, label="hmac_verify",
-                           refresh=refresh)
+    return measure_classes(op, samples, seed=seed, label="hmac_verify")
