@@ -50,6 +50,7 @@ from .wire import (
 FUZZ_OVERSIZE_LEN = 5000      # deliberately past the 4096 payload cap
 ENV_PIDS = (1, 2)             # user processes every harness device runs
 ENV_SEED = 7                  # seeds the binaries and the device key
+STREAM_TIMEOUT = 5.0          # seconds per connect, read and write
 
 
 @dataclass
@@ -69,9 +70,9 @@ class RecordingStream(FrameStream):
         self.transcript = transcript
 
     @classmethod
-    def connect_to(cls, address: tuple[str, int], transcript: list[str],
-                   timeout: float = 5.0) -> "RecordingStream":
-        sock = socket.create_connection(address, timeout=timeout)
+    def connect_to(cls, address: tuple[str, int], transcript: list[str]
+                   ) -> "RecordingStream":
+        sock = socket.create_connection(address, timeout=STREAM_TIMEOUT)
         return cls(sock, transcript)
 
     def send_raw(self, data: bytes) -> None:
@@ -287,7 +288,7 @@ def scenario_wire_fuzz(work: Path, t: list[str]) -> Outcome:
         stream: Optional[FrameStream] = None
         for i in range(frames):
             if stream is None:
-                stream = FrameStream.connect(*daemon.address, timeout=5.0)
+                stream = FrameStream.connect(*daemon.address, timeout=STREAM_TIMEOUT)
             kind = rng.randrange(3)
             if kind == 0:       # valid header, random payload
                 mtype = rng.randrange(0, 8)

@@ -178,13 +178,13 @@ class Connection:
         self.runtime = runtime
         self.decoder = FrameDecoder()
         self.bound: Optional[tuple[int, bytes, bytes]] = None
-        self.closed = False
 
     def receive(self, data: bytes) -> bytes:
-        """The replies to every frame ``data`` completes, in order. Lost
-        framing ends them with one error frame and sets ``closed``, after
-        which every call returns ``b""``."""
-        if self.closed:
+        """The replies to every frame ``data`` completes, in order; bytes
+        after the last whole frame wait in ``decoder.pending`` for the next
+        call. Lost framing (``decoder.lost``) ends the replies with one
+        error frame, after which every call returns ``b""``."""
+        if self.decoder.lost is not None:
             return b""
         replies = []
         for item in self.decoder.feed(data):
@@ -204,7 +204,6 @@ class Connection:
         if self.decoder.lost is not None:
             # framing can't be trusted past the bad header: answer, then close
             replies.append(encode(ErrorMsg(ERR_BAD_REQUEST)))
-            self.closed = True
         return b"".join(replies)
 
     def _route(self, msg: WireMessage) -> WireMessage:
@@ -282,7 +281,7 @@ class ProverServer:
         set_deadlines(request, IO_TIMEOUT)
         conn = Connection(self.runtime)
         try:
-            while not conn.closed and (data := request.recv(READ_SIZE)):
+            while conn.decoder.lost is None and (data := request.recv(READ_SIZE)):
                 if replies := conn.receive(data):
                     request.sendall(replies)
         except OSError:

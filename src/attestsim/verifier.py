@@ -24,7 +24,6 @@ import os
 import sys
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -279,9 +278,6 @@ class Verifier:
         self.timeout = timeout
         self._rng = rng
         self.ledger = NonceLedger(ttl=ttl, clock=clock)
-        # weak references to the streams a timeout left out of step; a
-        # plain set, as a WeakSet's membership test is a Python-level call
-        self._unpaired: set[weakref.ref] = set()
 
     def new_challenge(self) -> bytes:
         chal = self._rng(CHAL_LEN)
@@ -328,12 +324,13 @@ class Verifier:
         A round that returns no result withdraws its challenge, since no
         caller holds it: a pid ``encode`` refuses (its ``WireError``
         comes back, with nothing sent), an error frame, a refused
-        response, an unexpected frame or a timeout. A timeout leaves the
-        stream out of step, as the late reply would answer the next
-        request, so every later round on it fails at once with
-        ``AttestTimeoutError`` and sends nothing.
+        response, an unexpected frame or a timeout. A stream whose deadline
+        ever expired (``stream.timed_out``) is out of step, as a late reply
+        would answer the next request, so every later round on it, by this
+        verifier or any other, fails at once with ``AttestTimeoutError``
+        and sends nothing.
         """
-        if self._unpaired and weakref.ref(stream) in self._unpaired:
+        if stream.timed_out:
             raise AttestTimeoutError("an earlier round on this stream timed out")
         chal = self.new_challenge()
         try:
@@ -345,7 +342,6 @@ class Verifier:
                 except WireError as e:
                     raise ProverError(255, f"protocol: {e}") from e
             except TimeoutError as e:
-                self._out_of_step(stream)
                 raise AttestTimeoutError(f"no response within {self.timeout}s") from e
             if isinstance(resp, ErrorMsg):
                 raise ProverError(resp.code, "daemon")
@@ -356,11 +352,6 @@ class Verifier:
             self.ledger.consume(chal)       # withdraw: no caller holds it
             raise
 
-    def _out_of_step(self, stream: FrameStream) -> None:
-        """Refuse every later round on ``stream``, whose reply is overdue.
-        The entry goes when the stream is collected."""
-        self._unpaired.add(weakref.ref(stream, self._unpaired.discard))
-
     def establish_channel(self, result: AttestResult, stream: FrameStream
                           ) -> SessionKey:
         """Bootstrap an authenticated channel from an accepted result.
@@ -368,9 +359,9 @@ class Verifier:
         Fresh X25519 keypair per call; the session key binds the
         attestation transcript, so only the attested process (which holds
         the pk's private half) can decrypt the init and echo the token.
-        A timeout leaves the stream out of step, as in ``attest``.
+        A timed-out stream is refused, as in ``attest``.
         """
-        if self._unpaired and weakref.ref(stream) in self._unpaired:
+        if stream.timed_out:
             raise AttestTimeoutError("an earlier round on this stream timed out")
         eph_private, eph_pk = x25519_keypair()
         transcript = result.chal + result.pk + result.sigma
@@ -383,7 +374,6 @@ class Verifier:
                                     ct=seal(key, nonce, token, CHANNEL_AD_INIT)))
             resp = stream.recv()
         except TimeoutError as e:
-            self._out_of_step(stream)
             raise AttestTimeoutError(f"no confirm within {self.timeout}s") from e
         except WireError as e:
             raise ConfirmFailedError(f"protocol: {e}") from e

@@ -13,11 +13,11 @@ Error              0x05  code(1)
 =================  ====  =========================================
 
 ``sigma_len`` is 32 (HMAC tag), 64 (Ed25519 signature), or 0 when status
-is nonzero. Parsing is strict and total: truncation, trailing bytes,
-unknown types, and out-of-range fields each raise a typed error, and no
-input crashes the decoder. ``FrameDecoder`` splits bytes into frames and
-keeps lost framing as its own state. Anything beyond these five layouts
-(TLS, compression, version negotiation) is deliberately absent.
+is nonzero. Parsing is strict and total: a payload of the wrong length,
+an unknown type and an out-of-range field each raise a typed error, and no
+input crashes the decoder. ``FrameDecoder`` is the one frame reader, and
+lost framing is its state. Anything beyond these five layouts (TLS,
+compression, version negotiation) is deliberately absent.
 
 Both roles load this module, so it also holds their readers of outside input.
 """
@@ -238,21 +238,6 @@ def decode_payload(mtype: int, payload: bytes) -> WireMessage:
     raise UnknownTypeError(f"msg_type {mtype:#04x}")
 
 
-def decode(frame: bytes) -> WireMessage:
-    """Parse one complete frame; trailing bytes are an error."""
-    if len(frame) < HEADER_LEN:
-        raise TruncatedError(f"frame shorter than header ({len(frame)})")
-    length, mtype = _HEADER.unpack_from(frame)
-    if length > MAX_PAYLOAD:
-        raise BadLengthError(f"declared payload {length} exceeds {MAX_PAYLOAD}")
-    if len(frame) < HEADER_LEN + length:
-        raise TruncatedError(
-            f"frame {len(frame)} shorter than declared {HEADER_LEN + length}")
-    if len(frame) > HEADER_LEN + length:
-        raise BadLengthError(f"{len(frame) - HEADER_LEN - length} trailing bytes")
-    return decode_payload(mtype, frame[HEADER_LEN:])
-
-
 class FrameDecoder:
     """Incremental frame splitter with no I/O of its own (sans-IO).
 
@@ -401,7 +386,9 @@ class FrameStream:
     by the host kernel (``set_deadlines``). A socket that arrives with a
     Python timeout is converted when the stream is built. An expired
     deadline raises ``TimeoutError``, from the ``recv`` that writes held
-    frames too.
+    frames too, and sets ``timed_out`` for good: the reply waited for, or
+    the rest of a frame written in part, may still cross the stream, so
+    its requests and replies no longer pair.
     """
 
     def __init__(self, sock: socket.socket):
@@ -412,6 +399,7 @@ class FrameStream:
         self._decoder = FrameDecoder()
         self._ready: deque[tuple[int, bytes]] = deque()
         self._held = bytearray()
+        self.timed_out = False
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: Optional[float] = None
@@ -446,7 +434,7 @@ class FrameStream:
             try:
                 self._sock.sendall(data)
             except BlockingIOError as e:
-                raise TimeoutError(f"send not done within {self._timeout}s") from e
+                raise self._expired("send not done") from e
 
     def _flush(self) -> None:
         """Write the held frames, in order, in one ``sendall``."""
@@ -454,7 +442,12 @@ class FrameStream:
         try:
             self._sock.sendall(data)
         except BlockingIOError as e:
-            raise TimeoutError(f"send not done within {self._timeout}s") from e
+            raise self._expired("send not done") from e
+
+    def _expired(self, what: str) -> TimeoutError:
+        """Record an expired deadline; the error that reports it."""
+        self.timed_out = True
+        return TimeoutError(f"{what} within {self._timeout}s")
 
     def recv(self) -> WireMessage:
         """Read one frame. End of stream raises ``TruncatedError``, at a
@@ -470,7 +463,7 @@ class FrameStream:
             try:
                 data = self._sock.recv(READ_SIZE)
             except BlockingIOError as e:
-                raise TimeoutError(f"no data within {self._timeout}s") from e
+                raise self._expired("no data") from e
             if not data:
                 if decoder.pending:
                     raise TruncatedError("connection closed mid-frame")

@@ -58,9 +58,10 @@ from attestsim.wire import (
     ChannelConfirm,
     ChannelInit,
     ErrorMsg,
+    FrameDecoder,
     FrameStream,
     WireMessage,
-    decode,
+    decode_payload,
     encode,
     ERR_INTERNAL,
 )
@@ -368,23 +369,6 @@ def _random_frame(rng: random.Random) -> bytes:
     return struct.pack(">IB", length, rng.randrange(256)) + rng.randbytes(length)
 
 
-def _recv_frame(sock) -> bytes:
-    buf = b""
-    while len(buf) < 5:
-        chunk = sock.recv(5 - len(buf))
-        if not chunk:
-            raise ConnectionError("eof during header")
-        buf += chunk
-    length = struct.unpack(">I", buf[:4])[0]
-    body = b""
-    while len(body) < length:
-        chunk = sock.recv(length - len(body))
-        if not chunk:
-            raise ConnectionError("eof during payload")
-        body += chunk
-    return buf + body
-
-
 def _random_message(rng: random.Random) -> WireMessage:
     kind = rng.randrange(5)
     if kind == 0:
@@ -405,31 +389,27 @@ def _random_message(rng: random.Random) -> WireMessage:
 
 
 def test_09_bulk_fuzz_and_codec(tmp_path):
-    import socket as socketlib
     rng = random.Random(0x9F)
     for _ in range(10_000):
         msg = _random_message(rng)
-        assert decode(encode(msg)) == msg
+        [item] = FrameDecoder().feed(encode(msg))
+        assert decode_payload(*item) == msg
 
     env = build_env(tmp_path / "fuzzenv")
     total, chunk, internal_faults = 100_000, 200, 0
     sent = 0
     with BackgroundDaemon(env.config) as daemon:
         while sent < total:
-            sock = socketlib.create_connection(daemon.address, timeout=15)
-            try:
+            with FrameStream.connect(*daemon.address, timeout=15) as stream:
                 for _ in range(25):
                     if sent >= total:
                         break
                     n = min(chunk, total - sent)
-                    sock.sendall(b"".join(_random_frame(rng) for _ in range(n)))
+                    stream.send_raw(b"".join(_random_frame(rng) for _ in range(n)))
                     for _ in range(n):
-                        reply = decode(_recv_frame(sock))
-                        if reply == ErrorMsg(code=ERR_INTERNAL):
+                        if stream.recv() == ErrorMsg(code=ERR_INTERNAL):
                             internal_faults += 1
                     sent += n
-            finally:
-                sock.close()
         alive = daemon.thread.is_alive()
         verifier = Verifier(Policy.load(str(env.policy_path)))
         with FrameStream.connect(*daemon.address, timeout=5) as stream:

@@ -124,3 +124,24 @@ def test_a_line_that_is_no_result_is_refused():
         perf_pairs.result_of("perfbench: no attestsim sources\n")
     with pytest.raises(ValueError):
         perf_pairs.result_of("")
+
+
+def test_a_run_without_a_result_keeps_the_finished_pairs(monkeypatch, capsys):
+    """Pair 3's first run prints nothing: the report covers pairs 1 and 2,
+    the run's message follows it, and the exit status is 1."""
+    def run_once(tree, workload, seed, seconds):
+        if seed == 3:
+            raise ValueError(f"perf_pairs: {tree}: seed {seed}: the run printed nothing")
+        per_s = 13000 if tree.name == "base" else 13100
+        return perf_pairs.result_of(output(per_s, 70.0))
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    code = perf_pairs.main(["--workload", "attest-hmac-serial", "--pairs", "5",
+                            "--seconds", "1", "base", "change"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "2 of 5 pairs, seeds 1-2" in out
+    assert "per pair: +100 +100\n" in out
+    assert "change: 0 of 2000 operations failed" in out
+    assert "pair 2/5 (seed 2) done" in err
+    assert err.rstrip().endswith("base: seed 3: the run printed nothing")

@@ -192,8 +192,8 @@ class TestConnection:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_replies_do_not_depend_on_the_reads(self, runtime, frames, data):
         """A stream cut into reads anywhere gets the same replies and the
-        same ``closed`` as one read of all of it, whether framing is lost
-        at some frame boundary or nowhere."""
+        same ``decoder.lost`` as one read of all of it, whether framing is
+        lost at some frame boundary or nowhere."""
         lost_at = data.draw(st.none() | st.integers(0, len(frames)))
         if lost_at is not None:
             frames.insert(lost_at, OVERSIZE_HEADER)
@@ -205,7 +205,18 @@ class TestConnection:
         split = prover.Connection(runtime)
         replies = [split.receive(stream[a:b]) for a, b in zip(bounds, bounds[1:])]
         assert b"".join(replies) == expected
-        assert split.closed == whole.closed == (lost_at is not None)
+        assert split.decoder.lost == whole.decoder.lost == (
+            None if lost_at is None else MAX_PAYLOAD + 1)
+
+    @pytest.mark.parametrize("sign_mode", [SignMode.HMAC], ids=["hmac"])
+    def test_a_byte_after_a_frame_begins_the_next(self, runtime):
+        """Bytes after a whole frame are no error: the frame is answered
+        once, and the byte waits as the start of the next frame."""
+        conn = prover.Connection(runtime)
+        replies = conn.receive(encode(AttestRequest(1, bytes(32))) + b"\x00")
+        [reply] = [decode_payload(*item) for item in FrameDecoder().feed(replies)]
+        assert isinstance(reply, AttestResponse) and reply.status == 0
+        assert conn.decoder.pending == 1 and conn.decoder.lost is None
 
     def test_a_reply_encode_refuses_costs_only_its_frame(self, up_specs,
                                                          sign_key, caplog):
@@ -232,7 +243,7 @@ class TestConnection:
         assert isinstance(first, AttestResponse) and first.pid == 2
         assert refused == ErrorMsg(ERR_INTERNAL)
         assert isinstance(last, AttestResponse) and last.pid == 2
-        assert not conn.closed
+        assert conn.decoder.lost is None
         assert "handler fault on 'AttestRequest'" in caplog.text
 
 

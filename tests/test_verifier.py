@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import gc
+import errno
 import hashlib
 import json
 import socket
@@ -28,11 +28,13 @@ from attestsim.verifier import (
     main as verifier_main,
 )
 from attestsim.wire import (
+    AttestRequest,
     AttestResponse,
     BadLengthError,
     ChannelConfirm,
     ErrorMsg,
     FrameStream,
+    encode,
 )
 
 
@@ -412,6 +414,30 @@ def _serve_once(remote: FrameStream, handler):
     return t
 
 
+class StalledSocket:
+    """A socket stand-in whose peer reads nothing, so every write misses
+    its deadline: ``sendall`` logs its bytes, then fails with ``EAGAIN``.
+    ``recv`` hands out the queued chunks, one per call."""
+
+    def __init__(self, *chunks: bytes):
+        self.inbox = list(chunks)
+        self.writes: list[bytes] = []
+
+    def gettimeout(self):
+        return None
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def sendall(self, data) -> None:
+        self.writes.append(bytes(data))
+        raise BlockingIOError(errno.EAGAIN, "send deadline expired")
+
+    def recv(self, size: int) -> bytes:
+        assert self.inbox, "recv would block"
+        return self.inbox.pop(0)
+
+
 class TestAttestStream:
     @pytest.fixture
     def pair(self):
@@ -528,9 +554,56 @@ class TestAttestStream:
             right.settimeout(0)
             with pytest.raises(TimeoutError):       # nothing was sent
                 right.recv()
-        del left
-        gc.collect()
-        assert not verifier._unpaired       # the entry went with the stream
+            assert left.timed_out
+
+    def test_a_timed_out_stream_is_refused_by_every_verifier(
+            self, sign_key, up_specs, runtime):
+        """The stream, not the verifier whose round timed out, knows that
+        it is out of step. A second verifier on it would read the first
+        one's late reply as the answer to its own request, and refuse a
+        genuine token as a forgery; instead each of its rounds fails at
+        once, sends nothing and leaves no challenge live."""
+        policy = make_policy(sign_key, up_specs)
+        first = Verifier(policy, timeout=0.2)
+        second = Verifier(policy, timeout=0.2)
+        left, right = stream_pair()
+        with left, right:
+            with pytest.raises(AttestTimeoutError, match="no response"):
+                first.attest("dev0", 1, left)
+            late = right.recv()
+            right.send(runtime.attest_once(late.pid, late.chal))
+            for _ in range(3):
+                with pytest.raises(AttestTimeoutError, match="earlier round"):
+                    second.attest("dev0", 1, left)
+            assert len(first.ledger) == len(second.ledger) == 0
+            right.settimeout(0)
+            with pytest.raises(TimeoutError):       # nothing was sent
+                right.recv()
+
+    @pytest.mark.parametrize("held", [False, True], ids=["direct", "held"])
+    def test_a_send_past_its_deadline_marks_the_stream(self, sign_key,
+                                                       up_specs, held):
+        """A request whose write misses its deadline may still reach the
+        peer in part, so the stream is out of step as after a late reply.
+        That holds for a request written at once and for one held behind
+        an unread reply and written with the next request."""
+        sock = StalledSocket(encode(ErrorMsg(code=1)) * 2)
+        stream = FrameStream(sock)
+        verifier = Verifier(make_policy(sign_key, up_specs))
+        if held:
+            stream.recv()                   # one reply stays unread
+            with pytest.raises(ProverError):        # held, and reads it
+                verifier.attest("dev0", 1, stream)
+            assert sock.writes == []
+        with pytest.raises(AttestTimeoutError, match="no response"):
+            verifier.attest("dev0", 1, stream)
+        assert stream.timed_out
+        request = len(encode(AttestRequest(1, bytes(32))))
+        assert [len(w) for w in sock.writes] == [request * (1 + held)]
+        with pytest.raises(AttestTimeoutError, match="earlier round"):
+            verifier.attest("dev0", 1, stream)
+        assert len(sock.writes) == 1                # no write was tried
+        assert len(verifier.ledger) == 0
 
 
 class TestChannel:

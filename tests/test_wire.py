@@ -30,7 +30,6 @@ from attestsim.wire import (
     TruncatedError,
     UnknownTypeError,
     WireError,
-    decode,
     decode_payload,
     encode,
     set_deadlines,
@@ -101,7 +100,9 @@ class TestRoundtrip:
     @given(msg=MESSAGES)
     @settings(max_examples=400, deadline=None)
     def test_encode_decode_identity(self, msg):
-        assert decode(encode(msg)) == msg
+        """Read as both roles read a frame: ``feed``, then ``decode_payload``."""
+        [item] = FrameDecoder().feed(encode(msg))
+        assert decode_payload(*item) == msg
 
     def test_oversize_payload_refused_at_encode(self):
         with pytest.raises(OversizeFrameError):
@@ -157,71 +158,79 @@ class TestEncodeAttestation:
 
 
 class TestStrictParsing:
+    """Frame-level cases go through ``FrameDecoder.feed``: a short frame
+    is held, not parsed, and an oversize header loses framing. Payload-level
+    cases go through ``decode_payload``: every byte must be accounted for."""
+
     def test_truncated_header(self):
-        with pytest.raises(TruncatedError):
-            decode(b"\x00\x00")
+        decoder = FrameDecoder()
+        assert decoder.feed(b"\x00\x00") == []
+        assert decoder.pending == 2
 
     def test_truncated_payload(self):
         frame = encode(ErrorMsg(code=1))
-        with pytest.raises(TruncatedError):
-            decode(frame[:-1])
+        decoder = FrameDecoder()
+        assert decoder.feed(frame[:-1]) == []
+        assert decoder.pending == len(frame) - 1
 
     def test_trailing_bytes(self):
+        """Bytes after a frame are no part of it: they begin the next."""
         frame = encode(ErrorMsg(code=1))
-        with pytest.raises(BadLengthError):
-            decode(frame + b"\x00")
+        decoder = FrameDecoder()
+        assert decoder.feed(frame + b"\x00") == [(0x05, b"\x01")]
+        assert decoder.pending == 1 and decoder.lost is None
 
     def test_unknown_type(self):
         with pytest.raises(UnknownTypeError):
-            decode(struct.pack(">IB", 0, 0x7F))
+            decode_payload(0x7F, b"")
 
     def test_oversize_declared_length(self):
-        with pytest.raises(BadLengthError):
-            decode(struct.pack(">IB", MAX_PAYLOAD + 1, MSG_ATTEST_REQUEST)
-                   + bytes(MAX_PAYLOAD + 1))
+        decoder = FrameDecoder()
+        assert decoder.feed(struct.pack(">IB", MAX_PAYLOAD + 1, MSG_ATTEST_REQUEST)
+                            + bytes(MAX_PAYLOAD + 1)) == []
+        assert decoder.lost == MAX_PAYLOAD + 1
 
     @pytest.mark.parametrize("payload_len", [0, 39, 41])
     def test_attest_request_length_must_be_exact(self, payload_len):
-        with pytest.raises(WireError):
-            decode(struct.pack(">IB", payload_len, MSG_ATTEST_REQUEST)
-                   + bytes(payload_len))
+        with pytest.raises(BadLengthError):
+            decode_payload(MSG_ATTEST_REQUEST, bytes(payload_len))
 
     def test_sigma_len_must_match_remaining(self):
         # sigma_len says 64 but only 32 bytes follow
         payload = struct.pack(">BQ", 0, 1) + bytes(32) + struct.pack(">H", 64) + bytes(32)
-        frame = struct.pack(">IB", len(payload), 0x02) + payload
         with pytest.raises(BadLengthError):
-            decode(frame)
+            decode_payload(0x02, payload)
 
     def test_sigma_len_odd_value_rejected(self):
         payload = struct.pack(">BQ", 0, 1) + bytes(32) + struct.pack(">H", 48) + bytes(48)
-        frame = struct.pack(">IB", len(payload), 0x02) + payload
         with pytest.raises(BadLengthError):
-            decode(frame)
+            decode_payload(0x02, payload)
 
     def test_channel_ct_must_cover_a_tag(self):
         payload = bytes(32) + bytes(12) + bytes(15)
-        frame = struct.pack(">IB", len(payload), 0x03) + payload
         with pytest.raises(TruncatedError):
-            decode(frame)
+            decode_payload(0x03, payload)
 
     @given(blob=st.binary(max_size=256))
     @settings(max_examples=500, deadline=None)
     def test_decode_is_total(self, blob):
-        """Arbitrary bytes either parse or raise a WireError; nothing else."""
-        try:
-            msg = decode(blob)
-        except WireError:
-            return
-        assert decode(encode(msg)) == msg
+        """Arbitrary bytes fed in: each frame they complete either parses
+        or raises a WireError, nothing else, and a frame that parses is
+        the encoding of what it parsed to."""
+        for mtype, payload in FrameDecoder().feed(blob):
+            try:
+                msg = decode_payload(mtype, payload)
+            except WireError:
+                continue
+            assert encode(msg) == struct.pack(">IB", len(payload), mtype) + payload
 
     @given(header=st.binary(min_size=5, max_size=5), body=st.binary(max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_decode_total_with_plausible_headers(self, header, body):
-        try:
-            decode(header + body)
-        except WireError:
-            pass
+        """Whatever the header declares, each frame it completes parses or
+        raises a WireError."""
+        for item in FrameDecoder().feed(header + body):
+            _outcome(decode_payload, *item)
 
 
 # well-formed frames plus honest-length frames whose payload may not parse
@@ -282,7 +291,8 @@ class TestFrameDecoder:
             assert decoder.feed(encode(ErrorMsg(code=1))) == []
             assert decoder.lost == length
         assert [_outcome(decode_payload, *item) for item in items] == \
-            [_outcome(decode, frame) for frame in frames[:at]]
+            [_outcome(decode_payload, frame[4], frame[HEADER_LEN:])
+             for frame in frames[:at]]
 
     def test_partial_frame_is_held(self):
         frame = encode(AttestRequest(pid=7, chal=bytes(range(32))))
@@ -493,8 +503,10 @@ class TestFrameStream:
         left, right = self._pair()
         try:
             right.settimeout(0.05)
+            assert not right.timed_out
             with pytest.raises(TimeoutError):
                 right.recv()
+            assert right.timed_out
         finally:
             left.close()
             right.close()
@@ -682,8 +694,10 @@ class TestFrameStream:
         stream.recv()
         stream.send_raw(_request(1))
         stream.recv()
+        assert not stream.timed_out
         with pytest.raises(TimeoutError):
             stream.recv()
+        assert stream.timed_out
         assert sock.log == [("recv",), ("sendall", _request(1))]
 
     @given(ops=st.lists(st.one_of(st.none(), st.integers(0, 2**16))),

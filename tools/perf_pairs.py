@@ -17,7 +17,9 @@ and no CHANGE run failed its own check (``"correct": false``). Otherwise
 the change's median is worse than the metric's bound of BASE's; or the
 verdict is unresolved, when BASE's quartiles lie further apart than that
 bound and not every CHANGE run beats every BASE run; or it is within
-bound. Failed operations are totalled per tree.
+bound. Failed operations are totalled per tree. A run that prints no
+result ends the series: the report covers the pairs finished before it,
+then its message follows and the exit status is 1.
 
 Standard library only; nothing under ``perfbench/`` is touched.
 """
@@ -131,13 +133,14 @@ def report(rows: list[dict], pairs: list[tuple[dict, dict]]) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result of one run; ``ValueError`` if it printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     try:
         return result_of(done.stdout)
     except ValueError as e:
-        raise SystemExit(f"perf_pairs: {tree}: seed {seed}: {e}\n"
+        raise ValueError(f"perf_pairs: {tree}: seed {seed}: {e}\n"
                          f"{done.stderr[-2000:]}") from e
 
 
@@ -152,21 +155,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    pairs = []
+    pairs, failure = [], None
     for i in range(args.pairs):
         seed = args.seed + i
-        if i % 2 == 0:
-            base = run_once(args.base, args.workload, seed, args.seconds)
-            change = run_once(args.change, args.workload, seed, args.seconds)
-        else:
-            change = run_once(args.change, args.workload, seed, args.seconds)
-            base = run_once(args.base, args.workload, seed, args.seconds)
+        try:
+            if i % 2 == 0:
+                base = run_once(args.base, args.workload, seed, args.seconds)
+                change = run_once(args.change, args.workload, seed, args.seconds)
+            else:
+                change = run_once(args.change, args.workload, seed, args.seconds)
+                base = run_once(args.base, args.workload, seed, args.seconds)
+        except ValueError as e:
+            failure = str(e)
+            break
         pairs.append((base, change))
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-"
-          f"{args.seed + args.pairs - 1}, {args.seconds:g} s each, "
+    print(f"{args.workload}: {len(pairs)} of {args.pairs} pairs, seeds "
+          f"{args.seed}-{args.seed + len(pairs) - 1}, {args.seconds:g} s each, "
           f"base {args.base}, change {args.change}")
-    print(report(summarize(pairs, metrics), pairs))
+    print(report(summarize(pairs, metrics), pairs), flush=True)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
     return 0
 
 
