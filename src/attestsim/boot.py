@@ -29,7 +29,6 @@ manifest on the host. ``write_anchor_file`` stays only for the benchmark.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from typing import Callable
@@ -88,10 +87,10 @@ class ManifestError(BootError):
 def _keystream_blob(label: str, size: int) -> bytes:
     """Deterministic filler so image bytes look like real binaries."""
     out = bytearray()
-    block = hashlib.sha256(label.encode("ascii")).digest()
+    block = sha256(label.encode("ascii"))
     while len(out) < size:
         out += block
-        block = hashlib.sha256(block).digest()
+        block = sha256(block)
     return bytes(out[:size])
 
 

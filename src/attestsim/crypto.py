@@ -19,18 +19,18 @@ The channel's crypto is in ``channel``, the keystore's loader in
 the one TCB module that imports no other attestsim module: the verifier
 loads ``VerifyKey`` without the kernel.
 
-SHA-256 comes from two implementations. The token's hashes (the HMAC
-pads and the 96-byte preimage, in the signer and the verifier alike) use
-CPython's builtin SHA-256, the one ``hashlib`` falls back to without
-OpenSSL: ``_sha256`` on 3.10 and 3.11, and from 3.12 ``_sha2``, HACL*
-code verified in F* and extracted to C by the toolchain the paper's TCB
-uses. The measurements (``sha256``, ``measure_binary``) hash whole
-binaries with OpenSSL's, which uses the SHA extensions. In process, on a
-2-vCPU x86 host with SHA-NI, the builtin takes 0.64 µs on 96 bytes
-against OpenSSL's 0.55 µs, and 18.5 against 3.7 µs on 4 KiB. The round
-still gets cheaper: OpenSSL's path allocates and frees an EVP context on
-every ``digest()``, and the signer and the verifier alternate on one CPU,
-where that path costs well over its warm time.
+This module owns SHA-256, and attestsim hashes with one implementation:
+the token's hashes, the measurements and anchors, boot's filler images,
+the signer's snapshot and the verifier's key fingerprint all go through
+``sha256`` or the constructor behind it (the channel's HKDF-SHA256 is
+pyca's, a primitive as Ed25519 is). That is CPython's builtin SHA-256,
+the one ``hashlib`` falls back to without OpenSSL: ``_sha256`` on 3.10
+and 3.11, and from 3.12 ``_sha2``, HACL* code verified in F* and
+extracted to C by the toolchain the paper's TCB uses. Its copies and
+digests allocate no OpenSSL context, which the round would pay for on
+every token hash. It is slower than OpenSSL's SHA extensions on long
+inputs (4 KiB in 18 against 3.6 µs on a 2-vCPU x86 host with SHA-NI),
+but whole binaries are hashed only at boot and for golden values.
 
 attestsim therefore needs a CPython whose builtin hashes include SHA-256,
 as the default build's do: ``__get_builtin_constructor`` is CPython's own,
@@ -58,8 +58,8 @@ HMAC_SIG_LEN = 32
 ED25519_SIG_LEN = 64
 SHA256_BLOCK_LEN = 64
 
-# CPython's builtin SHA-256 (HACL* from 3.12), for the token's hashes
-_token_sha256 = hashlib.__get_builtin_constructor("sha256")
+# CPython's builtin SHA-256 (HACL* from 3.12), attestsim's one SHA-256
+_sha256 = hashlib.__get_builtin_constructor("sha256")
 
 # byte -> byte ^ pad, for bytes.translate
 _IPAD = bytes(b ^ 0x36 for b in range(256))
@@ -83,9 +83,8 @@ class EmptyBinaryError(CryptoError):
 
 
 def sha256(data: bytes) -> bytes:
-    """OpenSSL's SHA-256 of ``data``: the measurements hash whole binaries,
-    where its SHA extensions are about 5x the builtin's speed."""
-    return hashlib.sha256(data).digest()
+    """The SHA-256 of ``data``, from CPython's builtin (module docstring)."""
+    return _sha256(data).digest()
 
 
 def measure_binary(binary: bytes) -> bytes:
@@ -104,15 +103,15 @@ def hmac_pads(key: bytes) -> tuple:
     (``hmac_sha256``). A key longer than the 64-byte block would have to be
     hashed first. Every key here is 32 bytes, so longer ones are refused.
 
-    The states are CPython's builtin SHA-256, as is every token hash: its
-    copies and digests allocate no OpenSSL context (module docstring).
+    The states are CPython's builtin SHA-256, as is every hash here: their
+    copies allocate no OpenSSL context (module docstring).
     """
     if len(key) > SHA256_BLOCK_LEN:
         raise LengthMismatchError(
             f"HMAC key of {len(key)} bytes exceeds the {SHA256_BLOCK_LEN}-byte block")
     block = key.ljust(SHA256_BLOCK_LEN, b"\0")
-    return (_token_sha256(block.translate(_IPAD)),
-            _token_sha256(block.translate(_OPAD)))
+    return (_sha256(block.translate(_IPAD)),
+            _sha256(block.translate(_OPAD)))
 
 
 def hmac_sha256(pads: tuple, data: bytes) -> bytes:
@@ -303,7 +302,7 @@ def attest_preimage(chal: bytes, pk: bytes, m: bytes) -> bytes:
 def attest_token(key: SignKey, chal: bytes, pk: bytes, m: bytes) -> bytes:
     """Sign the SHA-256 digest of the preimage under the key's mode: a
     32-byte HMAC tag or a 64-byte Ed25519 signature."""
-    digest = _token_sha256(attest_preimage(chal, pk, m)).digest()
+    digest = _sha256(attest_preimage(chal, pk, m)).digest()
     return key.sign_digest(digest)
 
 
@@ -316,7 +315,7 @@ def verify_token(vk: VerifyKey, chal: bytes, pk: bytes, m: bytes,
     if len(sig) != want:
         raise LengthMismatchError(
             f"{vk.mode.value} token must be {want} bytes, got {len(sig)}")
-    digest = _token_sha256(attest_preimage(chal, pk, m)).digest()
+    digest = _sha256(attest_preimage(chal, pk, m)).digest()
     if vk.mode is _HMAC:
         return ct_equal(hmac_sha256(vk._hmac_pads, digest), sig)
     try:

@@ -20,11 +20,10 @@ signed.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Generator, Iterable, Optional
 
-from .crypto import CHAL_LEN, SignKey, attest_token
+from .crypto import CHAL_LEN, SignKey, attest_token, sha256
 from .kernel import BOOT_BADGE, ProcessApi, Recv
 
 REQUEST_LEN = 8               # registers in a well-formed signing request
@@ -114,13 +113,9 @@ class SpState:
     def snapshot(self) -> bytes:
         if self.mmap is None:
             raise SigningError("signer state not installed yet")
-        h = hashlib.sha256()
-        h.update(b"mmap:")
-        h.update(self.mmap.serialize())
-        h.update(b"key:")
-        h.update(self.sign_key.mode.value.encode("ascii"))
-        h.update(self.sign_key.secret_bytes())
-        return h.digest()
+        return sha256(b"mmap:" + self.mmap.serialize() + b"key:"
+                      + self.sign_key.mode.value.encode("ascii")
+                      + self.sign_key.secret_bytes())
 
 
 def handle_request(state: SpState, badge: int, msg_len: int,

@@ -19,7 +19,6 @@ complete it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import threading
@@ -45,6 +44,7 @@ from .crypto import (
     VerifyKey,
     ct_equal,
     measure_binary,
+    sha256,
     verify_token,
 )
 from .wire import (
@@ -412,7 +412,7 @@ def _cli_attest(args: argparse.Namespace) -> int:
     print(f"accepted device={result.device_id} pid={result.pid} "
           f"measurement={result.measurement.hex()} sigma={result.sigma.hex()}")
     if args.channel:
-        fingerprint = hashlib.sha256(session.key).hexdigest()[:16]
+        fingerprint = sha256(session.key).hex()[:16]
         print(f"channel established key_fingerprint={fingerprint}")
     return 0
 

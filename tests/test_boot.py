@@ -160,8 +160,11 @@ class TestSecureBoot:
 
 
 class TestMeasurement:
-    def test_measure_is_sha256(self):
-        blob = b"some program bytes"
+    # around each block boundary that padding crosses, and whole binaries
+    @pytest.mark.parametrize("length", [1, 55, 56, 63, 64, 65, 119, 120,
+                                        4096, 8192, 1 << 20])
+    def test_measure_is_sha256(self, length):
+        blob = (bytes(range(251)) * (length // 251 + 1))[:length]
         assert measure_binary(blob) == hashlib.sha256(blob).digest()
 
     def test_empty_binary_refused(self):

@@ -48,7 +48,7 @@ from attestsim.crypto import (
 )
 from attestsim.provision import KeystoreError, load_keystore
 
-# the state type of CPython's builtin SHA-256, which the token's hashes use
+# the state type of CPython's builtin SHA-256, which every hash uses
 # (looked up here: in a class body the name would be mangled)
 BUILTIN_SHA256 = type(hashlib.__get_builtin_constructor("sha256")())
 

@@ -1,7 +1,8 @@
 """``tools/perf_pairs.py`` summarizes canned perfbench result lines by the
 claim rule: the win count, the medians against the base's quartiles, the
 bound of each end-to-end metric, the base's spread against that bound,
-the share of failed operations and each run's own correctness check."""
+the share of failed operations, each run's own correctness check, and
+whether the two trees hold the same benchmark."""
 
 from __future__ import annotations
 
@@ -145,3 +146,36 @@ def test_a_run_without_a_result_keeps_the_finished_pairs(monkeypatch, capsys):
     assert "change: 0 of 2000 operations failed" in out
     assert "pair 2/5 (seed 2) done" in err
     assert err.rstrip().endswith("base: seed 3: the run printed nothing")
+
+
+def test_trees_with_different_benchmarks_read_no_gain(tmp_path, monkeypatch,
+                                                       capsys):
+    """A clear gain between trees whose ``perfbench/`` or
+    ``BENCHMARK.json`` differ is not read as one; the report names the
+    files, and a loss past the bound is still reported."""
+    trees = {}
+    for name in ("base", "change"):
+        tree = trees[name] = tmp_path / name
+        (tree / "perfbench" / "__pycache__").mkdir(parents=True)
+        (tree / "BENCHMARK.json").write_text("{}")
+        (tree / "perfbench" / "run.py").write_text("print()")
+        (tree / "perfbench" / "__pycache__" / "run.pyc").write_text(name)
+    assert perf_pairs.benchmark_diff(trees["base"], trees["change"]) == []
+    (trees["change"] / "BENCHMARK.json").write_text('{"paths": []}')
+    (trees["change"] / "perfbench" / "run.py").write_text("print(1)")
+    (trees["change"] / "perfbench" / "extra.py").write_text("")
+
+    def run_once(tree, workload, seed, seconds):
+        per_s, p50 = (13000, 70.0) if tree.name == "base" else (13800, 90.0)
+        return perf_pairs.result_of(output(per_s, p50))
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    assert perf_pairs.main(["--workload", "attest-hmac-serial", "--pairs", "10",
+                            "--seconds", "1", str(trees["base"]),
+                            str(trees["change"])]) == 0
+    out = capsys.readouterr().out
+    assert ("the trees' benchmarks differ, so no gain is read: BENCHMARK.json, "
+            "perfbench/extra.py, perfbench/run.py\n") in out
+    assert "10/10  within bound" in out         # +6%, every pair
+    assert "0/10  worse than bound" in out      # p50 +29%
+    assert "gain" not in out.replace("no gain is read", "")

@@ -30,10 +30,10 @@ file name, so its lines are inside the traced set.
 
 Scope: ``sys.settrace`` sees Python lines only. The check cannot see into
 C code: CPython's builtin SHA-256 (``_sha256``, or HACL*'s ``_sha2`` from
-3.12), which hashes the token and the HMAC pads; OpenSSL's SHA-256
-through hashlib, which hashes the measurements; ``hmac.compare_digest``;
-the pyca ``cryptography`` primitives; and numpy. Their timing stays the
-job of the statistical audit in ``attestsim.timing``.
+3.12), which hashes the token, the HMAC pads and the measurements;
+``hmac.compare_digest``; the pyca ``cryptography`` primitives; and numpy.
+Their timing stays the job of the statistical audit in
+``attestsim.timing``.
 """
 
 from __future__ import annotations

@@ -145,6 +145,17 @@ class TestSpState:
         state = installed_state()
         assert state.snapshot() == state.snapshot()
 
+    @pytest.mark.parametrize("mode", list(SignMode))
+    def test_snapshot_is_sha256_of_the_canonical_bytes(self, mode):
+        """The map's count and entries as big-endian words, then the mode
+        and the secret, hashed by the stdlib's SHA-256."""
+        secret = bytes.fromhex("5a" * 32)
+        serialized = (struct.pack(">QQ", 2, 1) + bytes([1]) * 32
+                      + struct.pack(">Q", 2) + bytes([2]) * 32)
+        want = hashlib.sha256(b"mmap:" + serialized + b"key:"
+                              + mode.value.encode("ascii") + secret).digest()
+        assert installed_state(key=SignKey(mode, secret)).snapshot() == want
+
     def test_snapshot_sensitive_to_every_component(self):
         base = installed_state().snapshot()
         other_map = installed_state([(1, bytes([9]) * 32), (2, bytes([2]) * 32)])

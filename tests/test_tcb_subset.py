@@ -42,7 +42,10 @@ syntax trees:
   ``hashlib.__get_builtin_constructor("sha256")`` loads CPython's builtin
   hash module (``_sha256``, or ``_sha2`` from 3.12) when ``crypto`` is
   imported, as an import statement would. It needs no entry of its own:
-  the module belongs to ``hashlib``, which is on the list.
+  the module belongs to ``hashlib``, which is on the list;
+* ``crypto`` owns SHA-256: of all the modules of ``attestsim``, TCB or
+  not, it alone imports ``hashlib``, so every hash is its one builtin
+  implementation.
 
 Each rule is also shown to catch a line that breaks it, so the walk is
 not vacuous.
@@ -81,11 +84,12 @@ IMPORTS = {
                "cryptography.exceptions.InvalidSignature",
                "cryptography.hazmat.primitives.asymmetric.ed25519.Ed25519PrivateKey",
                "cryptography.hazmat.primitives.asymmetric.ed25519.Ed25519PublicKey"},
-    "signing": {"__future__.annotations", "hashlib", "struct",
+    "signing": {"__future__.annotations", "struct",
                 "typing.Generator", "typing.Iterable", "typing.Optional",
                 ".crypto.CHAL_LEN", ".crypto.SignKey", ".crypto.attest_token",
-                ".kernel.BOOT_BADGE", ".kernel.ProcessApi", ".kernel.Recv"},
-    "boot": {"__future__.annotations", "hashlib", "json", "logging",
+                ".crypto.sha256", ".kernel.BOOT_BADGE", ".kernel.ProcessApi",
+                ".kernel.Recv"},
+    "boot": {"__future__.annotations", "json", "logging",
              "typing.Callable", ".crypto.Frozen", ".crypto.SignKey",
              ".crypto.measure_binary", ".crypto.sha256", ".kernel.Call",
              ".kernel.Kernel", ".kernel.ProcessApi", ".kernel.RegionRequest",
@@ -194,6 +198,18 @@ def test_tcb_module_stays_in_subset(module):
     assert violations(path.read_text(encoding="utf-8"), exempt,
                       frozenset(IMPORTS[module]),
                       frozenset(LAZY_IMPORT_EXEMPT.get(module, ()))) == []
+
+
+def test_only_crypto_imports_hashlib():
+    """Every module of the package, not only the TCB, hashes through
+    ``crypto``."""
+    package = Path(attestsim.__file__).parent
+    importers = sorted(
+        path.stem for path in package.glob("*.py")
+        if any(name.split(".")[0] == "hashlib"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               for name in imported(node)))
+    assert importers == ["crypto"]
 
 
 def test_lazy_import_exemption_covers_only_its_function_and_module():

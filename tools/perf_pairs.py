@@ -13,7 +13,10 @@ better way (ties count for neither). Its verdict applies the claim rule
 of ROADMAP.md: a gain holds when the change wins at least nine pairs in
 ten, the medians differ by more than the distance between BASE's
 quartiles, the change fails no larger share of its operations than BASE,
-and no CHANGE run failed its own check (``"correct": false``). Otherwise
+and no CHANGE run failed its own check (``"correct": false``), and the
+two trees hold the same benchmark: a change that claims a gain may not
+edit it, so when ``BENCHMARK.json`` or a file under ``perfbench/``
+differs, the report names the files and reads no gain. Otherwise
 the change's median is worse than the metric's bound of BASE's; or the
 verdict is unresolved, when BASE's quartiles lie further apart than that
 bound and not every CHANGE run beats every BASE run; or it is within
@@ -66,12 +69,31 @@ def failed_share(results: list[dict]) -> float:
     return sum(r["failed"] for r in results) / attempted if attempted else 0.0
 
 
-def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+def benchmark_files(tree: Path) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and each file under ``perfbench/`` in ``tree``, by
+    path relative to it, without compiled bytecode."""
+    paths = [tree / "BENCHMARK.json", *(tree / "perfbench").rglob("*")]
+    return {path.relative_to(tree).as_posix(): path.read_bytes()
+            for path in paths
+            if path.is_file() and "__pycache__" not in path.relative_to(tree).parts}
+
+
+def benchmark_diff(base: Path, change: Path) -> list[str]:
+    """The benchmark files whose bytes differ between the trees, or that
+    only one of them has."""
+    a, b = benchmark_files(base), benchmark_files(change)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict],
+              benchmark_differs: bool = False) -> list[dict]:
     """One row per metric of ``metrics`` (``BENCHMARK.json``'s
-    ``end_to_end`` entries) over ``(base, change)`` result pairs."""
+    ``end_to_end`` entries) over ``(base, change)`` result pairs; no gain is
+    read when the trees' benchmarks differ (``benchmark_diff``)."""
     blocked = (failed_share([c for _, c in pairs])
                > failed_share([b for b, _ in pairs])
-               or not all(c["correct"] for _, c in pairs))
+               or not all(c["correct"] for _, c in pairs)
+               or benchmark_differs)
     rows = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -155,6 +177,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    differ = benchmark_diff(args.base, args.change)
     pairs, failure = [], None
     for i in range(args.pairs):
         seed = args.seed + i
@@ -173,7 +196,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     print(f"{args.workload}: {len(pairs)} of {args.pairs} pairs, seeds "
           f"{args.seed}-{args.seed + len(pairs) - 1}, {args.seconds:g} s each, "
           f"base {args.base}, change {args.change}")
-    print(report(summarize(pairs, metrics), pairs), flush=True)
+    if differ:
+        print("the trees' benchmarks differ, so no gain is read: "
+              + ", ".join(differ))
+    print(report(summarize(pairs, metrics, bool(differ)), pairs), flush=True)
     if failure is not None:
         print(failure, file=sys.stderr)
         return 1
