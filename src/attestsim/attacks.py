@@ -408,10 +408,6 @@ def run_scenario(name: str, workdir: Optional[Path] = None) -> ScenarioResult:
                           observed=observed, transcript=transcript)
 
 
-def run_all(names: Optional[list[str]] = None) -> list[ScenarioResult]:
-    return [run_scenario(n) for n in (names or list(SCENARIOS))]
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="attack-harness",
@@ -424,7 +420,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.WARNING)
     names = [args.scenario] if args.scenario else list(SCENARIOS)
-    results = run_all(names)
+    results = [run_scenario(n) for n in names]
     lines: list[str] = []
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'}  {r.name:18s} "

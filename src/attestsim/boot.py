@@ -23,14 +23,14 @@ Stages, in order:
 Any failure mid-pipeline tears the kernel down to an empty, finalized
 state; a partially booted device is never observable.
 
-Boot reads no file: ``attestsim.provision`` parses its anchors and
-manifest on the host. ``write_anchor_file`` stays only for the benchmark.
+Boot reads and prints nothing: ``attestsim.provision`` parses its anchors
+and manifest on the host, and ``prover.build_runtime`` logs the phases of
+a boot that finished. ``write_anchor_file`` stays only for the benchmark.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from typing import Callable
 
 from .crypto import Frozen, SignKey, measure_binary, sha256
@@ -43,8 +43,6 @@ from .kernel import (
     SELF_CODE_REGION,
 )
 from .signing import FIRST_BADGE, WORDS, SpState, signing_program
-
-log = logging.getLogger(__name__)
 
 CAPACITY = 16                 # user processes the measurement map holds
 
@@ -151,9 +149,6 @@ def secure_boot(anchors: dict[str, bytes], kernel_image: bytes = KERNEL_IMAGE,
         raise TcbHashMismatchError("root-process image does not match anchor")
     if sha256(SP_IMAGE) != anchors["sp_sha256"]:
         raise TcbHashMismatchError("signing-process image does not match anchor")
-    log.info("phase=boot kernel_sha256=%s rp_sha256=%s sp_sha256=%s",
-             anchors["kernel_sha256"].hex(), anchors["rp_sha256"].hex(),
-             anchors["sp_sha256"].hex())
     kernel = Kernel()
     kernel.spawn_process(PST_PID, rp_image)
     return kernel
@@ -206,7 +201,6 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
                 raise ManifestError(f"pid {spec.pid} is reserved")
             seen.add(spec.pid)
 
-        log.info("phase=process-spawn pid=%#x role=signing-process", SP_PID)
         kernel.spawn_process(SP_PID, SP_IMAGE, DEFAULT_REGIONS)
         ep_boot = kernel.create_endpoint()
         ep_attest = kernel.create_endpoint()
@@ -218,10 +212,8 @@ def run_boot(kernel: Kernel, specs: list[ProcessSpec], sign_key: SignKey,
 
         entries = []
         for badge, spec in enumerate(specs, start=FIRST_BADGE):
-            log.info("phase=process-spawn pid=%d size=%d", spec.pid, len(spec.binary))
             digest = measure_binary(spec.binary)
             kernel.spawn_process(spec.pid, spec.binary, spec.regions)
-            log.info("phase=measurement pid=%d sha256=%s", spec.pid, digest.hex())
             sp_cap = kernel.mint_badged_cap(ep_attest, badge, Rights(write=True), spec.pid)
             kernel.start_process(spec.pid, up_program_factory(spec, sp_cap))
             entries.append((spec.pid, digest))
@@ -242,7 +234,6 @@ def finalize_boot(kernel: Kernel) -> None:
     """Terminate the transfer process and drop all kernel authority."""
     kernel.terminate_process(PST_PID)
     kernel.finalize()
-    log.info("phase=boot-finalized live=%d", len(kernel.live_pids()))
 
 
 def _teardown(kernel: Kernel) -> None:

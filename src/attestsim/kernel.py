@@ -311,7 +311,7 @@ class Kernel:
         return handle
 
     def spawn_process(self, pid: int, code: bytes,
-                      regions: tuple[RegionRequest, ...] = ()) -> int:
+                      regions: tuple[RegionRequest, ...] = ()) -> None:
         """Create process ``pid`` from the image ``code`` (the trace keeps
         its length), with a region cap for each of ``regions``.
 
@@ -332,7 +332,6 @@ class Kernel:
             rec.cspace[handle] = Capability("region", req.region, req.rights)
         self._procs[pid] = rec
         self.trace.append(("spawn", pid, len(code)))
-        return pid
 
     def start_process(self, pid: int, program: Program) -> None:
         """Bind a program to a spawned, live process and make it runnable."""

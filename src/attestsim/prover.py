@@ -1,7 +1,9 @@
 """Prover daemon: boots the simulated device, then serves the wire protocol.
 
 Boot happens before the listening socket is opened, so a connectable
-daemon implies a fully measured, finalized device. The server is single
+daemon implies a fully measured, finalized device. This module writes
+every line proverd prints: boot itself prints nothing, and the boot
+phases are logged once the device is up. The server is single
 threaded on purpose: the simulated device has one core and the kernel
 object is not shared between threads. ``ProverServer.serve_forever`` is
 the daemon's one loop, run by ``proverd`` and by ``BackgroundDaemon``'s
@@ -163,11 +165,22 @@ class ProverRuntime:
 
 
 def build_runtime(config: ProverConfig) -> ProverRuntime:
-    """Load inputs, run the measured-boot pipeline, return the runtime."""
+    """Load inputs, run the measured-boot pipeline, and log its phases from
+    the device it brought up (the signer's map holds the measurements);
+    return the runtime."""
     key = load_keystore(config.keystore_path)
     anchors = load_anchors(config.anchors_path)
     specs = load_user_manifest(config.manifest_path)
-    return ProverRuntime(bring_up(anchors, specs, key, make_relay_program))
+    runtime = ProverRuntime(bring_up(anchors, specs, key, make_relay_program))
+    log.info("phase=boot kernel_sha256=%s rp_sha256=%s sp_sha256=%s",
+             anchors["kernel_sha256"].hex(), anchors["rp_sha256"].hex(),
+             anchors["sp_sha256"].hex())
+    log.info("phase=process-spawn pid=%#x role=signing-process", SP_PID)
+    for spec, (pid, digest) in zip(specs, runtime.sp_state.mmap.entries()):
+        log.info("phase=process-spawn pid=%d size=%d", pid, len(spec.binary))
+        log.info("phase=measurement pid=%d sha256=%s", pid, digest.hex())
+    log.info("phase=boot-finalized live=%d", len(runtime.kernel.live_pids()))
+    return runtime
 
 
 class Connection:

@@ -41,8 +41,8 @@ RW = Rights(read=True, write=True)
 
 
 def spawn(kernel: Kernel, pid: int, code: bytes = b"\x90" * 64,
-          regions=()) -> int:
-    return kernel.spawn_process(pid, code, tuple(regions))
+          regions=()) -> None:
+    kernel.spawn_process(pid, code, tuple(regions))
 
 
 def idle_recv(cap):

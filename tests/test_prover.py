@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import re
 import socket
 import struct
@@ -20,9 +21,11 @@ import attestsim.signing as signing
 import attestsim.userland as userland
 from attestsim.attacks import build_env
 from attestsim.boot import (
+    CAPACITY,
     PST_PID,
     RESERVED_PID_BASE,
     SP_PID,
+    CapacityExceededError,
     bring_up,
     default_anchors,
 )
@@ -36,6 +39,7 @@ from attestsim.channel import (
 )
 from attestsim.crypto import SignMode, verify_token
 from attestsim.kernel import NetRecv
+from attestsim.provision import load_user_manifest, write_device
 import attestsim.prover as prover
 from attestsim.prover import (
     BackgroundDaemon,
@@ -528,6 +532,41 @@ class TestPhaseLogs:
                  first("phase=listen")]
         assert order == sorted(order)
 
+    def test_boot_lines_come_from_the_booted_device(self, env, caplog):
+        """The daemon logs each measurement the signer installed, in transfer
+        order, and each manifest pid's size; ``prover`` writes every line."""
+        with caplog.at_level(logging.INFO):
+            with BackgroundDaemon(env.config) as daemon:
+                entries = daemon.runtime.sp_state.mmap.entries()
+        specs = load_user_manifest(env.config.manifest_path)
+        phases = [r for r in caplog.records if r.getMessage().startswith("phase=")]
+        messages = [r.getMessage() for r in phases]
+        assert [m for m in messages if m.startswith("phase=measurement")] == [
+            f"phase=measurement pid={pid} sha256={digest.hex()}"
+            for pid, digest in entries]
+        assert [m for m in messages if " size=" in m] == [
+            f"phase=process-spawn pid={spec.pid} size={len(spec.binary)}"
+            for spec in specs]
+        assert {r.name for r in phases} == {"attestsim.prover"}
+
+    def test_failed_boot_logs_no_phase(self, tmp_path, caplog):
+        """A boot that fails after the anchor check logs no ``phase=`` line,
+        so no line reports a device that never came up."""
+        files = write_device(tmp_path, tuple(range(1, CAPACITY + 2)),
+                             SignMode.HMAC, random.Random(0))
+        config = ProverConfig("127.0.0.1", 0, str(files.keystore),
+                              str(files.anchors), str(files.manifest))
+        with caplog.at_level(logging.INFO), pytest.raises(CapacityExceededError):
+            build_runtime(config)
+        assert [r.getMessage() for r in caplog.records
+                if "phase=" in r.getMessage()] == []
+
+    def test_in_process_boot_logs_nothing(self, up_specs, sign_key, caplog):
+        """Boot, part of the RA TCB, does no host I/O: not even a log line."""
+        with caplog.at_level(logging.DEBUG):
+            bring_up(default_anchors(), up_specs, sign_key, make_relay_program)
+        assert caplog.records == []
+
 
 # the pyca packages of the channel's X25519, HKDF and ChaCha20-Poly1305
 CHANNEL_PYCA = ["cryptography.hazmat.primitives.ciphers",
@@ -543,9 +582,11 @@ class TestCliPlumbing:
     # modules it must not load)
     CLOSURES = {
         "signer": ("attestsim.signing", ["crypto", "kernel", "signing"],
-                   ["socket", "attestsim.provision", *CHANNEL_PYCA, *CODEGEN]),
+                   ["socket", "logging", "attestsim.provision", *CHANNEL_PYCA,
+                    *CODEGEN]),
         "boot": ("attestsim.boot", ["boot", "crypto", "kernel", "signing"],
-                 ["socket", "attestsim.provision", *CHANNEL_PYCA, *CODEGEN]),
+                 ["socket", "logging", "attestsim.provision", *CHANNEL_PYCA,
+                  *CODEGEN]),
         "channel": ("attestsim.channel", ["channel", "crypto"], ["socket"]),
         "wire": ("attestsim.wire", ["wire"], []),
         "verifier": ("attestsim.verifier",
@@ -575,7 +616,8 @@ class TestCliPlumbing:
     def test_import_closure(self, role):
         """Each role loads its own side and nothing else, in a fresh
         interpreter. The RA TCB (signer and boot) loads no network codec,
-        relay, socket, channel crypto or file loader (``provision``);
+        relay, socket, ``logging``, channel crypto or file loader
+        (``provision``);
         channel crypto loads no kernel and no socket; the wire codec loads
         no other attestsim module; the verifier loads no device code and
         no ``logging``; the daemon loads device code only: no numpy, no

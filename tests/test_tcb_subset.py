@@ -31,7 +31,10 @@ syntax trees:
   ``json.load`` or ``json.loads``, and no ``stat`` module. A Low* program
   does no host I/O; the device's files are read on the host by
   ``wire.read_regular`` and parsed in ``attestsim.provision``, hex included
-  (``wire.parse_hex32``), and the TCB takes the parsed values. Only the
+  (``wire.parse_hex32``), and the TCB takes the parsed values. Nor does
+  the TCB log: ``logging`` is on no module's import list, and the daemon
+  logs the boot phases from the booted device (``prover.build_runtime``).
+  Only the
   bodies of ``boot.write_anchor_file`` and ``crypto.write_keystore`` are
   exempt, because the benchmark (``perfbench/run.py``) imports those two
   writers by these names;
@@ -89,8 +92,7 @@ IMPORTS = {
                 ".crypto.CHAL_LEN", ".crypto.SignKey", ".crypto.attest_token",
                 ".crypto.sha256", ".kernel.BOOT_BADGE", ".kernel.ProcessApi",
                 ".kernel.Recv"},
-    "boot": {"__future__.annotations", "json", "logging",
-             "typing.Callable", ".crypto.Frozen", ".crypto.SignKey",
+    "boot": {"__future__.annotations", "json", "typing.Callable", ".crypto.Frozen", ".crypto.SignKey",
              ".crypto.measure_binary", ".crypto.sha256", ".kernel.Call",
              ".kernel.Kernel", ".kernel.ProcessApi", ".kernel.RegionRequest",
              ".kernel.Rights", ".kernel.SELF_CODE_REGION", ".signing.FIRST_BADGE",
